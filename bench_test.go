@@ -457,8 +457,8 @@ func BenchmarkSquareReduction(b *testing.B) {
 	})
 }
 
-// BenchmarkEngines is the engine ablation: sequential vs one-goroutine-
-// per-node concurrent execution of the same schedule.
+// BenchmarkEngines measures the sequential engine on one k-degenerate
+// BUILD schedule.
 func BenchmarkEngines(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	g := graph.RandomKDegenerate(96, 2, rng)
@@ -466,14 +466,6 @@ func BenchmarkEngines(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-		}
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res := engine.RunConcurrent(p, g, adversary.Rotor{}, engine.Options{})
-			if res.Status != core.Success {
-				b.Fatal(res.Err)
-			}
 		}
 	})
 }

@@ -110,7 +110,7 @@ func usage(w *os.File) {
   import  add the runs of an archive to the store (existing runs skipped)
 
 run flags: -spec FILE | -protocols ... -graphs ... -sizes ... [-adversaries ...]
-           [-exhaustive] [-max-steps N] [-memoize=false] [-store] [-dir DIR]
+           [-exhaustive] [-max-steps N] [-store] [-dir DIR]
            [-push URL] [-remote URL] [-label L] [-workers N|URL1,URL2,...]
            [-shards K] [-out FILE] [-csv FILE] [-trace FILE] [-metrics-out FILE]
            [-log-level L] [-log-format F] [-quiet]
@@ -137,7 +137,6 @@ func runCmd(args []string) {
 		p          = fs.Float64("p", 0.3, "edge probability for random graphs")
 		exhaustive = fs.Bool("exhaustive", false, "enumerate every adversarial schedule per cell (ignores -adversaries; small n only)")
 		maxSteps   = fs.Int("max-steps", 0, "per-job write budget in exhaustive mode; 0 = default")
-		memoize    = fs.Bool("memoize", true, "collapse identical configurations during exhaustive enumeration (exact schedule multiplicities); false = naive tree walk")
 		workers    = fs.String("workers", "0", "worker goroutines (0 = GOMAXPROCS), or comma-separated wbserve URLs to run the campaign on a distributed worker fleet")
 		shards     = fs.Int("shards", 0, "with -workers URLs: contiguous cell-range shards to split the matrix into; 0 = one per worker")
 		metricsOut = fs.String("metrics-out", "", "write the run's Prometheus metrics exposition to this file")
@@ -206,7 +205,7 @@ func runCmd(args []string) {
 		// (-exhaustive in particular would otherwise look applied but not be).
 		specOnly := map[string]bool{"protocols": true, "graphs": true, "adversaries": true,
 			"sizes": true, "models": true, "seeds": true, "base-seed": true, "k": true,
-			"p": true, "exhaustive": true, "max-steps": true, "memoize": true}
+			"p": true, "exhaustive": true, "max-steps": true}
 		fs.Visit(func(f *flag.Flag) {
 			if specOnly[f.Name] {
 				fmt.Fprintf(os.Stderr, "wbcampaign run: -%s conflicts with -spec (put it in the spec file)\n", f.Name)
@@ -219,16 +218,6 @@ func runCmd(args []string) {
 			fail(err)
 		}
 	} else {
-		if !*exhaustive {
-			// -memoize without -exhaustive would be silently meaningless;
-			// Validate rejects the resulting spec, but say it in CLI terms.
-			fs.Visit(func(f *flag.Flag) {
-				if f.Name == "memoize" {
-					fmt.Fprintln(os.Stderr, "wbcampaign run: -memoize requires -exhaustive")
-					os.Exit(2)
-				}
-			})
-		}
 		ns, err := parseSizes(*sizes)
 		if err != nil {
 			fail(err)
@@ -248,7 +237,6 @@ func runCmd(args []string) {
 		if *exhaustive {
 			spec.Mode = campaign.ModeExhaustive
 			spec.Adversaries = nil
-			spec.Memoize = memoize
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/campaign"
 	"repro/internal/server"
@@ -229,6 +230,45 @@ func TestSDKCLIHTTPEquivalence(t *testing.T) {
 	}
 }
 
+// TestExhaustiveSpecHashesUnchanged pins the wire identity of exhaustive
+// specs now that the memoized walk is the only one: Normalize still fills
+// in memoize true, so the example specs, a bare SDK spec and a flag-built
+// exhaustive spec (which also carries the -k and -p defaults) keep the
+// spec hashes their stored runs live under.
+func TestExhaustiveSpecHashesUnchanged(t *testing.T) {
+	for file, want := range map[string]string{
+		"exhaustive-deep.json": "facc841c577d",
+		"exhaustive.json":      "5504d8966058",
+	} {
+		spec, err := campaign.LoadSpec(filepath.Join("..", "..", "examples", "campaigns", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := store.SpecHash(spec); got != want {
+			t.Errorf("%s: spec hash %s, want %s", file, got, want)
+		}
+	}
+	bare := campaign.Spec{Protocols: []string{"mis"}, Graphs: []string{"cycle"}, Sizes: []int{6},
+		Mode: campaign.ModeExhaustive}
+	if got := store.SpecHash(bare); got != "a6daaa77f7ad" {
+		t.Errorf("bare exhaustive spec hash %s, want a6daaa77f7ad", got)
+	}
+	dir := t.TempDir()
+	runCmd([]string{"-protocols", "mis", "-graphs", "cycle", "-sizes", "6", "-exhaustive",
+		"-store", "-dir", dir, "-quiet"})
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].SpecHash != "7a34b7848df8" {
+		t.Errorf("flag-built exhaustive run stored as %v, want spec hash 7a34b7848df8", entries)
+	}
+}
+
 // TestFleetCLIEquivalence extends the equivalence pin to fleet mode: the
 // same spec sharded across two in-process wbserve workers (via `run
 // -workers URL,URL`) stores a report byte-identical to the SDK run, and
@@ -266,6 +306,15 @@ func TestFleetCLIEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Drain the worker's jobs (a stolen shard's duplicate may still be
+		// running) before the TempDir cleanup removes its store.
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("worker shutdown: %v", err)
+			}
+		})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		return ts.URL

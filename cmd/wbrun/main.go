@@ -6,7 +6,7 @@
 // Examples:
 //
 //	wbrun -protocol bfs -graph gnp -n 12 -p 0.3 -adversary rotor
-//	wbrun -protocol build-kdeg -k 3 -graph kdeg -n 20 -engine concurrent
+//	wbrun -protocol build-kdeg -k 3 -graph kdeg -n 20 -trace
 //	wbrun -protocol mis -graph path -n 5 -adversary scripted:5,4,3,2,1
 //	wbrun -protocol bfs -graph cycle -n 5 -force-model ASYNC   # deadlock demo
 package main
@@ -33,7 +33,6 @@ func main() {
 		p         = flag.Float64("p", 0.3, "edge probability for random graphs")
 		seed      = flag.Int64("seed", 1, "random seed for graphs and the random adversary")
 		advName   = flag.String("adversary", "min", "adversary: "+registry.FlagHelp(registry.Adversaries())+" (e.g. stubborn:3, scripted:3,1,2, script:pick(round))")
-		engName   = flag.String("engine", "seq", "engine: seq|concurrent")
 		force     = flag.String("force-model", "", "override model: SIMASYNC|SIMSYNC|ASYNC|SYNC")
 		trace     = flag.Bool("trace", false, "print every write event")
 		spectrum  = flag.Bool("spectrum", false, "enumerate ALL adversarial schedules (small n!) and tally the outcomes instead of a single run")
@@ -82,17 +81,9 @@ func main() {
 		return
 	}
 
-	fmt.Printf("adversary: %s, engine: %s\n", adv.Name(), *engName)
+	fmt.Printf("adversary: %s\n", adv.Name())
 
-	var res *core.Result
-	switch *engName {
-	case "seq":
-		res = engine.Run(proto, g, adv, opts)
-	case "concurrent":
-		res = engine.RunConcurrent(proto, g, adv, opts)
-	default:
-		fail(fmt.Errorf("unknown engine %q", *engName))
-	}
+	res := engine.Run(proto, g, adv, opts)
 
 	fmt.Printf("status:    %v", res.Status)
 	if res.Err != nil {

@@ -63,7 +63,8 @@ func TestCrossProtocolConsistency(t *testing.T) {
 }
 
 func TestAllProtocolsAcrossEngines(t *testing.T) {
-	// Every protocol, sequential vs concurrent engine, identical boards.
+	// Every protocol, a fresh Run vs one Runner reused across all of them,
+	// identical boards.
 	rng := rand.New(rand.NewSource(91))
 	tree := graph.RandomTree(12, rng)
 	kdeg := graph.RandomKDegenerate(12, 2, rng)
@@ -87,13 +88,14 @@ func TestAllProtocolsAcrossEngines(t *testing.T) {
 		{whiteboard.SubgraphPrefix(func(n int) int { return 4 }, "four"), kdeg},
 		{whiteboard.RandomizedTwoCliques(5, 24), tc},
 	}
+	runner := engine.NewRunner()
 	for _, c := range cases {
 		seq := engine.Run(c.p, c.g, whiteboard.RotorAdversary, engine.Options{})
-		con := engine.RunConcurrent(c.p, c.g, whiteboard.RotorAdversary, engine.Options{})
-		if seq.Status != core.Success || con.Status != core.Success {
-			t.Fatalf("%s: seq=%v (%v) con=%v (%v)", c.p.Name(), seq.Status, seq.Err, con.Status, con.Err)
+		reused := runner.Run(c.p, c.g, whiteboard.RotorAdversary, engine.Options{})
+		if seq.Status != core.Success || reused.Status != core.Success {
+			t.Fatalf("%s: run=%v (%v) runner=%v (%v)", c.p.Name(), seq.Status, seq.Err, reused.Status, reused.Err)
 		}
-		if seq.Board.Key() != con.Board.Key() {
+		if seq.Board.Key() != reused.Board.Key() {
 			t.Errorf("%s: engines produced different boards", c.p.Name())
 		}
 	}

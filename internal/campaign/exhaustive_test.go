@@ -3,7 +3,7 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -98,66 +98,25 @@ func TestExhaustiveMatchesSpectrum(t *testing.T) {
 	}
 }
 
-// TestExhaustiveMemoizeOffMatchesMemoized pins the campaign-level
-// equivalence of the two exhaustive strategies: running the same spec with
-// memoize:false must produce identical cells except for the traversal
-// diagnostics (steps, classes, steps_saved), which the naive walk reports
-// as tree-walk steps and zeros. The spec axes include a protocol whose
-// configuration space genuinely collapses (mis), so the equality is not
-// vacuous — and the memoized walk must have simulated strictly fewer
-// writes there.
-func TestExhaustiveMemoizeOffMatchesMemoized(t *testing.T) {
+// TestExhaustiveMemoizeFalseRejected pins what remains of the memoize
+// field: it stays on the wire (Normalize fills in true, so spec hashes do
+// not move), but a spec asking for the retired tree walk is refused with an
+// error naming the field, before any job runs.
+func TestExhaustiveMemoizeFalseRejected(t *testing.T) {
 	spec := exhaustiveSpec()
-	spec.Protocols = append(spec.Protocols, "mis")
-	memoRep, err := Run(spec, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if m := spec.Normalize().Memoize; m == nil || !*m {
+		t.Fatalf("Normalize left memoize %v, want true", m)
 	}
 	naive := false
 	spec.Memoize = &naive
-	naiveRep, err := Run(spec, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	rep, err := Run(spec, Options{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "memoize") {
+		t.Fatalf("memoize:false run: report %v, err %v; want an error naming memoize", rep, err)
 	}
-	if len(memoRep.Cells) != len(naiveRep.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(memoRep.Cells), len(naiveRep.Cells))
-	}
-	collapsed := false
-	for i := range memoRep.Cells {
-		m, n := memoRep.Cells[i], naiveRep.Cells[i]
-		coord := fmt.Sprintf("%s/%s n=%d", m.Protocol, m.Graph, m.N)
-		if m.Exhaustive == nil || n.Exhaustive == nil {
-			t.Fatalf("%s: missing exhaustive block", coord)
-		}
-		if m.Exhaustive.Steps > n.Exhaustive.Steps {
-			t.Errorf("%s: memoized %d steps exceeds naive %d", coord, m.Exhaustive.Steps, n.Exhaustive.Steps)
-		}
-		if m.Exhaustive.Steps+m.Exhaustive.StepsSaved != n.Exhaustive.Steps {
-			t.Errorf("%s: steps %d + saved %d != naive %d", coord,
-				m.Exhaustive.Steps, m.Exhaustive.StepsSaved, n.Exhaustive.Steps)
-		}
-		if m.Protocol == "mis" && m.Exhaustive.Steps < n.Exhaustive.Steps {
-			collapsed = true
-		}
-		// Blank the traversal diagnostics; everything else must be identical.
-		m.Exhaustive = &ExhaustiveCell{Schedules: m.Exhaustive.Schedules,
-			Success: m.Exhaustive.Success, Deadlock: m.Exhaustive.Deadlock,
-			Failed: m.Exhaustive.Failed, DistinctOutputs: m.Exhaustive.DistinctOutputs,
-			BudgetExhausted: m.Exhaustive.BudgetExhausted}
-		n.Exhaustive = &ExhaustiveCell{Schedules: n.Exhaustive.Schedules,
-			Success: n.Exhaustive.Success, Deadlock: n.Exhaustive.Deadlock,
-			Failed: n.Exhaustive.Failed, DistinctOutputs: n.Exhaustive.DistinctOutputs,
-			BudgetExhausted: n.Exhaustive.BudgetExhausted}
-		if !reflect.DeepEqual(m.Exhaustive, n.Exhaustive) {
-			t.Errorf("%s: schedule tallies differ: %+v vs %+v", coord, m.Exhaustive, n.Exhaustive)
-		}
-		m.Exhaustive, n.Exhaustive = nil, nil
-		if !reflect.DeepEqual(m, n) {
-			t.Errorf("%s: cell stats differ:\nmemo  %+v\nnaive %+v", coord, m, n)
-		}
-	}
-	if !collapsed {
-		t.Error("no mis cell collapsed — the equivalence test lost its teeth")
+	memoize := true
+	spec.Memoize = &memoize
+	if err := spec.Normalize().Validate(); err != nil {
+		t.Errorf("memoize:true rejected: %v", err)
 	}
 }
 
@@ -223,45 +182,6 @@ func TestExhaustiveFailedTrialDoesNotPolluteDists(t *testing.T) {
 	}
 	if bad.Rounds != (Dist{}) || bad.BoardBits != (Dist{}) {
 		t.Errorf("n=2 cell dists should be empty, got rounds %+v bits %+v", bad.Rounds, bad.BoardBits)
-	}
-}
-
-// TestMemoizedCompletesWhereNaiveExhausts is the feasibility frontier made
-// a test: on the mis/cycle n=6 cell a 1500-write budget is enough for the
-// memoized DAG walk (1142 unique writes) but not for the naive tree walk
-// (1956), so the same spec succeeds memoized and dies on budget naive —
-// with identical schedule tallies wherever both complete.
-func TestMemoizedCompletesWhereNaiveExhausts(t *testing.T) {
-	spec := Spec{
-		Protocols: []string{"mis"},
-		Graphs:    []string{"cycle"},
-		Sizes:     []int{6},
-		Mode:      ModeExhaustive,
-		MaxSteps:  1500,
-	}
-	memoRep, err := Run(spec, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := &memoRep.Cells[0]
-	if mc.Success != 1 || mc.Exhaustive.BudgetExhausted {
-		t.Fatalf("memoized cell should complete within 1500 steps: %+v / %+v", mc, mc.Exhaustive)
-	}
-	if mc.Exhaustive.Schedules != 720 {
-		t.Errorf("schedules = %d, want 6! = 720", mc.Exhaustive.Schedules)
-	}
-	naive := false
-	spec.Memoize = &naive
-	naiveRep, err := Run(spec, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := &naiveRep.Cells[0]
-	if nc.Failed != 1 || !nc.Exhaustive.BudgetExhausted {
-		t.Fatalf("naive cell should exhaust the 1500-step budget: %+v / %+v", nc, nc.Exhaustive)
-	}
-	if nc.Exhaustive.Steps != spec.MaxSteps {
-		t.Errorf("naive cell burned %d steps, want exactly the %d budget", nc.Exhaustive.Steps, spec.MaxSteps)
 	}
 }
 

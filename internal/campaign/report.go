@@ -78,10 +78,11 @@ type Cell struct {
 // (the Cell's own counters count trials, where one bad schedule taints the
 // whole trial); DistinctOutputs counts distinct successful outputs, summed
 // per trial since different trials may enumerate different random graphs.
-// Under the memoized strategy (spec "memoize", the default) Steps counts
-// only unique simulated writes, Classes the configuration classes visited,
-// and StepsSaved the writes the naive tree walk would have added — the
-// schedule tallies themselves are exact either way.
+// Steps counts only unique simulated writes of the memoized walk, Classes
+// the configuration classes visited, and StepsSaved the writes the
+// schedule-tree walk would have added. Reports stored by the retired
+// tree walk (spec memoize:false) count its writes in Steps and carry no
+// Classes or StepsSaved; the schedule tallies are exact either way.
 type ExhaustiveCell struct {
 	Schedules       int  `json:"schedules"`
 	Steps           int  `json:"steps"`

@@ -91,10 +91,10 @@ type jobResult struct {
 // schedStats aggregates every terminal schedule of one exhaustive job
 // (one graph instance enumerated exhaustively). The min/max/sum
 // accumulators feed the cell's Rounds/BoardBits distributions, so in
-// exhaustive cells those dists range over schedules, not trials. Under the
-// memoized strategy each terminal configuration class is folded once with
-// its exact schedule multiplicity as the weight, which reproduces the
-// naive per-schedule accumulation bit for bit.
+// exhaustive cells those dists range over schedules, not trials. Each
+// terminal configuration class is folded once with its exact schedule
+// multiplicity as the weight, which reproduces a per-schedule accumulation
+// bit for bit.
 type schedStats struct {
 	schedules int
 	steps     int
@@ -104,8 +104,8 @@ type schedStats struct {
 	outputs   int // distinct successful outputs
 	budgetHit bool
 
-	classes    int // configuration classes visited (memoized walks only)
-	stepsSaved int // writes the naive tree walk would have added
+	classes    int // configuration classes visited
+	stepsSaved int // writes the schedule-tree walk would have added
 
 	roundsMin, roundsMax int
 	roundsSum            int64
@@ -441,13 +441,11 @@ func runJob(runner *engine.Runner, rng *rand.Rand, spec Spec, job Job, em *telem
 }
 
 // runExhaustiveJob enumerates every adversarial schedule of one graph
-// instance — through the memoized configuration DAG (engine.RunAllMemo,
-// the default) or the naive schedule tree (engine.RunAll, memoize: false)
-// — and folds the terminal results into schedule statistics. The two
-// strategies produce identical tallies; only steps, classes and
-// steps-saved reflect the traversal. The job-level status renders the
-// ∀-adversary verdict: Success only if *every* schedule succeeded within
-// budget, Deadlock if some schedule deadlocked, Failed on any model
+// instance through the memoized configuration DAG (engine.RunAllMemo) and
+// folds the terminal results, weighted by their exact schedule
+// multiplicities, into schedule statistics. The job-level status renders
+// the ∀-adversary verdict: Success only if *every* schedule succeeded
+// within budget, Deadlock if some schedule deadlocked, Failed on any model
 // violation, livelock, or an exhausted step budget.
 func runExhaustiveJob(ctx context.Context, rng *rand.Rand, spec Spec, job Job, em *telemetry.EngineMetrics) (jr jobResult) {
 	defer func() {
@@ -495,43 +493,25 @@ func runExhaustiveJob(ctx context.Context, rng *rand.Rand, spec Spec, job Job, e
 			"protocol":  job.Protocol,
 			"graph":     job.Graph,
 			"n":         job.N,
-			"memoized":  *spec.Memoize,
+			"memoized":  true,
 			"steps":     ss.steps,
 			"classes":   ss.classes,
 			"schedules": ss.schedules,
 		})
 	}()
-	var runErr error
-	if *spec.Memoize {
-		var mstats engine.MemoStats
-		mstats, runErr = engine.RunAllMemo(proto, g,
-			engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: em}, spec.MaxSteps,
-			func(res *core.Result, mult *big.Int) error {
-				w, err := engine.IntFromBig(mult)
-				if err != nil {
-					return err
-				}
-				tally(res, w)
-				return nil
-			})
-		ss.steps = mstats.Steps
-		ss.classes = mstats.Classes
-		saved := new(big.Int).Sub(mstats.NaiveSteps, big.NewInt(int64(mstats.Steps)))
-		if v, err := engine.IntFromBig(saved); err == nil {
-			ss.stepsSaved = v
-		} else {
-			ss.stepsSaved = int(^uint(0) >> 1) // diagnostic only: saturate
-		}
-	} else {
-		var stats engine.AllStats
-		stats, runErr = engine.RunAll(proto, g,
-			engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: em}, spec.MaxSteps,
-			func(res *core.Result, _ []int) error {
-				tally(res, 1)
-				return nil
-			})
-		ss.steps = stats.Steps
-	}
+	mstats, runErr := engine.RunAllMemo(proto, g,
+		engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: em}, spec.MaxSteps,
+		func(res *core.Result, mult *big.Int) error {
+			w, err := engine.IntFromBig(mult)
+			if err != nil {
+				return err
+			}
+			tally(res, w)
+			return nil
+		})
+	ss.steps = mstats.Steps
+	ss.classes = mstats.Classes
+	ss.stepsSaved = mstats.StepsSaved()
 	ss.outputs = len(outputs)
 
 	// The cell's round/bit dists are fed from ss by aggregate; only maxBits

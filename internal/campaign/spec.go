@@ -59,7 +59,7 @@ type Spec struct {
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// Mode selects how each cell is executed. "" (or "sampled") runs one
 	// adversary per cell — the classic path. "exhaustive" enumerates every
-	// adversarial schedule per cell via engine.RunAll, making the paper's
+	// adversarial schedule per cell via engine.RunAllMemo, making the paper's
 	// ∀-adversary quantifier literal for small n: the Adversaries axis must
 	// then be empty (all schedules run, no adversary chooses), and the cell's
 	// round/bit distributions range over schedules instead of trials.
@@ -68,13 +68,15 @@ type Spec struct {
 	// (the enumeration budget); 0 means DefaultMaxSteps. Exceeding it marks
 	// the trial Failed rather than hanging the campaign. Ignored when sampled.
 	MaxSteps int `json:"max_steps,omitempty"`
-	// Memoize selects the exhaustive traversal strategy. nil defaults to
-	// true: the schedule tree is collapsed into a DAG over canonical
-	// (board, node-state, pending-message) configurations with exact
-	// schedule multiplicities (engine.RunAllMemo), which leaves every tally
-	// bit-identical to the naive enumeration while spending the MaxSteps
-	// budget only on unique writes. Set false to force the naive tree walk
-	// (engine.RunAll). Only meaningful in exhaustive mode.
+	// Memoize stays on the wire so spec hashes do not move: Normalize fills
+	// in true for exhaustive specs, and Validate rejects false, because
+	// exhaustive cells always run the memoized walk (engine.RunAllMemo):
+	// the schedule tree collapses into a DAG over canonical (board,
+	// node-state, pending-message) configurations with exact schedule
+	// multiplicities, so every tally is bit-identical to the plain
+	// enumeration while MaxSteps is spent only on unique writes. Reports
+	// stored with memoize:false by the retired tree-walk strategy still
+	// load, list, render and diff. Only meaningful in exhaustive mode.
 	Memoize *bool `json:"memoize,omitempty"`
 	// Cells, when set, restricts execution to the half-open cell-index
 	// range [Start, End) of the full matrix — the shard contract of the
@@ -98,7 +100,7 @@ type CellRange struct {
 // enumeration; the empty string (or "sampled") selects sampled execution.
 const ModeExhaustive = "exhaustive"
 
-// DefaultMaxSteps is the per-job engine.RunAll write budget used when an
+// DefaultMaxSteps is the per-job engine.RunAllMemo write budget used when an
 // exhaustive spec leaves MaxSteps at zero.
 const DefaultMaxSteps = 200_000
 
@@ -170,6 +172,9 @@ func (s Spec) Validate() error {
 		}
 		if s.MaxSteps < 1 {
 			return fmt.Errorf("campaign: max_steps must be ≥ 1, got %d", s.MaxSteps)
+		}
+		if s.Memoize != nil && !*s.Memoize {
+			return fmt.Errorf("campaign: memoize: false is no longer supported; exhaustive cells always run the memoized walk (remove the field)")
 		}
 	} else {
 		if len(s.Adversaries) == 0 {

@@ -2,11 +2,26 @@ package engine
 
 import (
 	"fmt"
+	"math/big"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/registry"
 )
+
+// treeWalkSpectrum is OutputSpectrum over the plain schedule-tree walk
+// (RunAll): the reference every memoized tally is checked against.
+func treeWalkSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int) (*Spectrum, error) {
+	s := &Spectrum{Outputs: map[string]int{}}
+	stats, err := RunAll(p, g, opts, maxSteps, func(res *core.Result, _ []int) error {
+		s.tally(res, 1)
+		return nil
+	})
+	s.Schedules, s.Steps = stats.Schedules, stats.Steps
+	return s, err
+}
 
 // TestMemoizedMatchesNaiveAllRegistered is the differential property test
 // behind the memoized default: for every registered protocol on every
@@ -51,8 +66,7 @@ func TestMemoizedMatchesNaiveAllRegistered(t *testing.T) {
 						t.Fatal(err)
 					}
 					coord := fmt.Sprintf("%s/%s n=%d %s", spec, gname, n, mname)
-					naive, errN := OutputSpectrum(proto, g,
-						Options{Model: model, Exhaustive: ExhaustiveNaive}, 1<<20)
+					naive, errN := treeWalkSpectrum(proto, g, Options{Model: model}, 1<<20)
 					memo, errM := OutputSpectrum(proto, g, Options{Model: model}, 1<<20)
 					if (errN != nil) != (errM != nil) {
 						t.Errorf("%s: naive err %v, memoized err %v", coord, errN, errM)
@@ -78,5 +92,69 @@ func TestMemoizedMatchesNaiveAllRegistered(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// outcomeKey renders what a terminal result shows the campaign tallies:
+// status, output or error, rounds and the final board.
+func outcomeKey(res *core.Result) string {
+	return fmt.Sprintf("%v|%v|%v|%d|%s", res.Status, res.Output, res.Err, res.Rounds, res.Board.Key())
+}
+
+// TestMemoMatchesTreeWalkOnExhaustiveSpec pins the two exhaustive walks
+// to each other on the cells of a typical exhaustive campaign (bfs,
+// connectivity and mis on paths and cycles, n = 3..5): summed over
+// multiplicities, RunAllMemo's terminal outcomes — status, output, rounds
+// and final board, everything a campaign cell tallies — equal RunAll's
+// schedule for schedule, and the memoized walk accounts for the tree
+// walk's steps exactly. mis collapses, so the equality is not vacuous.
+func TestMemoMatchesTreeWalkOnExhaustiveSpec(t *testing.T) {
+	collapsed := false
+	for _, pname := range []string{"bfs", "connectivity", "mis"} {
+		for _, gname := range []string{"path", "cycle"} {
+			for n := 3; n <= 5; n++ {
+				coord := fmt.Sprintf("%s/%s n=%d", pname, gname, n)
+				params := registry.Params{N: n}
+				p, err := registry.NewProtocol(pname, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := registry.NewGraph(gname, params, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree, memo := map[string]int{}, map[string]int{}
+				all, err := RunAll(p, g, Options{}, 1<<20, func(res *core.Result, _ []int) error {
+					tree[outcomeKey(res)]++
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: RunAll: %v", coord, err)
+				}
+				stats, err := RunAllMemo(p, g, Options{}, 1<<20, func(res *core.Result, mult *big.Int) error {
+					memo[outcomeKey(res)] += int(mult.Int64())
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: RunAllMemo: %v", coord, err)
+				}
+				if !reflect.DeepEqual(tree, memo) {
+					t.Errorf("%s: terminal outcomes differ:\ntree %v\nmemo %v", coord, tree, memo)
+				}
+				if stats.Schedules.Int64() != int64(all.Schedules) {
+					t.Errorf("%s: schedules %s vs %d", coord, stats.Schedules, all.Schedules)
+				}
+				if stats.Steps+stats.StepsSaved() != all.Steps {
+					t.Errorf("%s: memoized %d steps + %d saved, tree walk %d", coord,
+						stats.Steps, stats.StepsSaved(), all.Steps)
+				}
+				if pname == "mis" && stats.Steps < all.Steps {
+					collapsed = true
+				}
+			}
+		}
+	}
+	if !collapsed {
+		t.Error("no mis cell collapsed — the equivalence test lost its teeth")
 	}
 }

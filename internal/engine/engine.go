@@ -1,15 +1,15 @@
 // Package engine executes whiteboard protocols on graphs under the four
 // models of the paper.
 //
-// Three execution modes are provided:
+// Three traversals share one transition kernel:
 //
-//   - Run: deterministic sequential execution under a given adversary.
-//   - RunAll: exhaustive enumeration of every adversarial schedule (the
-//     paper's worst-case quantifier made literal), for small inputs.
-//   - RunConcurrent: one goroutine per node with the whiteboard behind a
-//     round arbiter — the natural Go rendering of the distributed system.
-//     Given the same adversary it produces exactly the same execution as
-//     Run; activation and message composition evaluate in parallel.
+//   - Run (and the allocation-free Runner): deterministic sequential
+//     execution under a given adversary.
+//   - RunAll: exhaustive enumeration of every adversarial schedule as a
+//     tree walk (the paper's worst-case quantifier made literal), for small
+//     inputs; it hands each schedule's write order to its callback.
+//   - RunAllMemo: the same exploration as a DAG over canonical
+//     configurations with exact schedule multiplicities.
 //
 // Round semantics (see DESIGN.md §1 for the rationale): in each round every
 // awake node evaluates its activation predicate against the current board;
@@ -24,6 +24,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -41,14 +42,6 @@ type Options struct {
 	// MaxRounds bounds the execution; 0 means 4n+16 (every run that makes
 	// progress writes once per round, so this is generous).
 	MaxRounds int
-	// DisableBudget skips the MaxMessageBits enforcement (used by
-	// diagnostics that intentionally overrun).
-	DisableBudget bool
-	// Exhaustive selects the traversal strategy for exhaustive exploration
-	// (OutputSpectrum and the campaign's exhaustive cells). The zero value
-	// is the memoized DAG walk; ExhaustiveNaive re-walks the full schedule
-	// tree. Ignored by Run/RunConcurrent, which follow a single adversary.
-	Exhaustive ExhaustiveStrategy
 	// Metrics, when non-nil, receives one flush of accumulated totals per
 	// run or exploration (telemetry.Nop — a nil group — disables this for
 	// free). Totals are gathered in the engine's own loop variables first,
@@ -71,86 +64,40 @@ func Views(g *graph.Graph) []core.NodeView {
 
 // Run executes p on g under adv.
 func Run(p core.Protocol, g *graph.Graph, adv adversary.Adversary, opts Options) *core.Result {
-	return run(p, Views(g), adv, opts)
-}
-
-func run(p core.Protocol, views []core.NodeView, adv adversary.Adversary, opts Options) *core.Result {
 	res := &core.Result{Board: core.NewBoard()}
-	runInto(p, views, adv, opts, newState(len(views)-1), res)
+	runInto(newMachine(p, Views(g), opts), adv, newState(g.N()), res)
 	opts.Metrics.RunDone(len(res.Writes))
 	return res
 }
 
 // runInto executes the round loop into caller-owned storage: st must be
-// reset for n = len(views)-1 nodes and res must be zeroed except for an
-// empty res.Board (and a reusable res.Writes spine). This is the shared
-// core of Run and Runner.Run; the latter reuses st, board, and the Writes
-// slice across calls.
-func runInto(p core.Protocol, views []core.NodeView, adv adversary.Adversary, opts Options, st *state, res *core.Result) {
-	n := len(views) - 1
-	model := p.Model()
-	if opts.Model != nil {
-		model = *opts.Model
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 4*n + 16
-	}
-	budget := p.MaxMessageBits(n)
+// reset for m's node count and res must be zeroed except for an empty
+// res.Board (and a reusable res.Writes spine). This is the shared core of
+// Run and Runner.Run; the latter reuses st, board, and the Writes slice
+// across calls.
+func runInto(m machine, adv adversary.Adversary, st *state, res *core.Result) {
 	board := res.Board
-
 	fail := func(err error) {
 		res.Status = core.Failed
 		res.Err = err
 	}
-
 	for round := 1; ; round++ {
-		if round > maxRounds {
-			fail(fmt.Errorf("engine: exceeded %d rounds (protocol or adversary livelock)", maxRounds))
+		if round > m.maxRounds {
+			fail(fmt.Errorf("engine: exceeded %d rounds (protocol or adversary livelock)", m.maxRounds))
 			return
 		}
 		res.Rounds = round
-
-		// Activation phase.
-		for v := 1; v <= n; v++ {
-			if st.state[v] != awake {
-				continue
-			}
-			if p.Activate(views[v], board) {
-				st.state[v] = active
-				if model.Asynchronous() {
-					m := p.Compose(views[v], board)
-					if !opts.DisableBudget && m.Bits > budget {
-						fail(fmt.Errorf("engine: node %d message %d bits exceeds budget %d", v, m.Bits, budget))
-						return
-					}
-					st.pending[v] = m
-				}
-			} else if model.Simultaneous() && board.Empty() {
-				fail(fmt.Errorf("engine: %s protocol %q did not activate node %d on the empty board",
-					model, p.Name(), v))
-				return
-			}
+		if err := m.settle(st, board); err != nil {
+			fail(err)
+			return
 		}
-
-		// Write phase.
 		candidates := st.candidates()
 		if len(candidates) == 0 {
-			if st.written == n {
-				out, err := p.Output(n, board)
-				if err != nil {
-					fail(fmt.Errorf("engine: output: %w", err))
-					return
-				}
-				res.Status = core.Success
-				res.Output = out
-				return
-			}
-			res.Status = core.Deadlock
+			m.outcome(st, res)
 			return
 		}
 		chosen := adv.Choose(round, candidates, board)
-		if !contains(candidates, chosen) {
+		if !slices.Contains(candidates, chosen) {
 			// A faulting adversary (e.g. a scenario script over budget)
 			// deliberately returns a non-candidate; surface its cause.
 			if f, ok := adv.(adversary.Faulter); ok && f.Fault() != nil {
@@ -160,83 +107,16 @@ func runInto(p core.Protocol, views []core.NodeView, adv adversary.Adversary, op
 			fail(fmt.Errorf("engine: adversary %q chose %d, not a candidate %v", adv.Name(), chosen, candidates))
 			return
 		}
-		var m core.Message
-		if model.Asynchronous() {
-			m = st.pending[chosen]
-		} else {
-			m = p.Compose(views[chosen], board)
-			if !opts.DisableBudget && m.Bits > budget {
-				fail(fmt.Errorf("engine: node %d message %d bits exceeds budget %d", chosen, m.Bits, budget))
-				return
-			}
+		msg, err := m.message(st, board, chosen)
+		if err != nil {
+			fail(err)
+			return
 		}
-		board.Append(m)
+		board.Append(msg)
 		st.markWritten(chosen)
-		res.Writes = append(res.Writes, core.WriteEvent{Round: round, Writer: chosen, Bits: m.Bits})
-		if m.Bits > res.MaxBits {
-			res.MaxBits = m.Bits
-		}
+		res.Writes = append(res.Writes, core.WriteEvent{Round: round, Writer: chosen, Bits: msg.Bits})
+		res.MaxBits = max(res.MaxBits, msg.Bits)
 	}
-}
-
-type nodeState uint8
-
-const (
-	awake nodeState = iota
-	active
-	done // message written ("terminated" next round; unobservable)
-)
-
-type state struct {
-	state   []nodeState
-	pending []core.Message
-	cand    []int // reusable candidates buffer
-	written int
-}
-
-func newState(n int) *state {
-	return &state{state: make([]nodeState, n+1), pending: make([]core.Message, n+1)}
-}
-
-// reset readies the state for a fresh run on n nodes, keeping capacity.
-func (s *state) reset(n int) {
-	if cap(s.state) <= n {
-		s.state = make([]nodeState, n+1)
-		s.pending = make([]core.Message, n+1)
-	}
-	s.state = s.state[:n+1]
-	s.pending = s.pending[:n+1]
-	for i := range s.state {
-		s.state[i] = awake
-		s.pending[i] = core.Message{}
-	}
-	s.written = 0
-}
-
-// candidates lists active unwritten nodes ascending. The returned slice is
-// the state's own buffer, overwritten by the next call on the same state.
-func (s *state) candidates() []int {
-	s.cand = s.cand[:0]
-	for v := 1; v < len(s.state); v++ {
-		if s.state[v] == active {
-			s.cand = append(s.cand, v)
-		}
-	}
-	return s.cand
-}
-
-func (s *state) markWritten(v int) {
-	s.state[v] = done
-	s.written++
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // ErrBudget is returned by RunAll when the exploration budget is exhausted.
@@ -257,104 +137,51 @@ type AllStats struct {
 // opts.MaxRounds bounds each schedule exactly as in Run (0 means the 4n+16
 // default); exceeding it aborts the exploration with an error, since a
 // too-deep branch means every deeper branch is suspect too. RunAll is the
-// naive tree walk — RunAllMemo explores the same space as a DAG over
-// canonical configurations with exact multiplicities.
+// plain tree walk — the differential reference for RunAllMemo, which
+// explores the same space as a DAG over canonical configurations with exact
+// multiplicities.
 func RunAll(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	check func(res *core.Result, order []int) error) (AllStats, error) {
 
-	views := Views(g)
-	n := g.N()
-	model := p.Model()
-	if opts.Model != nil {
-		model = *opts.Model
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 4*n + 16
-	}
-	budget := p.MaxMessageBits(n)
+	m := newMachine(p, Views(g), opts)
 	stats := AllStats{}
-
-	type frame struct {
-		st    *state
-		board *core.Board
-		order []int
-	}
-
-	var explore func(f frame, round int) error
-	explore = func(f frame, round int) error {
-		if round > maxRounds {
-			return fmt.Errorf("engine: RunAll exceeded %d rounds (order %v)", maxRounds, f.order)
+	var explore func(st *state, board *core.Board, order []int, round int) error
+	explore = func(st *state, board *core.Board, order []int, round int) error {
+		if round > m.maxRounds {
+			return fmt.Errorf("engine: RunAll exceeded %d rounds (order %v)", m.maxRounds, order)
 		}
-		// Activation phase (deterministic; mutate in place).
-		for v := 1; v <= n; v++ {
-			if f.st.state[v] != awake {
-				continue
-			}
-			if p.Activate(views[v], f.board) {
-				f.st.state[v] = active
-				if model.Asynchronous() {
-					m := p.Compose(views[v], f.board)
-					if !opts.DisableBudget && m.Bits > budget {
-						return fmt.Errorf("engine: node %d message %d bits exceeds budget %d", v, m.Bits, budget)
-					}
-					f.st.pending[v] = m
-				}
-			} else if model.Simultaneous() && f.board.Empty() {
-				return fmt.Errorf("engine: %s protocol %q did not activate node %d on the empty board",
-					model, p.Name(), v)
-			}
+		if err := m.settle(st, board); err != nil {
+			return err
 		}
-		candidates := f.st.candidates()
+		candidates := st.candidates()
 		if len(candidates) == 0 {
-			res := &core.Result{Board: f.board, Rounds: round}
-			if f.st.written == n {
-				out, err := p.Output(n, f.board)
-				if err != nil {
-					res.Status = core.Failed
-					res.Err = fmt.Errorf("engine: output: %w", err)
-				} else {
-					res.Status = core.Success
-					res.Output = out
-				}
-			} else {
-				res.Status = core.Deadlock
-			}
+			res := &core.Result{Board: board, Rounds: round}
+			m.outcome(st, res)
 			stats.Schedules++
-			return check(res, f.order)
+			return check(res, order)
 		}
 		for _, chosen := range candidates {
 			if stats.Steps == maxSteps {
 				return ErrBudget
 			}
 			stats.Steps++
-			var m core.Message
-			if model.Asynchronous() {
-				m = f.st.pending[chosen]
-			} else {
-				m = p.Compose(views[chosen], f.board)
-				if !opts.DisableBudget && m.Bits > budget {
-					return fmt.Errorf("engine: node %d message %d bits exceeds budget %d", chosen, m.Bits, budget)
-				}
+			msg, err := m.message(st, board, chosen)
+			if err != nil {
+				return err
 			}
-			// Branch: copy state.
-			st2 := &state{
-				state:   append([]nodeState(nil), f.st.state...),
-				pending: append([]core.Message(nil), f.st.pending...),
-				written: f.st.written,
-			}
-			board2 := f.board.Clone()
-			board2.Append(m)
+			st2, board2 := st.clone(), board.Clone()
+			board2.Append(msg)
 			st2.markWritten(chosen)
-			order2 := append(append([]int(nil), f.order...), chosen)
-			if err := explore(frame{st: st2, board: board2, order: order2}, round+1); err != nil {
+			// The full slice expression makes append copy: every branch owns
+			// its order.
+			if err := explore(st2, board2, append(order[:len(order):len(order)], chosen), round+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	err := explore(frame{st: newState(n), board: core.NewBoard()}, 1)
+	err := explore(newState(m.n), core.NewBoard(), nil, 1)
 	opts.Metrics.ExhaustiveDone(stats.Steps, 0, 0, 0)
 	return stats, err
 }

@@ -26,21 +26,6 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// BenchmarkRunConcurrent measures the goroutine-per-node engine on the
-// same workload (channel round-trips dominate).
-func BenchmarkRunConcurrent(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		g := graph.Path(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if res := RunConcurrent(idEcho{}, g, adversary.Rotor{}, Options{}); res.Status != core.Success {
-					b.Fatal(res.Err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRunAll measures exhaustive schedule enumeration growth: a
 // SIMASYNC protocol on n nodes has n! schedules.
 func BenchmarkRunAll(b *testing.B) {

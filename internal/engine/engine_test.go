@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -182,10 +181,6 @@ func TestRunBudgetEnforced(t *testing.T) {
 	if res.Status != core.Failed {
 		t.Fatalf("status %v, want Failed", res.Status)
 	}
-	res = Run(hog{}, graph.Path(3), adversary.MinID{}, Options{DisableBudget: true})
-	if res.Status != core.Success {
-		t.Fatalf("budget disabled: status %v err %v", res.Status, res.Err)
-	}
 }
 
 func TestSyncVsAsyncComposeSemantics(t *testing.T) {
@@ -252,51 +247,6 @@ func TestRunAllBudget(t *testing.T) {
 	_, err := RunAll(idEcho{}, graph.Path(6), Options{}, 10, func(*core.Result, []int) error { return nil })
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
-	}
-}
-
-func TestConcurrentMatchesSequential(t *testing.T) {
-	g := graph.RandomConnectedGNP(12, 0.2, rand.New(rand.NewSource(31)))
-	protos := []core.Protocol{idEcho{}, lastWriterSees{}, chainProto{}}
-	for _, p := range protos {
-		for _, mk := range []func() adversary.Adversary{
-			func() adversary.Adversary { return adversary.MinID{} },
-			func() adversary.Adversary { return adversary.Rotor{} },
-			func() adversary.Adversary { return adversary.NewRandom(5) },
-		} {
-			seq := Run(p, g, mk(), Options{})
-			con := RunConcurrent(p, g, mk(), Options{})
-			if seq.Status != con.Status {
-				t.Fatalf("%s: status %v vs %v (err %v vs %v)", p.Name(), seq.Status, con.Status, seq.Err, con.Err)
-			}
-			if seq.Status == core.Success {
-				if !reflect.DeepEqual(seq.Output, con.Output) {
-					t.Errorf("%s: outputs differ: %v vs %v", p.Name(), seq.Output, con.Output)
-				}
-				if !reflect.DeepEqual(seq.WriterOrder(), con.WriterOrder()) {
-					t.Errorf("%s: orders differ: %v vs %v", p.Name(), seq.WriterOrder(), con.WriterOrder())
-				}
-				if seq.Board.Key() != con.Board.Key() {
-					t.Errorf("%s: boards differ", p.Name())
-				}
-			}
-		}
-	}
-}
-
-func TestConcurrentDeadlock(t *testing.T) {
-	res := RunConcurrent(chainProto{stallAt: 2}, graph.Path(4), adversary.MinID{}, Options{})
-	if res.Status != core.Deadlock {
-		t.Fatalf("status %v, want deadlock", res.Status)
-	}
-}
-
-func TestConcurrentBudgetAndViolation(t *testing.T) {
-	if res := RunConcurrent(hog{}, graph.Path(3), adversary.MinID{}, Options{}); res.Status != core.Failed {
-		t.Errorf("hog: status %v", res.Status)
-	}
-	if res := RunConcurrent(simViolator{}, graph.Path(3), adversary.MinID{}, Options{}); res.Status != core.Failed {
-		t.Errorf("simViolator: status %v", res.Status)
 	}
 }
 

@@ -4,31 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-)
-
-// ExhaustiveStrategy selects how exhaustive exploration (OutputSpectrum,
-// and through it the campaign's exhaustive cells) traverses the space of
-// adversarial schedules.
-type ExhaustiveStrategy int
-
-const (
-	// ExhaustiveMemoized — the default — collapses the schedule tree into a
-	// DAG over canonical configurations: every class of write orders that
-	// reaches the same (board, node-state, pending-message) configuration is
-	// explored once, and exact schedule multiplicities are propagated to the
-	// terminal outcomes. Tallies are bit-for-bit identical to the naive
-	// enumeration; only the number of simulated writes shrinks.
-	ExhaustiveMemoized ExhaustiveStrategy = iota
-	// ExhaustiveNaive re-walks the full schedule tree, one simulated write
-	// per tree edge. It is the reference the memoized walk is differentially
-	// tested against, and the escape hatch if a protocol ever breaks the
-	// determinism contract the memoization relies on.
-	ExhaustiveNaive
 )
 
 // ErrMultiplicityOverflow is returned when an exact schedule multiplicity
@@ -51,6 +32,17 @@ type MemoStats struct {
 	// NaiveSteps is the number of writes the naive tree walk would have
 	// simulated: the multiplicity-weighted edge count of the DAG.
 	NaiveSteps *big.Int
+}
+
+// StepsSaved is NaiveSteps − Steps as an int: the writes the collapse
+// spared. It is a diagnostic, not a tally, so it saturates rather than
+// failing a run whose exact counts all fit.
+func (s MemoStats) StepsSaved() int {
+	saved, err := IntFromBig(new(big.Int).Sub(s.NaiveSteps, big.NewInt(int64(s.Steps))))
+	if err != nil {
+		return math.MaxInt
+	}
+	return saved
 }
 
 // appendConfigKey appends an injective encoding of a configuration — the
@@ -114,17 +106,8 @@ type memoClass struct {
 func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	visit func(res *core.Result, mult *big.Int) error) (MemoStats, error) {
 
-	views := Views(g)
-	n := g.N()
-	model := p.Model()
-	if opts.Model != nil {
-		model = *opts.Model
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 4*n + 16
-	}
-	budget := p.MaxMessageBits(n)
+	m := newMachine(p, Views(g), opts)
+	async := m.model.Asynchronous()
 	stats := MemoStats{Schedules: new(big.Int), NaiveSteps: new(big.Int)}
 	// Telemetry totals accumulate in plain locals and flush once on every
 	// return path; the per-step hot path stays free of atomics.
@@ -133,36 +116,14 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 		opts.Metrics.ExhaustiveDone(stats.Steps, stats.Classes, memoHits, multAdds)
 	}()
 
-	// activate runs the deterministic activation phase in place, exactly as
-	// the naive walk does at the top of each explore call.
-	activate := func(st *state, board *core.Board) error {
-		for v := 1; v <= n; v++ {
-			if st.state[v] != awake {
-				continue
-			}
-			if p.Activate(views[v], board) {
-				st.state[v] = active
-				if model.Asynchronous() {
-					m := p.Compose(views[v], board)
-					if !opts.DisableBudget && m.Bits > budget {
-						return fmt.Errorf("engine: node %d message %d bits exceeds budget %d", v, m.Bits, budget)
-					}
-					st.pending[v] = m
-				}
-			} else if model.Simultaneous() && board.Empty() {
-				return fmt.Errorf("engine: %s protocol %q did not activate node %d on the empty board",
-					model, p.Name(), v)
-			}
-		}
-		return nil
-	}
-
-	root := &memoClass{st: newState(n), board: core.NewBoard(), mult: big.NewInt(1)}
-	if err := activate(root.st, root.board); err != nil {
+	// A class is keyed after its activation phase, so classes settle when
+	// they are created rather than when they are expanded.
+	root := &memoClass{st: newState(m.n), board: core.NewBoard(), mult: big.NewInt(1)}
+	if err := m.settle(root.st, root.board); err != nil {
 		return stats, err
 	}
 	frontier := map[string]*memoClass{
-		string(appendConfigKey(nil, root.board, root.st, model.Asynchronous())): root,
+		string(appendConfigKey(nil, root.board, root.st, async)): root,
 	}
 
 	var keyBuf []byte
@@ -171,8 +132,8 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	// board length and a frontier sweep visits each class exactly once.
 	for depth := 0; len(frontier) > 0; depth++ {
 		round := depth + 1
-		if round > maxRounds {
-			return stats, fmt.Errorf("engine: RunAllMemo exceeded %d rounds at %d written messages", maxRounds, depth)
+		if round > m.maxRounds {
+			return stats, fmt.Errorf("engine: RunAllMemo exceeded %d rounds at %d written messages", m.maxRounds, depth)
 		}
 		keys = keys[:0]
 		for k := range frontier {
@@ -186,18 +147,7 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 			candidates := c.st.candidates()
 			if len(candidates) == 0 {
 				res := &core.Result{Board: c.board, Rounds: round}
-				if c.st.written == n {
-					out, err := p.Output(n, c.board)
-					if err != nil {
-						res.Status = core.Failed
-						res.Err = fmt.Errorf("engine: output: %w", err)
-					} else {
-						res.Status = core.Success
-						res.Output = out
-					}
-				} else {
-					res.Status = core.Deadlock
-				}
+				m.outcome(c.st, res)
 				multAdds++
 				stats.Schedules.Add(stats.Schedules, c.mult)
 				if err := visit(res, c.mult); err != nil {
@@ -212,27 +162,17 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 				stats.Steps++
 				multAdds++
 				stats.NaiveSteps.Add(stats.NaiveSteps, c.mult)
-				var m core.Message
-				if model.Asynchronous() {
-					m = c.st.pending[chosen]
-				} else {
-					m = p.Compose(views[chosen], c.board)
-					if !opts.DisableBudget && m.Bits > budget {
-						return stats, fmt.Errorf("engine: node %d message %d bits exceeds budget %d", chosen, m.Bits, budget)
-					}
-				}
-				st2 := &state{
-					state:   append([]nodeState(nil), c.st.state...),
-					pending: append([]core.Message(nil), c.st.pending...),
-					written: c.st.written,
-				}
-				board2 := c.board.Clone()
-				board2.Append(m)
-				st2.markWritten(chosen)
-				if err := activate(st2, board2); err != nil {
+				msg, err := m.message(c.st, c.board, chosen)
+				if err != nil {
 					return stats, err
 				}
-				keyBuf = appendConfigKey(keyBuf[:0], board2, st2, model.Asynchronous())
+				st2, board2 := c.st.clone(), c.board.Clone()
+				board2.Append(msg)
+				st2.markWritten(chosen)
+				if err := m.settle(st2, board2); err != nil {
+					return stats, err
+				}
+				keyBuf = appendConfigKey(keyBuf[:0], board2, st2, async)
 				if dup, ok := next[string(keyBuf)]; ok {
 					memoHits++
 					multAdds++

@@ -31,7 +31,7 @@ func TestMemoMatchesNaiveLocalProtocols(t *testing.T) {
 		{"mis-like/path5", misLike{}, graph.Path(5), nil},
 	}
 	for _, c := range cases {
-		naive, errN := OutputSpectrum(c.p, c.g, Options{Model: c.model, Exhaustive: ExhaustiveNaive}, 1<<20)
+		naive, errN := treeWalkSpectrum(c.p, c.g, Options{Model: c.model}, 1<<20)
 		memo, errM := OutputSpectrum(c.p, c.g, Options{Model: c.model}, 1<<20)
 		if (errN != nil) != (errM != nil) {
 			t.Fatalf("%s: naive err %v, memo err %v", c.name, errN, errM)
@@ -95,7 +95,7 @@ func TestMemoCollapseExactCounts(t *testing.T) {
 func TestMemoizedStrictlyFewerSteps(t *testing.T) {
 	g := graph.Cycle(6)
 	p := mis.Protocol{Root: 1}
-	naive, err := OutputSpectrum(p, g, Options{Exhaustive: ExhaustiveNaive}, 1<<22)
+	naive, err := treeWalkSpectrum(p, g, Options{}, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +114,32 @@ func TestMemoizedStrictlyFewerSteps(t *testing.T) {
 	}
 	if memo.Classes == 0 {
 		t.Error("memoized walk reported no classes")
+	}
+}
+
+// TestMemoizedCompletesWhereNaiveExhausts is the feasibility frontier made
+// a test: on rooted MIS over a 6-cycle a 1500-write budget is enough for
+// the memoized DAG walk (1142 unique writes) but not for the tree walk
+// (1956), so the same budget completes memoized and exhausts the tree walk
+// after exactly 1500 writes.
+func TestMemoizedCompletesWhereNaiveExhausts(t *testing.T) {
+	const budget = 1500
+	g := graph.Cycle(6)
+	p := mis.Protocol{Root: 1}
+	memo, err := OutputSpectrum(p, g, Options{}, budget)
+	if err != nil {
+		t.Fatalf("memoized walk should complete within %d steps: %v", budget, err)
+	}
+	if memo.Schedules != 720 || memo.Steps != 1142 || memo.Steps+memo.StepsSaved != 1956 {
+		t.Errorf("memoized walk: %d schedules, %d steps + %d saved; want 720, 1142 + 814",
+			memo.Schedules, memo.Steps, memo.StepsSaved)
+	}
+	naive, err := treeWalkSpectrum(p, g, Options{}, budget)
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("tree walk err = %v, want ErrBudget", err)
+	}
+	if naive.Steps != budget {
+		t.Errorf("tree walk burned %d steps, want exactly the %d budget", naive.Steps, budget)
 	}
 }
 

@@ -44,7 +44,7 @@ func (r *Runner) Run(p core.Protocol, g *graph.Graph, adv adversary.Adversary, o
 	r.st.reset(n)
 	r.board.Reset()
 	r.res = core.Result{Board: r.board, Writes: r.res.Writes[:0]}
-	runInto(p, views, adv, opts, r.st, &r.res)
+	runInto(newMachine(p, views, opts), adv, r.st, &r.res)
 	opts.Metrics.RunDone(len(r.res.Writes))
 	return &r.res
 }

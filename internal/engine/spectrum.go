@@ -20,15 +20,14 @@ type Spectrum struct {
 	Deadlocks int
 	// Failures counts schedules that violated a model constraint.
 	Failures int
-	// Steps counts the simulated writes the exploration performed. Under
-	// the memoized strategy identical configurations are simulated once, so
-	// Steps can be far below the schedule tree's edge count.
+	// Steps counts the simulated writes the exploration performed. Identical
+	// configurations are simulated once, so Steps can be far below the
+	// schedule tree's edge count.
 	Steps int
-	// Classes counts the distinct configuration classes the memoized walk
-	// visited; 0 under the naive strategy.
+	// Classes counts the distinct configuration classes visited.
 	Classes int
-	// StepsSaved is the number of writes the naive tree walk would have
-	// simulated beyond Steps; 0 under the naive strategy.
+	// StepsSaved is the number of writes the schedule-tree walk (RunAll)
+	// would have simulated beyond Steps.
 	StepsSaved int
 }
 
@@ -61,23 +60,13 @@ func (s *Spectrum) tally(res *core.Result, mult int) {
 // quantifier: which answers can the adversary force, and can it force a
 // deadlock?
 //
-// By default the exploration is memoized (RunAllMemo): write orders that
-// reach identical configurations are simulated once and their exact
-// schedule multiplicities propagated, so the tallies are bit-for-bit what
-// the naive enumeration produces while the step budget stretches orders of
-// magnitude further on collapsing protocols. opts.Exhaustive =
-// ExhaustiveNaive selects the reference tree walk instead.
+// The exploration is memoized (RunAllMemo): write orders that reach
+// identical configurations are simulated once and their exact schedule
+// multiplicities propagated, so the tallies are bit-for-bit what the tree
+// walk (RunAll) produces while the step budget stretches orders of
+// magnitude further on collapsing protocols.
 func OutputSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int) (*Spectrum, error) {
 	s := &Spectrum{Outputs: map[string]int{}}
-	if opts.Exhaustive == ExhaustiveNaive {
-		stats, err := RunAll(p, g, opts, maxSteps, func(res *core.Result, _ []int) error {
-			s.tally(res, 1)
-			return nil
-		})
-		s.Schedules = stats.Schedules
-		s.Steps = stats.Steps
-		return s, err
-	}
 	stats, err := RunAllMemo(p, g, opts, maxSteps, func(res *core.Result, mult *big.Int) error {
 		w, convErr := IntFromBig(mult)
 		if convErr != nil {
@@ -93,13 +82,6 @@ func OutputSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int)
 	} else if err == nil {
 		err = convErr
 	}
-	saved := new(big.Int).Sub(stats.NaiveSteps, big.NewInt(int64(stats.Steps)))
-	if v, convErr := IntFromBig(saved); convErr == nil {
-		s.StepsSaved = v
-	} else {
-		// StepsSaved is a diagnostic, not a tally; saturate rather than fail
-		// a run whose exact counts all fit.
-		s.StepsSaved = int(^uint(0) >> 1)
-	}
+	s.StepsSaved = stats.StepsSaved()
 	return s, err
 }

@@ -366,8 +366,8 @@ func (co *coordinator) claimShard() *shard {
 }
 
 // settle books the end of one shard attempt: a failure on a shard that
-// is still incomplete re-queues it, and a shard that keeps failing
-// aborts the run instead of cycling forever.
+// is still incomplete marks the worker down and re-queues the shard, and
+// a shard that keeps failing aborts the run instead of cycling forever.
 func (co *coordinator) settle(sh *shard, w *worker, err error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -377,6 +377,13 @@ func (co *coordinator) settle(sh *shard, w *worker, err error) {
 	}
 	sh.failures++
 	co.logf("fabric: shard [%d,%d) attempt on %s failed: %v", sh.start, sh.end, w.url, err)
+	// The failed attempt is evidence the worker is unhealthy: take it out
+	// of scheduling now rather than at its next probe, or its loop could
+	// reclaim the re-queued shard and spend every allowed attempt inside
+	// one probe interval. The probe loop brings it back once it answers.
+	if !errors.Is(err, context.Canceled) && w.setState(workerDown, co.tel) {
+		co.logf("fabric: worker %s down: %v", w.url, err)
+	}
 	// A spec the server rejects as malformed is permanently rejected:
 	// every worker compiles the same source, so retrying or re-routing a
 	// bad_script (or any bad-request-class) refusal would just burn

@@ -30,6 +30,17 @@ func testSpec() campaign.Spec {
 // newWorker starts a real wbserve over its own store and returns its URL.
 func newWorker(t *testing.T) string {
 	t.Helper()
+	ts := httptest.NewServer(newWorkerServer(t).Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// newWorkerServer builds a wbserve over its own store. Cleanups run last-in
+// first-out, so the bounded Shutdown registered here drains every job —
+// including duplicate shard attempts the coordinator cancelled without
+// waiting — before the TempDir cleanup removes the store it writes into.
+func newWorkerServer(t *testing.T) *server.Server {
+	t.Helper()
 	st, err := resultstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +49,14 @@ func newWorker(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts.URL
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("worker shutdown: %v", err)
+		}
+	})
+	return srv
 }
 
 func localJSON(t *testing.T) []byte {
@@ -124,52 +140,67 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 // accepts its first shard. The coordinator must mark it down, resubmit
 // the orphaned shard to the survivor, and still assemble a report
 // byte-identical to a local run — with the retry visible on the
-// resubmission counter.
+// resubmission counter. The survivor's first submission is held until the
+// flaky worker has died, so the flaky worker always owns a shard. With a
+// slow probe the failed attempt itself must mark the worker down: a
+// worker that still read healthy would reclaim the re-queued shard and
+// burn every allowed attempt before its next probe.
 func TestFleetSurvivesWorkerFailure(t *testing.T) {
 	want := localJSON(t)
-	healthyURL := newWorker(t)
+	for _, probe := range []time.Duration{25 * time.Millisecond, 10 * time.Second} {
+		t.Run("probe-"+probe.String(), func(t *testing.T) {
+			died := make(chan struct{})
+			healthySrv := newWorkerServer(t).Handler()
+			healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && r.URL.Path == "/api/v1/campaigns" {
+					select {
+					case <-died:
+					case <-r.Context().Done():
+						return
+					}
+				}
+				healthySrv.ServeHTTP(w, r)
+			}))
+			t.Cleanup(healthy.Close)
 
-	st, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Options{Stores: []*resultstore.Store{st}, JobWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var killed atomic.Bool
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if killed.Load() {
-			http.Error(w, `{"error":{"code":"internal","message":"worker killed"}}`,
-				http.StatusServiceUnavailable)
-			return
-		}
-		srv.Handler().ServeHTTP(w, r)
-		if r.Method == http.MethodPost && r.URL.Path == "/api/v1/campaigns" {
-			killed.Store(true) // die immediately after accepting the first shard
-		}
-	}))
-	t.Cleanup(flaky.Close)
+			flakySrv := newWorkerServer(t).Handler()
+			var killed atomic.Bool
+			flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if killed.Load() {
+					http.Error(w, `{"error":{"code":"internal","message":"worker killed"}}`,
+						http.StatusServiceUnavailable)
+					return
+				}
+				flakySrv.ServeHTTP(w, r)
+				if r.Method == http.MethodPost && r.URL.Path == "/api/v1/campaigns" {
+					killed.Store(true) // die immediately after accepting the first shard
+					close(died)
+				}
+			}))
+			t.Cleanup(flaky.Close)
 
-	set := telemetry.NewSet()
-	opts := fastOptions([]string{flaky.URL, healthyURL})
-	opts.Metrics = set.Fabric
+			set := telemetry.NewSet()
+			opts := fastOptions([]string{flaky.URL, healthy.URL})
+			opts.ProbeInterval = probe
+			opts.Metrics = set.Fabric
 
-	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
-	defer cancel()
-	rep, err := Run(ctx, testSpec(), opts)
-	if err != nil {
-		t.Fatalf("fabric run with a dying worker: %v", err)
-	}
-	var got bytes.Buffer
-	if err := rep.WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Error("report assembled across a worker failure differs from local run")
-	}
-	if n := set.Fabric.Resubmissions(); n == 0 {
-		t.Error("resubmission counter stayed 0 across a worker failure")
+			ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+			defer cancel()
+			rep, err := Run(ctx, testSpec(), opts)
+			if err != nil {
+				t.Fatalf("fabric run with a dying worker: %v", err)
+			}
+			var got bytes.Buffer
+			if err := rep.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Error("report assembled across a worker failure differs from local run")
+			}
+			if n := set.Fabric.Resubmissions(); n == 0 {
+				t.Error("resubmission counter stayed 0 across a worker failure")
+			}
+		})
 	}
 }
 

@@ -87,9 +87,10 @@ func New(v Variant) Protocol { return Protocol{V: v} }
 // NewCached returns the protocol with the incremental board-parse cache
 // enabled. Semantically identical to New(v); the whiteboard is append-only
 // within a run, so re-decoding the prefix every call is pure overhead. The
-// cache is keyed on the board's identity and is safe for concurrent use
-// (calls serialize on a mutex, which also bounds the win under the
-// concurrent engine). See BenchmarkParseCache for the ablation.
+// cache is keyed on the board's identity and is safe for concurrent use:
+// runs sharing one cached protocol from several goroutines serialize on
+// its mutex and re-parse whenever they interleave boards, so sharing is
+// correct but gains little. See BenchmarkParseCache for the ablation.
 func NewCached(v Variant) Protocol { return Protocol{V: v, cache: &parseCache{}} }
 
 // Name implements core.Protocol.

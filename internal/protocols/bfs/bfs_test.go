@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 // assertCanonicalForest checks the output against the reference BFS forest
@@ -292,14 +293,15 @@ func TestConcurrentEngineAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := graph.RandomConnectedGNP(13, 0.25, rng)
 	seq := engine.Run(New(General), g, adversary.Rotor{}, engine.Options{})
-	con := engine.RunConcurrent(New(General), g, adversary.Rotor{}, engine.Options{})
-	if seq.Status != core.Success || con.Status != core.Success {
-		t.Fatalf("statuses %v/%v", seq.Status, con.Status)
-	}
-	sf, cf := seq.Output.(Forest), con.Output.(Forest)
-	for v := 1; v <= g.N(); v++ {
-		if sf.Parent[v] != cf.Parent[v] || sf.Layer[v] != cf.Layer[v] {
-			t.Fatalf("engines disagree at node %d", v)
+	for _, con := range testutil.RunConcurrently(New(General), g, adversary.Rotor{}, 4) {
+		if seq.Status != core.Success || con.Status != core.Success {
+			t.Fatalf("statuses %v/%v", seq.Status, con.Status)
+		}
+		sf, cf := seq.Output.(Forest), con.Output.(Forest)
+		for v := 1; v <= g.N(); v++ {
+			if sf.Parent[v] != cf.Parent[v] || sf.Layer[v] != cf.Layer[v] {
+				t.Fatalf("runs disagree at node %d", v)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 // The cached protocol must be observationally identical to the plain one:
@@ -87,18 +88,24 @@ func TestCachedMatchesUncachedExhaustive(t *testing.T) {
 }
 
 func TestCachedConcurrentEngine(t *testing.T) {
-	// The concurrent engine calls Activate from many goroutines; the cache
-	// mutex must keep this correct (run under -race in CI).
+	// Runs sharing one cached protocol from many goroutines call Activate
+	// and Compose on interleaved boards; the cache mutex and board-identity
+	// keying must keep every run correct (run under -race in CI).
 	rng := rand.New(rand.NewSource(53))
 	g := graph.RandomConnectedGNP(16, 0.2, rng)
 	p := NewCached(General)
-	res := engine.RunConcurrent(p, g, adversary.Rotor{}, engine.Options{})
-	if res.Status != core.Success {
-		t.Fatalf("%v (%v)", res.Status, res.Err)
-	}
-	f := res.Output.(Forest)
-	if msg := graph.ValidateBFSForest(g, f.Parent, f.Layer); msg != "" {
-		t.Fatal(msg)
+	want := engine.Run(New(General), g, adversary.Rotor{}, engine.Options{})
+	for _, res := range testutil.RunConcurrently(p, g, adversary.Rotor{}, 8) {
+		if res.Status != core.Success {
+			t.Fatalf("%v (%v)", res.Status, res.Err)
+		}
+		f := res.Output.(Forest)
+		if msg := graph.ValidateBFSForest(g, f.Parent, f.Layer); msg != "" {
+			t.Fatal(msg)
+		}
+		if res.Board.Key() != want.Board.Key() {
+			t.Fatal("cached concurrent run wrote a different board than the uncached protocol")
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 func reconstruct(t *testing.T, g *graph.Graph, adv adversary.Adversary) Decoded {
@@ -166,11 +167,12 @@ func TestConcurrentEngineAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := graph.RandomTree(12, rng)
 	seq := engine.Run(Protocol{}, g, adversary.Rotor{}, engine.Options{})
-	con := engine.RunConcurrent(Protocol{}, g, adversary.Rotor{}, engine.Options{})
-	if seq.Status != core.Success || con.Status != core.Success {
-		t.Fatal("runs failed")
-	}
-	if !seq.Output.(Decoded).Forest.Equal(con.Output.(Decoded).Forest) {
-		t.Error("sequential and concurrent outputs differ")
+	for _, con := range testutil.RunConcurrently(Protocol{}, g, adversary.Rotor{}, 4) {
+		if seq.Status != core.Success || con.Status != core.Success {
+			t.Fatal("runs failed")
+		}
+		if !seq.Output.(Decoded).Forest.Equal(con.Output.(Decoded).Forest) {
+			t.Error("sequential and concurrent outputs differ")
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 func checkMIS(t *testing.T, g *graph.Graph, root int, set []int) {
@@ -134,13 +135,15 @@ func TestRootAlwaysWins(t *testing.T) {
 
 func TestConcurrentEngineAgrees(t *testing.T) {
 	g := graph.Cycle(9)
-	seq := engine.Run(Protocol{Root: 4}, g, adversary.Rotor{}, engine.Options{})
-	con := engine.RunConcurrent(Protocol{Root: 4}, g, adversary.Rotor{}, engine.Options{})
-	if seq.Status != core.Success || con.Status != core.Success {
-		t.Fatal("runs failed")
-	}
-	if fmt.Sprint(seq.Output) != fmt.Sprint(con.Output) {
-		t.Errorf("outputs differ: %v vs %v", seq.Output, con.Output)
+	p := Protocol{Root: 4}
+	seq := engine.Run(p, g, adversary.Rotor{}, engine.Options{})
+	for _, con := range testutil.RunConcurrently(p, g, adversary.Rotor{}, 4) {
+		if seq.Status != core.Success || con.Status != core.Success {
+			t.Fatal("runs failed")
+		}
+		if fmt.Sprint(seq.Output) != fmt.Sprint(con.Output) {
+			t.Errorf("outputs differ: %v vs %v", seq.Output, con.Output)
+		}
 	}
 }
 

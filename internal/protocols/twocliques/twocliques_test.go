@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 func decide(t *testing.T, g *graph.Graph, adv adversary.Adversary) Output {
@@ -170,11 +171,12 @@ func TestMessageBudget(t *testing.T) {
 func TestConcurrentEngineAgrees(t *testing.T) {
 	g := graph.TwoCliques(5, nil)
 	seq := engine.Run(Protocol{}, g, adversary.Rotor{}, engine.Options{})
-	con := engine.RunConcurrent(Protocol{}, g, adversary.Rotor{}, engine.Options{})
-	if seq.Status != core.Success || con.Status != core.Success {
-		t.Fatal("runs failed")
-	}
-	if !reflect.DeepEqual(seq.Output, con.Output) {
-		t.Error("engine outputs differ")
+	for _, con := range testutil.RunConcurrently(Protocol{}, g, adversary.Rotor{}, 4) {
+		if seq.Status != core.Success || con.Status != core.Success {
+			t.Fatal("runs failed")
+		}
+		if !reflect.DeepEqual(seq.Output, con.Output) {
+			t.Error("sequential and concurrent outputs differ")
+		}
 	}
 }

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/testutil"
 )
 
 // runSmoke executes a small deterministic campaign for store round-trips.
@@ -360,9 +362,7 @@ func TestKeyedLookupAndSentinels(t *testing.T) {
 
 // TestStoredExhaustiveMemoizedRoundTrip extends the store/diff round trip
 // to memoized exhaustive reports: the dedup stats (classes, steps_saved)
-// survive JSON persistence, re-running the spec diffs clean, and flipping
-// the strategy to the naive walk surfaces as classes/steps deltas on the
-// collapsing cell while leaving the schedule tallies untouched.
+// survive JSON persistence and re-running the spec diffs clean.
 func TestStoredExhaustiveMemoizedRoundTrip(t *testing.T) {
 	spec := campaign.Spec{
 		Name:      "store-exhaustive-test",
@@ -402,12 +402,58 @@ func TestStoredExhaustiveMemoizedRoundTrip(t *testing.T) {
 	if d := DiffReports(oldRep, newRep); !d.Empty() {
 		t.Errorf("re-running the memoized spec produced deltas: %+v", d.Deltas)
 	}
-	naive := false
-	spec.Memoize = &naive
-	d := DiffReports(oldRep, run(spec))
-	if d.Empty() {
-		t.Fatal("memoized vs naive runs should differ in traversal diagnostics")
+}
+
+// TestStoredNaiveReportStillServes pins the compatibility side of the
+// retired tree-walk strategy: a report stored with memoize:false (the
+// campaign package's report_exhaustive_naive golden) still saves, lists,
+// loads and renders byte-identically as JSON and CSV, and diffs against
+// the memoized golden of the same cell exactly as before — deltas in the
+// traversal diagnostics only, rendered as pinned by the diff goldens.
+func TestStoredNaiveReportStillServes(t *testing.T) {
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("..", "campaign", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(name, label string) (*campaign.Report, Entry) {
+		var rep campaign.Report
+		if err := json.Unmarshal(read(name), &rep); err != nil {
+			t.Fatal(err)
+		}
+		e, err := st.Save(&rep, label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, _, err := st.Load(e.Ref())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stored, e
+	}
+	naive, ne := save("report_exhaustive_naive.json", "naive")
+	memo, me := save("report_exhaustive.json", "memo")
+	entries, err := st.List()
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("list = %v, %v; want the naive and the memoized run", entries, err)
+	}
+	for _, format := range []string{"json", "csv"} {
+		var buf bytes.Buffer
+		if err := naive.Render(&buf, format); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), read("report_exhaustive_naive."+format)) {
+			t.Errorf("stored naive report renders %s differently:\n%s", format, buf.Bytes())
+		}
+	}
+	d := DiffReports(naive, memo)
+	d.OldRef, d.NewRef = ne.Ref(), me.Ref()
 	for _, f := range d.Deltas[0].Fields {
 		switch f.Field {
 		case "steps", "classes", "steps_saved":
@@ -415,6 +461,15 @@ func TestStoredExhaustiveMemoizedRoundTrip(t *testing.T) {
 			t.Errorf("unexpected delta %q (%s -> %s): strategies must agree on tallies", f.Field, f.Old, f.New)
 		}
 	}
+	var txt, js bytes.Buffer
+	if err := d.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGolden(t, "diff_naive_vs_memoized.txt", txt.Bytes())
+	testutil.CheckGolden(t, "diff_naive_vs_memoized.json", js.Bytes())
 }
 
 // TestStoredRunsDiffClean is the end-to-end contract behind the CI gate:

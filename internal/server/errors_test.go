@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +126,35 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Error("envelope message is empty")
 			}
 		})
+	}
+}
+
+// TestMemoizeFalseRejected pins the HTTP side of the retired tree-walk
+// strategy: a spec asking for memoize:false is a bad spec on both write
+// routes — job submission, and ingest of a report stored by the old walk —
+// with the field named in the message. Stored runs of that kind are only
+// read, never re-entered.
+func TestMemoizeFalseRejected(t *testing.T) {
+	f := newFixture(t, Options{})
+	naiveReport, err := os.ReadFile(filepath.Join("..", "campaign", "testdata", "report_exhaustive_naive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		target string
+		body   []byte
+	}{
+		{"/api/v1/campaigns", []byte(`{"protocols":["mis"],"graphs":["cycle"],"sizes":[6],"mode":"exhaustive","memoize":false}`)},
+		{"/api/v1/reports", naiveReport},
+	} {
+		rec := f.do(t, "POST", tc.target, nil, tc.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST %s: status %d, want 400\nbody: %s", tc.target, rec.Code, rec.Body.Bytes())
+		}
+		got := decodeEnvelope(t, rec.Body.Bytes())
+		if got.Code != ErrCodeBadSpec || !strings.Contains(got.Message, "memoize") {
+			t.Errorf("POST %s: envelope %+v, want %s naming memoize", tc.target, got, ErrCodeBadSpec)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/resultstore"
@@ -66,6 +68,15 @@ func newFixture(t *testing.T, opts Options) *fixture {
 	if f.srv, err = New(opts); err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out: drain every job, bounded, before the
+	// TempDir cleanup removes the store a job may still be writing into.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := f.srv.Shutdown(ctx); err != nil {
+			t.Errorf("server shutdown: %v", err)
+		}
+	})
 	return f
 }
 

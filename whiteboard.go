@@ -14,9 +14,9 @@
 // PSIMASYNC ⊊ PSIMSYNC ⊊ PASYNC ⊆ PSYNC (Theorem 4).
 //
 // This package re-exports the model (core), the execution engines
-// (sequential, exhaustive-adversary, and one-goroutine-per-node
-// concurrent), the adversaries, the graph substrate, and constructors for
-// every protocol in the paper:
+// (sequential, exhaustive-adversary, and memoized exhaustive-adversary),
+// the adversaries, the graph substrate, and constructors for every
+// protocol in the paper:
 //
 //   - BuildForest — BUILD for forests, SIMASYNC[log n] (Section 3.1)
 //   - BuildKDegenerate — BUILD for degeneracy-≤k graphs,
@@ -135,12 +135,6 @@ func ForceModel(m Model) Options { return Options{Model: engine.ModelPtr(m)} }
 // Run executes p on g under adv with the deterministic sequential engine.
 func Run(p Protocol, g *Graph, adv Adversary, opts Options) *Result {
 	return engine.Run(p, g, adv, opts)
-}
-
-// RunConcurrent executes p with one goroutine per node; same schedule and
-// result as Run under the same adversary, with parallel evaluation.
-func RunConcurrent(p Protocol, g *Graph, adv Adversary, opts Options) *Result {
-	return engine.RunConcurrent(p, g, adv, opts)
 }
 
 // RunAll enumerates every adversarial schedule (small inputs only) and

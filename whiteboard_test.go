@@ -2,6 +2,7 @@ package whiteboard_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	whiteboard "repro"
@@ -55,13 +56,26 @@ func TestPublicAPIRunAll(t *testing.T) {
 func TestPublicAPIConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomKDegenerate(20, 2, rng)
-	res := whiteboard.RunConcurrent(whiteboard.BuildKDegenerate(2), g, whiteboard.RotorAdversary, whiteboard.Options{})
-	if res.Status != whiteboard.Success {
-		t.Fatalf("%v (%v)", res.Status, res.Err)
+	// One protocol value shared by concurrent runs (checked under -race).
+	p := whiteboard.BuildKDegenerate(2)
+	results := make([]*whiteboard.Result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = whiteboard.Run(p, g, whiteboard.RotorAdversary, whiteboard.Options{})
+		}()
 	}
-	dec := res.Output.(whiteboard.GraphReconstruction)
-	if !dec.InClass || !dec.Graph.Equal(g) {
-		t.Fatal("concurrent k-degenerate reconstruction failed")
+	wg.Wait()
+	for _, res := range results {
+		if res.Status != whiteboard.Success {
+			t.Fatalf("%v (%v)", res.Status, res.Err)
+		}
+		dec := res.Output.(whiteboard.GraphReconstruction)
+		if !dec.InClass || !dec.Graph.Equal(g) {
+			t.Fatal("concurrent k-degenerate reconstruction failed")
+		}
 	}
 }
 
