@@ -6,21 +6,21 @@
 // the CLI (cmd/wbcampaign), the HTTP job API (cmd/wbserve) and library
 // consumers are three clients of this one API.
 //
-// Two execution shapes are offered. Run produces the whole Report at
-// once; a Runner's Stream yields each completed cell as an iter.Seq2 the
-// moment it — and every cell before it in matrix order — has finished, so
-// callers can render incrementally, fan results out, or cancel mid-sweep
-// through the context:
+// Run produces the whole Report. Options.OnCellDone observes each cell
+// the moment its last job finishes — in completion order, from the worker
+// that finished it — so callers can render progress or fan results out
+// while the sweep runs, and cancel it mid-sweep through RunContext's
+// context:
 //
-//	r := campaign.NewRunner(campaign.Options{})
-//	for cell, err := range r.Stream(ctx, spec) {
-//		if err != nil { ... }
-//		fmt.Println(cell.Index, cell.Cell.Protocol)
-//	}
+//	rep, err := campaign.RunContext(ctx, spec, campaign.Options{
+//		OnCellDone: func(cell campaign.CellResult) {
+//			fmt.Println(cell.Index, cell.Cell.Protocol) // must be safe for concurrent use
+//		},
+//	})
 //
 // Reports are deterministic: the same spec produces byte-identical JSON
-// and CSV regardless of worker count or streaming consumption, because
-// every job's seed derives from its coordinates, not scheduling order.
+// and CSV regardless of worker count or completion order, because every
+// job's seed derives from its coordinates, not scheduling order.
 package campaign
 
 import (
@@ -37,18 +37,17 @@ type Spec = internal.Spec
 // trial index and the seed derived from them.
 type Job = internal.Job
 
-// Options tunes campaign execution: worker count plus per-job and
-// per-cell progress hooks. OnCell fires in matrix order as the stream
-// emits; OnCellDone fires in completion order the moment a cell's last
-// job retires (the realtime hook the server's SSE event stream is built
-// on). The zero value runs with GOMAXPROCS workers.
+// Options tunes campaign execution: worker count, metrics, and the
+// per-cell hook OnCellDone, which fires in completion order the moment a
+// cell's last job retires (the realtime hook the server's SSE event
+// stream is built on). The zero value runs with GOMAXPROCS workers.
 type Options = internal.Options
 
-// Runner executes sweeps; its Stream yields per-cell results and its Run
-// drains the stream into a whole Report. Safe for concurrent use.
+// Runner executes sweeps; its Run returns the whole Report. Safe for
+// concurrent use.
 type Runner = internal.Runner
 
-// CellResult is one completed cell of a streaming sweep.
+// CellResult is one completed cell of a sweep, as OnCellDone delivers it.
 type CellResult = internal.CellResult
 
 // CellRange is a half-open [Start, End) slice of a spec's cell matrix in
@@ -85,7 +84,7 @@ const DefaultMaxSteps = internal.DefaultMaxSteps
 func NewRunner(opts Options) *Runner { return internal.NewRunner(opts) }
 
 // Run expands the spec and executes every job, returning the whole
-// report: the non-streaming convenience over Runner.Stream.
+// report.
 func Run(spec Spec, opts Options) (*Report, error) { return internal.Run(spec, opts) }
 
 // RunContext is Run with a context: canceling ctx stops the sweep

@@ -1,16 +1,15 @@
 package campaign_test
 
 import (
-	"context"
 	"fmt"
 
 	"repro/campaign"
 )
 
-// Example runs a small sweep through the streaming SDK: declare a spec,
-// range over per-cell results as they complete. Cells arrive in matrix
-// order and the statistics are deterministic, so the output below is
-// byte-stable at any worker count.
+// Example runs a small sweep through the SDK: declare a spec, run it, and
+// read the report's cells. The report lists cells in matrix order and the
+// statistics are deterministic, so the output below is byte-stable at any
+// worker count.
 func Example() {
 	spec := campaign.Spec{
 		Name:        "quickstart",
@@ -19,15 +18,14 @@ func Example() {
 		Adversaries: []string{"min"},
 		Sizes:       []int{4, 6, 8},
 	}
-	r := campaign.NewRunner(campaign.Options{Workers: 2})
-	for cell, err := range r.Stream(context.Background(), spec) {
-		if err != nil {
-			fmt.Println("sweep failed:", err)
-			return
-		}
-		c := cell.Cell
+	rep, err := campaign.Run(spec, campaign.Options{Workers: 2})
+	if err != nil {
+		fmt.Println("sweep failed:", err)
+		return
+	}
+	for i, c := range rep.Cells {
 		fmt.Printf("cell %d/%d: %s on %s n=%d: %d/%d success, %d rounds, %d board bits\n",
-			cell.Index+1, cell.Total, c.Protocol, c.Graph, c.N, c.Success, c.Runs,
+			i+1, len(rep.Cells), c.Protocol, c.Graph, c.N, c.Success, c.Runs,
 			c.Rounds.Max, c.BoardBits.Max)
 	}
 	// Output:

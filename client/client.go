@@ -16,7 +16,7 @@
 //	var apiErr *client.APIError
 //	if errors.As(err, &apiErr) && apiErr.Code == "label_taken" { ... }
 //	for ev, err := range c.Events(ctx, job.ID, 0) {
-//		if errors.Is(err, client.ErrNoEvents) { /* poll Status instead */ }
+//		if err != nil { ... } // the stream resumes by itself; an error is final
 //		if ev.Type == "cell" { fmt.Println(ev.Cell.Index) }
 //	}
 package client
@@ -52,10 +52,6 @@ const (
 	StateFailed   = internal.StateFailed
 	StateCanceled = internal.StateCanceled
 )
-
-// ErrNoEvents reports a server that does not stream events; fall back
-// to polling Status.
-var ErrNoEvents = internal.ErrNoEvents
 
 // New returns a client for a wbserve base URL such as
 // "http://host:8080".

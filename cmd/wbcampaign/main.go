@@ -29,10 +29,12 @@
 //	wbcampaign -protocols bfs,mis -graphs gnp,tree -sizes 8,16 -seeds 5
 //
 // -remote submits the spec to a wbserve job endpoint (POST
-// /api/v1/campaigns), follows the job's per-cell SSE stream (falling back
-// to status polling against older servers), and exits when the report is
-// stored server-side — byte-identical to a local run of the same spec.
-// An interrupt (^C) mid-run cancels the job server-side and exits 1. diff exits 0 when the reports agree (including the
+// /api/v1/campaigns), follows the job's per-cell SSE stream, and exits
+// when the report is stored server-side — byte-identical to a local run
+// of the same spec. A stream that fails for good (a server without the
+// events route, a connection lost past the client's retries) exits 1
+// naming the job. An interrupt (^C) mid-run cancels the job server-side
+// and exits 1. diff exits 0 when the reports agree (including the
 // nothing-to-compare case of a store holding fewer than two runs of a
 // spec), 1 when any cell differs, 2 on errors — fit for CI regression
 // gates. gc refuses to remove caller-labeled runs unless -force is set.
@@ -50,6 +52,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/campaign"
@@ -145,7 +148,7 @@ func runCmd(args []string) {
 		toStore    = fs.Bool("store", false, "persist the report in the result store for later list/diff")
 		dir        = fs.String("dir", defaultStoreDir, "result store directory (with -store)")
 		push       = fs.String("push", "", "publish the report to a wbserve base URL (e.g. http://host:8080)")
-		remote     = fs.String("remote", "", "execute the campaign ON a wbserve base URL: submit the spec as a job, poll to completion")
+		remote     = fs.String("remote", "", "execute the campaign ON a wbserve base URL: submit the spec as a job, follow its event stream to completion")
 		label      = fs.String("label", "", "store label, e.g. from git describe; empty = auto run-NNN")
 		quiet      = fs.Bool("quiet", false, "suppress the live progress line and summary")
 		traceOut   = fs.String("trace", "", "write the run's span tree (job → shard → cell → engine) to this JSON file; with -remote it is fetched from the server's trace endpoint")
@@ -247,7 +250,7 @@ func runCmd(args []string) {
 
 	if *remote != "" {
 		// ^C during a remote run must not abandon the job server-side: the
-		// context cancels the stream/poll and runRemote POSTs a cancel.
+		// context cancels the stream and runRemote POSTs a cancel.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		if err := runRemote(ctx, *remote, spec, *label, *quiet, *out, *csvPath, *traceOut); err != nil {
@@ -271,21 +274,7 @@ func runCmd(args []string) {
 			fail(err)
 		}
 	} else {
-		opts := campaign.Options{Workers: workerN}
-		if !*quiet {
-			opts.OnProgress = func(done, total int) {
-				if done == total || done%16 == 0 {
-					fmt.Fprintf(os.Stderr, "\r%d/%d jobs", done, total)
-				}
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
-		opts.OnCell = func(cr campaign.CellResult) {
-			logger.Debug("cell done", "index", cr.Index, "total", cr.Total,
-				"protocol", cr.Cell.Protocol, "graph", cr.Cell.Graph, "n", cr.Cell.N)
-		}
+		opts := campaign.Options{Workers: workerN, OnCellDone: cellProgress(*quiet, logger)}
 		// A local -trace runs the sweep under an in-process tracer and dumps
 		// the same span-tree document the server's trace route serves.
 		ctx := context.Background()
@@ -579,12 +568,13 @@ func importCmd(args []string) {
 }
 
 // runRemote executes a campaign on a wbserve instance through the v1 job
-// API: submit the spec, follow the job's per-cell SSE stream (polling the
-// status route instead against servers that predate it) to a terminal
-// state, and optionally download the stored report — byte-identical to a
-// local run — into -out/-csv. Cancelling ctx (the CLI wires SIGINT to it)
-// cancels the job server-side before returning, so an interrupted run
-// does not leave the server's worker pool grinding on abandoned work.
+// API: submit the spec, follow the job's per-cell SSE stream to its
+// terminal state frame, and optionally download the stored report —
+// byte-identical to a local run — into -out/-csv. A stream that fails for
+// good returns an error naming the job. Cancelling ctx (the CLI wires
+// SIGINT to it) cancels the job server-side before returning, so an
+// interrupted run does not leave the server's worker pool grinding on
+// abandoned work.
 func runRemote(ctx context.Context, baseURL string, spec campaign.Spec, label string, quiet bool, out, csvPath, tracePath string) error {
 	c := client.New(baseURL, client.Options{})
 	job, err := c.Submit(ctx, spec, label)
@@ -595,16 +585,13 @@ func runRemote(ctx context.Context, baseURL string, spec campaign.Spec, label st
 		fmt.Fprintf(os.Stderr, "submitted %s to %s (%d cells)\n", job.ID, c.BaseURL(), job.CellsTotal)
 	}
 
-	streamed, done := false, 0
+	done := 0
 	for ev, err := range c.Events(ctx, job.ID, 0) {
 		if err != nil {
 			if ctx.Err() != nil {
 				return cancelRemoteJob(c, job.ID, ctx.Err())
 			}
-			// Any stream failure — a server without the route, a connection
-			// lost for good — degrades losslessly to polling below, which
-			// reads the authoritative status document, not stream deltas.
-			break
+			return fmt.Errorf("remote: following job %s on %s: %w", job.ID, c.BaseURL(), err)
 		}
 		switch ev.Type {
 		case "cell":
@@ -613,25 +600,7 @@ func runRemote(ctx context.Context, baseURL string, spec campaign.Spec, label st
 				fmt.Fprintf(os.Stderr, "\r%d/%d cells", done, ev.Cell.Total)
 			}
 		case "state":
-			job, streamed = *ev.Job, true
-		}
-	}
-	for !streamed && job.State == client.StateRunning {
-		select {
-		case <-ctx.Done():
-			return cancelRemoteJob(c, job.ID, ctx.Err())
-		case <-time.After(150 * time.Millisecond):
-		}
-		st, err := c.Status(ctx, job.ID)
-		if err != nil {
-			if ctx.Err() != nil {
-				return cancelRemoteJob(c, job.ID, ctx.Err())
-			}
-			return fmt.Errorf("remote: polling %s: %w", job.ID, err)
-		}
-		job = st
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "\r%d/%d cells", job.CellsDone, job.CellsTotal)
+			job = *ev.Job
 		}
 	}
 	if !quiet {
@@ -750,18 +719,35 @@ func runFleet(ctx context.Context, urls []string, shards int, spec campaign.Spec
 	}
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "fleet run across %d workers\n", len(urls))
-		opts.OnCell = func(cr campaign.CellResult) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d cells", cr.Index+1, cr.Total)
-			if cr.Index+1 == cr.Total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
 	}
+	opts.OnCellDone = cellProgress(quiet, logger)
 	rep, err := fabric.Run(ctx, spec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	return rep, nil
+}
+
+// cellProgress is the OnCellDone hook of local and fleet runs: it counts
+// cells in completion order for the live "N/T cells" line and logs each
+// at debug level. Hooks fire concurrently, so it serializes both.
+func cellProgress(quiet bool, logger *slog.Logger) func(campaign.CellResult) {
+	var mu sync.Mutex
+	done := 0
+	return func(cr campaign.CellResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		logger.Debug("cell done", "index", cr.Index, "total", cr.Total,
+			"protocol", cr.Cell.Protocol, "graph", cr.Cell.Graph, "n", cr.Cell.N)
+		if quiet {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "\r%d/%d cells", done, cr.Total)
+		if done == cr.Total {
+			fmt.Fprintln(os.Stderr)
+		}
+	}
 }
 
 // writeMetricsFile dumps the run's Prometheus exposition, so scripts and

@@ -536,10 +536,10 @@ func TestExportImportCmd(t *testing.T) {
 	}
 }
 
-// TestRemoteStreamsThenFallsBack pins the two progress transports: a
-// current server is followed over SSE, and a server without the events
-// route (pre-realtime wbserve) degrades to status polling with the same
-// stored result.
+// TestRemoteStreamsThenFallsBack pins the one progress transport: a
+// current server is followed over SSE to a stored result, and a server
+// without the events route (pre-realtime wbserve) fails the run with an
+// error naming the job instead of falling back to status polling.
 func TestRemoteStreamsThenFallsBack(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -549,6 +549,15 @@ func TestRemoteStreamsThenFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The job the failed run leaves behind drains before the TempDir
+	// cleanup removes the store it writes into.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("server shutdown: %v", err)
+		}
+	})
 	var eventsHits atomic.Int64
 	older := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// An older server has no events route at all.
@@ -563,17 +572,18 @@ func TestRemoteStreamsThenFallsBack(t *testing.T) {
 	defer ts.Close()
 	spec := campaign.Spec{Name: "fallback", Protocols: []string{"build-forest"},
 		Graphs: []string{"path"}, Adversaries: []string{"min"}, Sizes: []int{4, 5}}
-	if err := runRemote(context.Background(), ts.URL, spec, "polled", true, "", "", ""); err != nil {
-		t.Fatalf("remote run against a server without SSE: %v", err)
+	err = runRemote(context.Background(), ts.URL, spec, "polled", true, "", "", "")
+	if err == nil {
+		t.Fatal("remote run against a server without SSE succeeded")
 	}
-	if eventsHits.Load() == 0 {
-		t.Error("the client never tried the events route before falling back")
+	if !strings.Contains(err.Error(), "job-001") || !strings.Contains(err.Error(), "404") {
+		t.Errorf("error does not name the job and the events route's answer: %v", err)
 	}
-	if _, err := st.GetEntry(store.SpecHash(spec), "polled"); err != nil {
-		t.Errorf("fallback run not stored: %v", err)
+	if eventsHits.Load() != 1 {
+		t.Errorf("the client tried the events route %d times, want once", eventsHits.Load())
 	}
 
-	// Against the real handler, the stream path completes end to end too.
+	// Against the real handler, the stream path completes end to end.
 	full := httptest.NewServer(srv.Handler())
 	defer full.Close()
 	if err := runRemote(context.Background(), full.URL, spec, "streamed", true, "", "", ""); err != nil {
@@ -588,7 +598,7 @@ func TestRemoteStreamsThenFallsBack(t *testing.T) {
 // job server-side: when the run context is canceled mid-stream, the
 // client POSTs /cancel and returns a non-nil (non-zero exit) error. The
 // server here is a stub whose job never finishes — exactly the situation
-// an interrupted poll loop used to leave burning.
+// an interrupted run would otherwise leave burning.
 func TestRemoteInterruptCancelsJob(t *testing.T) {
 	var canceled atomic.Bool
 	streaming := make(chan struct{})
@@ -603,9 +613,6 @@ func TestRemoteInterruptCancelsJob(t *testing.T) {
 		w.(http.Flusher).Flush()
 		close(streaming)
 		<-r.Context().Done() // the job "runs" until the client goes away
-	})
-	mux.HandleFunc("GET /api/v1/campaigns/job-7", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"id":"job-7","state":"running","cells_total":2,"jobs_total":2}`)
 	})
 	mux.HandleFunc("POST /api/v1/campaigns/job-7/cancel", func(w http.ResponseWriter, r *http.Request) {
 		canceled.Store(true)

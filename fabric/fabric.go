@@ -2,13 +2,15 @@
 // stable facade over repro/internal/fabric. Run splits a campaign
 // spec's cell matrix into contiguous shards, executes each shard as a
 // cell-range job on a pool of wbserve worker endpoints (via
-// repro/client), and merges the per-cell streams back into matrix
-// order. Seeds derive from job coordinates, never from scheduling, so
-// the assembled report is byte-identical to campaign.Run of the same
-// spec — at any worker count, any shard assignment, and across worker
-// failures, which the coordinator handles by health-probing the fleet
-// and resubmitting orphaned shards (duplicate cells are deduped by
-// absolute index; first copy wins).
+// repro/client), follows each job's per-cell SSE stream, and merges the
+// cells back into matrix order. The stream is the only transport: a
+// stream lost for good fails the attempt, and the shard is resubmitted.
+// Seeds derive from job coordinates, never from scheduling, so the
+// assembled report is byte-identical to campaign.Run of the same spec —
+// at any worker count, any shard assignment, and across worker failures,
+// which the coordinator handles by health-probing the fleet and
+// resubmitting orphaned shards (duplicate cells are deduped by absolute
+// index; first copy wins).
 //
 //	rep, err := fabric.Run(ctx, spec, fabric.Options{
 //		Workers: []string{"http://a:8080", "http://b:8080"},
@@ -25,9 +27,10 @@ import (
 
 // Options configures a fleet run; only Workers is required. Shards
 // picks the number of contiguous cell-range shards (0 = one per
-// worker), OnCell observes cells in matrix order as the merge frontier
-// advances, and the interval/timeout knobs pace polling, health
-// probing, work stealing and the all-workers-down watchdog.
+// worker), OnCellDone observes each cell once, in merge order, the
+// moment it is first merged, and the interval/timeout knobs pace idle
+// waits, health probing, work stealing and the all-workers-down
+// watchdog.
 type Options = internal.Options
 
 // Metrics is the wb_fabric_* instrument group an Options.Metrics field

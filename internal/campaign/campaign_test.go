@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -225,22 +226,20 @@ func TestProgressCoversEveryJob(t *testing.T) {
 		Sizes:       []int{4, 6},
 		Seeds:       2,
 	}
-	var calls int
-	var last int
-	rep, err := Run(spec, Options{Workers: 3, OnProgress: func(done, total int) {
-		calls++
-		if total != 4 {
-			t.Errorf("total = %d, want 4", total)
-		}
-		if done > last {
-			last = done
+	var calls, jobs atomic.Int64
+	rep, err := Run(spec, Options{Workers: 3, OnCellDone: func(cr CellResult) {
+		calls.Add(1)
+		jobs.Add(int64(cr.Jobs))
+		if cr.Total != 2 {
+			t.Errorf("total = %d, want 2", cr.Total)
 		}
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 4 || last != 4 {
-		t.Errorf("progress calls=%d last=%d, want 4/4", calls, last)
+	if calls.Load() != 2 || jobs.Load() != int64(rep.Jobs) || rep.Jobs != 4 {
+		t.Errorf("OnCellDone calls=%d summing %d jobs, want 2 cells covering all %d of 4 jobs",
+			calls.Load(), jobs.Load(), rep.Jobs)
 	}
 	if rep.Workers != 3 {
 		t.Errorf("report workers = %d, want 3", rep.Workers)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -23,21 +22,13 @@ import (
 type Options struct {
 	// Workers is the number of worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// OnProgress, if set, is called after every completed job with the
-	// number done so far and the total. Calls are serialized.
-	OnProgress func(done, total int)
-	// OnCell, if set, is called once per completed cell, in matrix order,
-	// from the goroutine driving the run. It fires for both Run and Stream,
-	// so a caller that drains Run can still render incremental progress.
-	OnCell func(CellResult)
 	// OnCellDone, if set, is called once per cell the moment its last job
 	// completes — from the completing worker's goroutine, so calls arrive in
 	// completion order (not matrix order) and may be concurrent across
-	// cells; the hook must be safe for concurrent use. The CellResult is
-	// identical to the one OnCell later delivers at the same Index, so a
-	// realtime consumer (e.g. an event stream) and the matrix-order report
-	// can never disagree. A canceled sweep may have fired OnCellDone for
-	// cells the stream never yields.
+	// cells; the hook must be safe for concurrent use. The CellResult's Cell
+	// is the one the report carries at the same Index, so a realtime
+	// consumer (e.g. an event stream) and the report can never disagree. A
+	// canceled sweep may have fired OnCellDone for cells it never reports.
 	OnCellDone func(CellResult)
 	// Metrics, when non-nil, receives worker occupancy, per-job counts, a
 	// per-cell wall-time histogram, and (through its engine group) the
@@ -45,10 +36,10 @@ type Options struct {
 	Metrics *telemetry.CampaignMetrics
 }
 
-// CellResult is one completed cell of a streaming sweep: the fully
-// aggregated cell plus its coordinates in the spec's matrix order. The
-// JSON tags are its wire shape on the server's per-cell event stream,
-// where index/total are the consumer's matrix-position cursor.
+// CellResult is one completed cell of a sweep, as OnCellDone delivers it:
+// the fully aggregated cell plus its coordinates in the spec's matrix
+// order. The JSON tags are its wire shape on the server's per-cell event
+// stream, where index/total are the consumer's matrix-position cursor.
 type CellResult struct {
 	// Index is the cell's position in matrix order (protocol → graph →
 	// size → adversary → model), 0-based; Total is the sweep's cell count.
@@ -57,13 +48,13 @@ type CellResult struct {
 	// Jobs is the number of jobs (trials) aggregated into this cell.
 	Jobs int `json:"jobs"`
 	// Cell carries the aggregated statistics, identical to the cell the
-	// whole-report Run would emit at this index.
+	// report holds at this index.
 	Cell Cell `json:"cell"`
 }
 
 // Runner executes campaign sweeps. The zero value is ready to use; NewRunner
 // attaches Options. A Runner is stateless between sweeps and safe for
-// concurrent use — each Stream or Run call owns its worker pool.
+// concurrent use — each Run call owns its worker pool.
 type Runner struct {
 	opts Options
 }
@@ -148,49 +139,22 @@ func (ss *schedStats) addWeighted(sum *int64, v, weight int) {
 }
 
 // Run expands the spec and executes every job on a sharded worker pool,
-// returning the whole report at once. It is the non-streaming convenience
-// over Runner.Stream; see Runner.Run for the contract.
+// returning the whole report; see Runner.Run for the contract.
 func Run(spec Spec, opts Options) (*Report, error) {
 	return NewRunner(opts).Run(context.Background(), spec)
 }
 
-// Run executes the sweep to completion, draining the stream into a Report.
+// Run executes the sweep to completion and returns the whole report.
 // Workers pull job indices from a shared atomic counter and write results
-// into a slice indexed by job position, so aggregation — and therefore the
-// report — is identical for any worker count. Canceling ctx stops the
-// sweep between jobs and returns the cancellation cause; no partial report
-// is produced.
+// into a slice indexed by job position; the worker that retires a cell's
+// last job aggregates the cell in matrix order, stores it at its index and
+// fires OnCellDone, so the report is identical for any worker count. Each
+// worker owns one engine.Runner and one RNG, reused across all its jobs,
+// and re-checks ctx between jobs: canceling ctx never interrupts a job
+// mid-simulation but stops the sweep within one job per worker. A ctx
+// canceled before the pool drains makes Run return the cancellation
+// cause; no partial report is produced.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
-	return r.stream(ctx, spec, func(CellResult) bool { return true })
-}
-
-// Stream executes the sweep, yielding each cell as soon as it — and every
-// cell before it in matrix order — has completed, so consumers render
-// incrementally while later cells are still running. The sequence ends
-// with a non-nil error after a validation failure or a ctx cancellation;
-// a fully drained sweep yields every cell with a nil error. Breaking out
-// of the range stops the remaining workers before Stream returns. Cells
-// are identical, cell for cell, to the report Run produces.
-func (r *Runner) Stream(ctx context.Context, spec Spec) iter.Seq2[CellResult, error] {
-	return func(yield func(CellResult, error) bool) {
-		_, err := r.stream(ctx, spec, func(cr CellResult) bool {
-			return yield(cr, nil)
-		})
-		if err != nil {
-			yield(CellResult{}, err)
-		}
-	}
-}
-
-// stream is the execution core under Run and Stream. It yields completed
-// cells in matrix order and returns the assembled report when the sweep
-// ran to completion, nil with no error when the consumer stopped early,
-// and nil with the cause when validation or the context failed. Each
-// worker owns one engine.Runner and one RNG, reused across all its jobs;
-// workers re-check the context between jobs, so a cancellation never
-// interrupts a job mid-simulation but stops the sweep within one job per
-// worker.
-func (r *Runner) stream(ctx context.Context, spec Spec, yield func(CellResult) bool) (*Report, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -201,10 +165,10 @@ func (r *Runner) stream(ctx context.Context, spec Spec, yield func(CellResult) b
 	jobs := spec.Expand()
 	numCells := spec.NumCells()
 	// Expand lays jobs out with trials innermost, so every cell is one
-	// contiguous job range; record the boundaries for per-cell aggregation.
-	cellEnd := make([]int, numCells)
+	// contiguous job range [cellStart[c], cellStart[c+1]).
+	cellStart := make([]int, numCells+1)
 	for i, job := range jobs {
-		cellEnd[job.Cell] = i + 1
+		cellStart[job.Cell+1] = i + 1
 	}
 	workers := r.opts.Workers
 	if workers <= 0 {
@@ -217,25 +181,11 @@ func (r *Runner) stream(ctx context.Context, spec Spec, yield func(CellResult) b
 	start := time.Now()
 	results := make([]jobResult, len(jobs))
 	remaining := make([]atomic.Int64, numCells)
-	for c := 0; c < numCells; c++ {
-		startIdx := 0
-		if c > 0 {
-			startIdx = cellEnd[c-1]
-		}
-		remaining[c].Store(int64(cellEnd[c] - startIdx))
+	for c := range remaining {
+		remaining[c].Store(int64(cellStart[c+1] - cellStart[c]))
 	}
-	// completed buffers every finished cell, so workers never block on the
-	// consumer: a slow reader cannot stall the pool. The worker that retires
-	// a cell's last job aggregates it (results for the whole cell are
-	// visible through the atomic remaining-counter chain) and fires
-	// OnCellDone before handing it over for matrix-order emission.
-	completed := make(chan CellResult, numCells)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var next atomic.Int64
-	var progressMu sync.Mutex
-	done := 0
+	cells := make([]Cell, numCells)
+	var next, finished atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -243,7 +193,7 @@ func (r *Runner) stream(ctx context.Context, spec Spec, yield func(CellResult) b
 			defer wg.Done()
 			// Each worker is one "shard" span; the engine spans of its
 			// exhaustive jobs nest under it.
-			wctx, shard := telemetry.StartSpan(runCtx, "shard")
+			wctx, shard := telemetry.StartSpan(ctx, "shard")
 			shard.SetAttr("worker", w)
 			defer shard.End()
 			ran := 0
@@ -252,10 +202,7 @@ func (r *Runner) stream(ctx context.Context, spec Spec, yield func(CellResult) b
 			em := m.EngineMetrics()
 			runner := engine.NewRunner()
 			rng := rand.New(rand.NewSource(1)) // reseeded per job
-			for {
-				if runCtx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				i := int(next.Add(1) - 1)
 				if i >= len(jobs) {
 					return
@@ -272,74 +219,32 @@ func (r *Runner) stream(ctx context.Context, spec Spec, yield func(CellResult) b
 				m.WorkerBusy(-1)
 				m.JobDone()
 				ran++
-				if r.opts.OnProgress != nil {
-					// Increment under the same lock as the callback so the
-					// counts the callback sees are strictly monotonic.
-					progressMu.Lock()
-					done++
-					r.opts.OnProgress(done, len(jobs))
-					progressMu.Unlock()
+				// The worker that retires a cell's last job sees every result
+				// of the cell through the atomic remaining-counter chain. The
+				// cell span is recorded under the sweep's context, not the
+				// worker's, so its parent is the job span.
+				c := jobs[i].Cell
+				if remaining[c].Add(-1) != 0 {
+					continue
 				}
-				if remaining[jobs[i].Cell].Add(-1) == 0 {
-					c := jobs[i].Cell
-					startIdx := 0
-					if c > 0 {
-						startIdx = cellEnd[c-1]
-					}
-					cell := aggregateCell(spec, jobs[startIdx:cellEnd[c]], results[startIdx:cellEnd[c]])
-					cr := CellResult{Index: c, Total: numCells, Jobs: cellEnd[c] - startIdx, Cell: cell}
-					if r.opts.OnCellDone != nil {
-						r.opts.OnCellDone(cr)
-					}
-					completed <- cr
+				lo, hi := cellStart[c], cellStart[c+1]
+				cells[c] = aggregateCell(spec, jobs[lo:hi], results[lo:hi])
+				recordCell(ctx, m, c, cells[c], results[lo:hi])
+				finished.Add(1)
+				if r.opts.OnCellDone != nil {
+					r.opts.OnCellDone(CellResult{Index: c, Total: numCells, Jobs: hi - lo, Cell: cells[c]})
 				}
 			}
 		}(w)
 	}
-
-	cells := make([]Cell, 0, numCells)
-	pending := make([]CellResult, numCells)
-	ready := make([]bool, numCells)
-	emit := 0
-	for emit < numCells {
-		// Re-check between emissions, not only in the select: once the
-		// cancellation is observable, no further cell may be yielded even
-		// if workers raced ahead and every remaining cell is buffered.
-		if ctx.Err() != nil {
-			wg.Wait()
-			return nil, fmt.Errorf("campaign: canceled after %d of %d cells: %w",
-				emit, numCells, context.Cause(ctx))
-		}
-		select {
-		case done := <-completed:
-			pending[done.Index], ready[done.Index] = done, true
-			for emit < numCells && ready[emit] {
-				startIdx := 0
-				if emit > 0 {
-					startIdx = cellEnd[emit-1]
-				}
-				cr := pending[emit]
-				recordCell(ctx, r.opts.Metrics, emit, cr.Cell, results[startIdx:cellEnd[emit]])
-				cells = append(cells, cr.Cell)
-				emit++
-				if r.opts.OnCell != nil {
-					r.opts.OnCell(cr)
-				}
-				if !yield(cr) {
-					cancel()
-					wg.Wait()
-					return nil, nil
-				}
-			}
-		case <-runCtx.Done():
-			wg.Wait()
-			// Cells that finished racing the cancellation stay unreported:
-			// a canceled sweep has no partial result, only an error.
-			return nil, fmt.Errorf("campaign: canceled after %d of %d cells: %w",
-				emit, numCells, context.Cause(ctx))
-		}
-	}
 	wg.Wait()
+	// A canceled sweep has no partial result, only an error — also when the
+	// cancellation raced the last cells to completion. A sweep that was not
+	// canceled ran every job, so no cell is missing.
+	if err := context.Cause(ctx); err != nil {
+		return nil, fmt.Errorf("campaign: canceled after %d of %d cells: %w",
+			finished.Load(), numCells, err)
+	}
 
 	rep := assembleReport(spec, len(jobs), cells)
 	rep.Elapsed = time.Since(start)
@@ -656,7 +561,7 @@ func AssembleReport(spec Spec, cells []Cell) (*Report, error) {
 	return assembleReport(spec, spec.NumCells()*spec.Seeds, cells), nil
 }
 
-// assembleReport wraps streamed cells into the whole-campaign report,
+// assembleReport wraps completed cells into the whole-campaign report,
 // summing totals. Cells must be in matrix order and complete.
 func assembleReport(spec Spec, jobs int, cells []Cell) *Report {
 	rep := &Report{Spec: spec, Jobs: jobs, Cells: cells}

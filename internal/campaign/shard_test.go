@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -84,24 +85,34 @@ func TestCellRangeSlicesMatchFullRun(t *testing.T) {
 	}
 }
 
-// TestCellRangeStreamsRebasedIndices pins the stream's cursor contract
-// for range runs: indices are rebased to the range and Total is the
-// range length, so a consumer of one shard sees a self-contained sweep.
+// TestCellRangeStreamsRebasedIndices pins the per-cell cursor contract
+// for range runs: OnCellDone indices are rebased to the range and Total is
+// the range length, so a consumer of one shard sees a self-contained
+// sweep. The fabric relies on this to place a shard's cells.
 func TestCellRangeStreamsRebasedIndices(t *testing.T) {
 	spec := shardSpec()
 	spec.Cells = &CellRange{Start: 5, End: 9}
-	next := 0
-	for cr, err := range NewRunner(Options{Workers: 2}).Stream(t.Context(), spec) {
-		if err != nil {
-			t.Fatal(err)
+	var mu sync.Mutex
+	seen := map[int]Cell{}
+	opts := Options{Workers: 2, OnCellDone: func(cr CellResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		if cr.Index < 0 || cr.Index >= 4 || cr.Total != 4 {
+			t.Errorf("cell cursor %d/%d, want an index in [0,4) of 4", cr.Index, cr.Total)
 		}
-		if cr.Index != next || cr.Total != 4 {
-			t.Fatalf("stream cursor %d/%d, want %d/4", cr.Index, cr.Total, next)
-		}
-		next++
+		seen[cr.Index] = cr.Cell
+	}}
+	rep, err := NewRunner(opts).Run(t.Context(), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if next != 4 {
-		t.Fatalf("stream yielded %d cells, want 4", next)
+	if len(seen) != 4 {
+		t.Fatalf("OnCellDone delivered %d distinct cells, want 4", len(seen))
+	}
+	for i, c := range rep.Cells {
+		if cellJSON(t, seen[i]) != cellJSON(t, c) {
+			t.Errorf("cell %d delivered by OnCellDone differs from the range report's", i)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,38 +18,6 @@ func streamSpec() Spec {
 		Graphs:      []string{"path"},
 		Adversaries: []string{"min"},
 		Sizes:       []int{4, 5, 6},
-	}
-}
-
-// TestStreamMatchesRun pins the tentpole equivalence: the cells yielded by
-// Stream, in order, are exactly the cells of the whole-report Run — so a
-// streaming consumer and a report consumer can never disagree.
-func TestStreamMatchesRun(t *testing.T) {
-	spec := streamSpec()
-	rep, err := Run(spec, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []Cell
-	idx := 0
-	for cr, err := range NewRunner(Options{Workers: 3}).Stream(context.Background(), spec) {
-		if err != nil {
-			t.Fatalf("stream error at cell %d: %v", idx, err)
-		}
-		if cr.Index != idx {
-			t.Fatalf("cell %d yielded with Index %d: stream is out of order", idx, cr.Index)
-		}
-		if cr.Total != spec.Normalize().NumCells() {
-			t.Errorf("cell %d Total = %d, want %d", idx, cr.Total, spec.Normalize().NumCells())
-		}
-		if cr.Jobs != 1 {
-			t.Errorf("cell %d Jobs = %d, want 1", idx, cr.Jobs)
-		}
-		streamed = append(streamed, cr.Cell)
-		idx++
-	}
-	if !reflect.DeepEqual(streamed, rep.Cells) {
-		t.Errorf("streamed cells differ from Run's report cells\nstream: %+v\nreport: %+v", streamed, rep.Cells)
 	}
 }
 
@@ -73,17 +40,17 @@ func TestRunContextEquivalence(t *testing.T) {
 
 // TestStreamCancelStopsWithinOneJob pins the acceptance contract: a ctx
 // canceled mid-sweep stops the sweep without running further jobs — with
-// one worker, not a single job starts after the cancellation lands.
+// one worker and one job per cell, not a single job starts after the
+// cancellation lands in OnCellDone.
 func TestStreamCancelStopsWithinOneJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var executed atomic.Int64
 	opts := Options{
 		Workers: 1,
-		OnProgress: func(done, total int) {
-			executed.Store(int64(done))
-			if done == 2 {
-				cancel() // lands while job 2's completion is being reported
+		OnCellDone: func(CellResult) {
+			if executed.Add(1) == 2 {
+				cancel() // lands while cell 2's completion is being reported
 			}
 		},
 	}
@@ -96,55 +63,13 @@ func TestStreamCancelStopsWithinOneJob(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyBreak pins that breaking out of the range terminates the
-// sequence and joins the worker pool before Stream returns: the executed
-// job count is final the moment the range exits, and a fresh sweep on the
-// same Runner still works.
-func TestStreamEarlyBreak(t *testing.T) {
-	var executed atomic.Int64
-	opts := Options{
-		Workers:    1,
-		OnProgress: func(done, total int) { executed.Store(int64(done)) },
-	}
-	r := NewRunner(opts)
-	seen := 0
-	for cr, err := range r.Stream(context.Background(), streamSpec()) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cr.Index != 0 {
-			t.Fatalf("first yield has Index %d", cr.Index)
-		}
-		seen++
-		break
-	}
-	if seen != 1 {
-		t.Fatalf("range continued after break: %d cells", seen)
-	}
-	// Workers are joined before Stream returns, so the count is final.
-	atBreak := executed.Load()
-	runtime.Gosched()
-	if now := executed.Load(); now != atBreak {
-		t.Errorf("worker pool still running after break: %d jobs grew to %d", atBreak, now)
-	}
-	if _, err := r.Run(context.Background(), streamSpec()); err != nil {
-		t.Errorf("Runner unusable after an early break: %v", err)
-	}
-}
-
-// TestStreamErrors pins the error surface: validation failures and
-// pre-canceled contexts end the stream with one terminal error pair.
+// TestStreamErrors pins the error surface: a validation failure fires no
+// hook and returns the error, and a pre-canceled context runs no job.
 func TestStreamErrors(t *testing.T) {
-	var r Runner
-	yields := 0
-	for _, err := range r.Stream(context.Background(), Spec{}) {
-		yields++
-		if err == nil {
-			t.Fatal("invalid spec streamed a cell")
-		}
-	}
-	if yields != 1 {
-		t.Fatalf("invalid spec yielded %d pairs, want 1 terminal error", yields)
+	fired := 0
+	r := NewRunner(Options{OnCellDone: func(CellResult) { fired++ }})
+	if rep, err := r.Run(context.Background(), Spec{}); err == nil || rep != nil {
+		t.Fatalf("invalid spec: rep=%v err=%v, want only an error", rep, err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -153,12 +78,15 @@ func TestStreamErrors(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: err = %v", err)
 	}
+	if fired != 0 {
+		t.Errorf("OnCellDone fired %d times for sweeps that never ran", fired)
+	}
 }
 
-// TestOnCellDoneHook pins the realtime hook's contract: OnCellDone fires
-// exactly once per cell — in completion order, possibly concurrently —
-// and delivers the very CellResult OnCell later emits at the same index,
-// so a realtime consumer and the matrix-order report can never disagree.
+// TestOnCellDoneHook pins the hook's contract: OnCellDone fires exactly
+// once per cell — in completion order, possibly concurrently — and
+// delivers the very cell the report holds at the same index, so a
+// realtime consumer and the report can never disagree.
 func TestOnCellDoneHook(t *testing.T) {
 	var mu sync.Mutex
 	byIndex := map[int]CellResult{}
@@ -184,25 +112,6 @@ func TestOnCellDoneHook(t *testing.T) {
 		}
 		if cr.Total != len(rep.Cells) || !reflect.DeepEqual(cr.Cell, rep.Cells[i]) {
 			t.Errorf("OnCellDone cell %d differs from the report's cell", i)
-		}
-	}
-}
-
-// TestOnCellHook pins that the OnCell hook fires in matrix order for the
-// draining Run as well, so progress displays need no Stream plumbing.
-func TestOnCellHook(t *testing.T) {
-	var order []int
-	opts := Options{Workers: 4, OnCell: func(cr CellResult) { order = append(order, cr.Index) }}
-	rep, err := NewRunner(opts).Run(context.Background(), streamSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != len(rep.Cells) {
-		t.Fatalf("OnCell fired %d times for %d cells", len(order), len(rep.Cells))
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("OnCell order %v is not matrix order", order)
 		}
 	}
 }

@@ -38,12 +38,6 @@ const (
 	StateCanceled = "canceled"
 )
 
-// ErrNoEvents reports that the server does not serve the SSE events
-// route (or answered it with something other than an event stream) —
-// the signal to fall back to status polling, which reads the same
-// authoritative job document.
-var ErrNoEvents = errors.New("server does not stream events")
-
 // maxBodyBytes bounds any response body read; erroring beyond the bound
 // — rather than silently truncating — means a downloaded report can
 // never be persisted half-read.
@@ -251,8 +245,9 @@ func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
 	return job, nil
 }
 
-// streamRetries bounds reconnection attempts after a broken stream
-// before Events gives up and yields the connection error.
+// streamRetries bounds consecutive event-stream connections that end
+// without delivering a new frame — refused, dropped or closed early —
+// before Events gives up and yields the last connection's failure.
 const streamRetries = 5
 
 // Events follows a job's SSE stream as an iterator, yielding each frame
@@ -260,12 +255,14 @@ const streamRetries = 5
 // built in twice over: pass after > 0 to start past a previously seen
 // Event.ID, and a stream broken mid-job reconnects automatically with a
 // Last-Event-ID cursor, so no frame is lost or duplicated across drops
-// and subscriber evictions.
+// and subscriber evictions. A connection that delivers no new frame
+// counts as a failure and backs off (failures × 100ms) before the next.
 //
-// A yielded error ends the iteration: ErrNoEvents (wrapped) when the
-// server does not serve the stream — fall back to Status polling — the
-// context's error on cancellation, or the connection failure once
-// reconnection attempts are exhausted.
+// A yielded error ends the iteration: the *APIError of an events route
+// that answers with anything but an event stream, the context's error on
+// cancellation, a frame that cannot be read or decoded, or the last
+// connection failure once streamRetries consecutive connections have
+// delivered nothing.
 func (c *Client) Events(ctx context.Context, id string, after int) iter.Seq2[Event, error] {
 	return func(yield func(Event, error) bool) {
 		cursor, failures := after, 0
@@ -280,54 +277,56 @@ func (c *Client) Events(ctx context.Context, id string, after int) iter.Seq2[Eve
 			if cursor > 0 {
 				req.Header.Set("Last-Event-ID", strconv.Itoa(cursor))
 			}
-			resp, err := c.stream.Do(req)
-			if err != nil {
-				if ctx.Err() != nil {
-					yield(Event{}, ctx.Err())
+			seen := cursor
+			resp, lost := c.stream.Do(req)
+			if lost == nil {
+				if resp.StatusCode != http.StatusOK ||
+					!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+					body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+					resp.Body.Close()
+					yield(Event{}, apiError(resp.StatusCode, body))
 					return
 				}
-				failures++
-				if failures > streamRetries {
-					yield(Event{}, fmt.Errorf("client: event stream of %s: %w", id, err))
-					return
-				}
-				select {
-				case <-ctx.Done():
-					yield(Event{}, ctx.Err())
-					return
-				case <-time.After(time.Duration(failures) * 100 * time.Millisecond):
-				}
-				continue
-			}
-			if resp.StatusCode != http.StatusOK ||
-				!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+				var done bool
+				done, lost = consumeStream(resp.Body, &cursor, yield)
 				resp.Body.Close()
-				yield(Event{}, fmt.Errorf("client: events route of %s answered %s: %w",
-					id, resp.Status, ErrNoEvents))
-				return
-			}
-			failures = 0
-			terminal, stopped := c.consumeStream(resp.Body, &cursor, yield)
-			resp.Body.Close()
-			if terminal || stopped {
-				return
+				if done {
+					return
+				}
 			}
 			if ctx.Err() != nil {
 				yield(Event{}, ctx.Err())
 				return
 			}
-			// Stream broke before the terminal frame (eviction, connection
+			// The stream broke before the terminal frame (eviction, connection
 			// loss): reconnect after the last cursor; duplicates cannot occur
 			// because the server replays strictly after Last-Event-ID.
+			if cursor > seen {
+				failures = 0
+				continue
+			}
+			failures++
+			if failures > streamRetries {
+				yield(Event{}, fmt.Errorf("client: event stream of %s: %d connections delivered no frame: %w",
+					id, failures, lost))
+				return
+			}
+			select {
+			case <-ctx.Done():
+				yield(Event{}, ctx.Err())
+				return
+			case <-time.After(time.Duration(failures) * 100 * time.Millisecond):
+			}
 		}
 	}
 }
 
 // consumeStream parses SSE frames off one connection, yielding decoded
-// events and advancing the resume cursor. It reports terminal=true after
-// the state frame and stopped=true when the consumer broke the loop.
-func (c *Client) consumeStream(body io.Reader, cursor *int, yield func(Event, error) bool) (terminal, stopped bool) {
+// events and advancing the resume cursor. done reports that the iteration
+// is over: the terminal frame arrived, the consumer broke the loop, or a
+// frame could not be read or decoded (the error is yielded). Otherwise
+// lost says why the connection ended early.
+func consumeStream(body io.Reader, cursor *int, yield func(Event, error) bool) (done bool, lost error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var event, data string
@@ -341,25 +340,25 @@ func (c *Client) consumeStream(body io.Reader, cursor *int, yield func(Event, er
 				var cr campaign.CellResult
 				if err := json.Unmarshal([]byte(data), &cr); err != nil {
 					yield(Event{}, fmt.Errorf("client: undecodable cell frame: %w", err))
-					return false, true
+					return true, nil
 				}
 				if frameID > 0 {
 					*cursor = frameID
 				}
 				if !yield(Event{ID: *cursor, Type: "cell", Cell: &cr}, nil) {
-					return false, true
+					return true, nil
 				}
 			case "state":
 				var job Job
 				if err := json.Unmarshal([]byte(data), &job); err != nil {
 					yield(Event{}, fmt.Errorf("client: undecodable state frame: %w", err))
-					return false, true
+					return true, nil
 				}
 				if frameID > 0 {
 					*cursor = frameID
 				}
 				yield(Event{ID: *cursor, Type: "state", Job: &job}, nil)
-				return true, true
+				return true, nil
 			}
 			event, data, frameID = "", "", 0
 		case strings.HasPrefix(line, "event:"):
@@ -374,7 +373,15 @@ func (c *Client) consumeStream(body io.Reader, cursor *int, yield func(Event, er
 			// reconnect loop above, not EventSource's timer.
 		}
 	}
-	return false, false
+	switch err := sc.Err(); {
+	case errors.Is(err, bufio.ErrTooLong):
+		// Every reconnect would replay the same oversized frame.
+		yield(Event{}, fmt.Errorf("client: event frame exceeds %d bytes: %w", 1<<20, err))
+		return true, nil
+	case err != nil:
+		return false, err
+	}
+	return false, errors.New("stream closed before the terminal frame")
 }
 
 // Ingest publishes a finished report to the server's primary store and

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -8,7 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/resultstore"
@@ -157,8 +161,8 @@ func TestAPIErrorCarriesEnvelopeCode(t *testing.T) {
 	}
 }
 
-// TestEventsFallbackSentinel pins ErrNoEvents for servers without the
-// SSE route, the trigger for status polling.
+// TestEventsFallbackSentinel pins the answer of a server without the SSE
+// route: the events route's own *APIError, not a reconnect loop.
 func TestEventsFallbackSentinel(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/v1/campaigns/job-1/events", func(w http.ResponseWriter, r *http.Request) {
@@ -171,8 +175,67 @@ func TestEventsFallbackSentinel(t *testing.T) {
 	for _, err := range New(ts.URL, Options{}).Events(context.Background(), "job-1", 0) {
 		got = err
 	}
-	if !errors.Is(got, ErrNoEvents) {
-		t.Fatalf("events against a server without SSE yielded %v, want ErrNoEvents", got)
+	var apiErr *APIError
+	if !errors.As(got, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("events against a server without SSE yielded %v, want a 404 *APIError", got)
+	}
+}
+
+// TestEventsBoundsEmptyConnections is the regression for a stream that
+// ends without a terminal frame and without delivering anything: each
+// such connection counts as a failure under the backoff, and Events gives
+// up after streamRetries+1 connections instead of reconnecting until the
+// context expires.
+func TestEventsBoundsEmptyConnections(t *testing.T) {
+	var conns atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/campaigns/job-1/events", func(w http.ResponseWriter, r *http.Request) {
+		conns.Add(1)
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, ": nothing to say\n")
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var got error
+	for _, err := range New(ts.URL, Options{}).Events(ctx, "job-1", 0) {
+		got = err
+	}
+	if got == nil || ctx.Err() != nil {
+		t.Fatalf("events yielded %v (context: %v), want a connection failure before the deadline", got, ctx.Err())
+	}
+	if n := conns.Load(); n != streamRetries+1 {
+		t.Fatalf("client made %d connections, want %d", n, streamRetries+1)
+	}
+}
+
+// TestEventsOversizedFrameEndsStream pins that a frame beyond the scanner's
+// 1 MiB buffer ends the iteration with an error on the first connection:
+// reconnecting would only replay the same frame.
+func TestEventsOversizedFrameEndsStream(t *testing.T) {
+	var conns atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/campaigns/job-1/events", func(w http.ResponseWriter, r *http.Request) {
+		conns.Add(1)
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, "id: 1\nevent: cell\ndata: "+strings.Repeat("x", 2<<20)+"\n\n")
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var got error
+	for _, err := range New(ts.URL, Options{}).Events(ctx, "job-1", 0) {
+		got = err
+	}
+	if !errors.Is(got, bufio.ErrTooLong) {
+		t.Fatalf("oversized frame yielded %v, want bufio.ErrTooLong", got)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("client made %d connections for one oversized frame, want 1", n)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package fabric is the distributed campaign coordinator: it splits a
 // campaign spec's cell matrix into contiguous shards, submits each shard
 // as an ordinary v1 job (a spec carrying a cells range) to a pool of
-// wbserve worker endpoints, follows each worker's per-cell SSE stream
-// (falling back to status polling), and merges the cells back into
-// deterministic matrix order. Because every job's seed derives from its
-// coordinates — never from shard boundaries or scheduling — the
-// assembled report is byte-identical to a local run of the same spec at
-// any worker count and any shard assignment.
+// wbserve worker endpoints, follows each worker's per-cell SSE stream,
+// and merges the cells back into deterministic matrix order. Because
+// every job's seed derives from its coordinates — never from shard
+// boundaries or scheduling — the assembled report is byte-identical to a
+// local run of the same spec at any worker count and any shard
+// assignment.
 //
 // The coordinator is failure-tolerant without giving up that guarantee:
 // a /healthz probe loop (with backoff) tracks worker state, shards from
@@ -46,17 +46,21 @@ type Options struct {
 	Shards int
 	// Metrics receives the wb_fabric_* series; nil disables recording.
 	Metrics *telemetry.FabricMetrics
-	// OnCell fires for every cell in matrix order as the merge frontier
-	// advances — the distributed analogue of campaign.Options.OnCell.
-	// Called with the coordinator's lock held; keep it fast.
-	OnCell func(campaign.CellResult)
+	// OnCellDone fires once per cell the moment the merger first receives
+	// it, with Index and Total in the full matrix — the distributed
+	// analogue of campaign.Options.OnCellDone. Calls arrive in merge order
+	// (not matrix order) from the shard goroutines, outside the
+	// coordinator's lock, and may be concurrent: the hook must be safe for
+	// concurrent use.
+	OnCellDone func(campaign.CellResult)
 	// Logf receives coordinator progress lines (worker state changes,
 	// resubmissions); nil discards them.
 	Logf func(format string, args ...any)
 	// HTTPClient overrides the HTTP client used for worker calls (tests).
 	HTTPClient *http.Client
 
-	// PollInterval paces status polling and idle waits; 0 means 150ms.
+	// PollInterval paces idle waits for a claimable shard and the
+	// all-workers-down watchdog; 0 means 150ms.
 	PollInterval time.Duration
 	// ProbeInterval paces the per-worker /healthz loop; 0 means 500ms.
 	// Failing probes back off exponentially up to 8× this interval.
@@ -140,7 +144,6 @@ type coordinator struct {
 	cells    []campaign.Cell
 	have     []bool
 	received int
-	emitted  int
 	shards   []*shard
 	pending  []*shard
 
@@ -228,7 +231,6 @@ func (co *coordinator) run(ctx context.Context) (*campaign.Report, error) {
 		select {
 		case <-co.doneCh:
 			stop()
-			co.tel.MergeLag(0)
 			return campaign.AssembleReport(co.spec, co.cells)
 		case <-co.failCh:
 			stop()
@@ -408,85 +410,64 @@ func (co *coordinator) settle(sh *shard, w *worker, err error) {
 }
 
 // runShard executes one shard attempt on one worker: submit the
-// cell-range job, merge its per-cell stream, and fall back to polling
-// the status document plus fetching the stored shard report when the
-// stream is unavailable or breaks for good.
+// cell-range job and merge its per-cell stream. The stream is the only
+// transport — client.Events already resumes a dropped connection without
+// loss — so a stream that fails for good fails the attempt: the orphaned
+// job is canceled and settle re-queues the shard.
 func (co *coordinator) runShard(ctx context.Context, w *worker, sh *shard) error {
 	co.tel.ShardInFlight(1)
 	defer co.tel.ShardInFlight(-1)
 
+	n := sh.end - sh.start
 	shardSpec := co.spec
 	shardSpec.Cells = &campaign.CellRange{Start: sh.start, End: sh.end}
 	job, err := w.c.Submit(ctx, shardSpec, "")
 	if err != nil {
 		return err
 	}
-	if job.CellsTotal != sh.end-sh.start {
+	if job.CellsTotal != n {
 		w.cancelJobAsync(job.ID)
 		return fmt.Errorf("fabric: worker %s expanded shard [%d,%d) to %d cells",
 			w.url, sh.start, sh.end, job.CellsTotal)
 	}
 
-	for ev, eerr := range w.c.Events(ctx, job.ID, 0) {
-		if eerr != nil {
+	for ev, err := range w.c.Events(ctx, job.ID, 0) {
+		if err != nil {
+			w.cancelJobAsync(job.ID)
 			if ctx.Err() != nil {
-				w.cancelJobAsync(job.ID)
 				return ctx.Err()
 			}
-			break // ErrNoEvents or a dead stream: the poll loop takes over
+			return fmt.Errorf("fabric: shard [%d,%d) job %s on %s: stream lost: %w",
+				sh.start, sh.end, job.ID, w.url, err)
 		}
 		switch ev.Type {
 		case "cell":
-			co.deliver(sh.start+ev.Cell.Index, ev.Cell.Cell)
+			// A range run rebases its cursor to the shard; anything else would
+			// index past the matrix or land in another shard's cells.
+			cr := *ev.Cell
+			if cr.Index < 0 || cr.Index >= n || cr.Total != n {
+				w.cancelJobAsync(job.ID)
+				return fmt.Errorf("fabric: worker %s sent cell index %d of %d for shard [%d,%d) of %d cells",
+					w.url, cr.Index, cr.Total, sh.start, sh.end, n)
+			}
+			cr.Index += sh.start
+			cr.Total = co.total
+			co.deliver(cr)
 			if co.shardDone(sh) {
-				// A concurrent (stolen or resubmitted) attempt finished the
-				// rest of the range; stop this worker's copy early.
+				// Every cell of the range is merged, possibly by a concurrent
+				// (stolen or resubmitted) attempt; stop this worker's copy.
 				w.cancelJobAsync(job.ID)
 				return nil
 			}
 		case "state":
-			job = *ev.Job
+			// Every cell frame precedes the state frame, so a range that
+			// streamed completely has returned above.
+			return fmt.Errorf("fabric: shard [%d,%d) job %s on %s ended %s before its stream covered the range: %s",
+				sh.start, sh.end, job.ID, w.url, ev.Job.State, ev.Job.Error)
 		}
 	}
-
-	for !job.Terminal() {
-		select {
-		case <-ctx.Done():
-			w.cancelJobAsync(job.ID)
-			return ctx.Err()
-		case <-time.After(co.poll):
-		}
-		if co.shardDone(sh) {
-			w.cancelJobAsync(job.ID)
-			return nil
-		}
-		st, err := w.c.Status(ctx, job.ID)
-		if err != nil {
-			return err
-		}
-		job = st
-	}
-	if job.State != client.StateDone {
-		return fmt.Errorf("fabric: shard [%d,%d) job %s on %s ended %s: %s",
-			sh.start, sh.end, job.ID, w.url, job.State, job.Error)
-	}
-	if !co.shardDone(sh) {
-		// The stream did not carry every cell (polling fallback, or a break
-		// mid-replay): the worker stored the shard report — fetch it and
-		// merge the cells from there. Same bytes either way.
-		rep, err := w.c.LoadReport(ctx, job.Ref)
-		if err != nil {
-			return err
-		}
-		if len(rep.Cells) != sh.end-sh.start {
-			return fmt.Errorf("fabric: shard [%d,%d) report from %s holds %d cells",
-				sh.start, sh.end, w.url, len(rep.Cells))
-		}
-		for i, c := range rep.Cells {
-			co.deliver(sh.start+i, c)
-		}
-	}
-	return nil
+	return fmt.Errorf("fabric: shard [%d,%d) job %s on %s: stream ended without a terminal frame",
+		sh.start, sh.end, job.ID, w.url)
 }
 
 // cancelJobAsync best-effort cancels a worker-side job without blocking
@@ -505,23 +486,22 @@ func (co *coordinator) shardDone(sh *shard) bool {
 	return sh.done
 }
 
-// deliver merges one cell at its absolute matrix index. Duplicates from
-// overlapping shard attempts are discarded (recomputation is
-// deterministic, so the first copy is the only copy needed), and the
-// matrix-order emission frontier advances as far as the merged prefix
-// reaches.
-func (co *coordinator) deliver(idx int, cell campaign.Cell) {
+// deliver merges one cell at its absolute matrix index and reports it to
+// OnCellDone outside the lock. Duplicates from overlapping shard attempts
+// are discarded (recomputation is deterministic, so the first copy is the
+// only copy needed).
+func (co *coordinator) deliver(cr campaign.CellResult) {
 	co.mu.Lock()
-	if co.have[idx] {
+	if co.have[cr.Index] {
 		co.mu.Unlock()
 		co.tel.CellDeduped()
 		return
 	}
-	co.have[idx] = true
-	co.cells[idx] = cell
+	co.have[cr.Index] = true
+	co.cells[cr.Index] = cr.Cell
 	co.received++
 	for _, sh := range co.shards {
-		if idx >= sh.start && idx < sh.end {
+		if cr.Index >= sh.start && cr.Index < sh.end {
 			sh.remaining--
 			if sh.remaining == 0 {
 				sh.done = true
@@ -529,18 +509,11 @@ func (co *coordinator) deliver(idx int, cell campaign.Cell) {
 			break
 		}
 	}
-	for co.emitted < co.total && co.have[co.emitted] {
-		if co.opts.OnCell != nil {
-			co.opts.OnCell(campaign.CellResult{
-				Index: co.emitted, Total: co.total,
-				Jobs: co.spec.Seeds, Cell: co.cells[co.emitted],
-			})
-		}
-		co.emitted++
-	}
-	co.tel.MergeLag(int64(co.received - co.emitted))
 	finished := co.received == co.total
 	co.mu.Unlock()
+	if co.opts.OnCellDone != nil {
+		co.opts.OnCellDone(cr)
+	}
 	if finished {
 		close(co.doneCh)
 	}

@@ -3,9 +3,13 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,9 +112,15 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 			}
 			opts := fastOptions(urls)
 			opts.Shards = tc.shards
-			var emitted []int
-			opts.OnCell = func(cr campaign.CellResult) {
-				emitted = append(emitted, cr.Index)
+			var mu sync.Mutex
+			emitted := map[int]int{}
+			opts.OnCellDone = func(cr campaign.CellResult) {
+				mu.Lock()
+				defer mu.Unlock()
+				if cr.Total != 6 {
+					t.Errorf("OnCellDone cell %d has Total %d, want 6", cr.Index, cr.Total)
+				}
+				emitted[cr.Index]++
 			}
 			rep, err := Run(t.Context(), testSpec(), opts)
 			if err != nil {
@@ -124,31 +134,42 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 				t.Errorf("fleet report differs from local run (%d workers, %d shards)",
 					tc.workers, tc.shards)
 			}
-			for i, idx := range emitted {
-				if idx != i {
-					t.Fatalf("OnCell emitted index %d at position %d; want matrix order", idx, i)
+			for i := 0; i < 6; i++ {
+				if emitted[i] != 1 {
+					t.Errorf("OnCellDone fired %d times for cell %d, want once", emitted[i], i)
 				}
 			}
 			if len(emitted) != 6 {
-				t.Fatalf("OnCell fired %d times, want 6", len(emitted))
+				t.Errorf("OnCellDone fired for cells %v, want exactly 0..5", emitted)
 			}
 		})
 	}
 }
 
-// TestFleetSurvivesWorkerFailure kills one of two workers right after it
-// accepts its first shard. The coordinator must mark it down, resubmit
-// the orphaned shard to the survivor, and still assemble a report
-// byte-identical to a local run — with the retry visible on the
-// resubmission counter. The survivor's first submission is held until the
-// flaky worker has died, so the flaky worker always owns a shard. With a
-// slow probe the failed attempt itself must mark the worker down: a
-// worker that still read healthy would reclaim the re-queued shard and
-// burn every allowed attempt before its next probe.
+// TestFleetSurvivesWorkerFailure breaks one of two workers right after it
+// accepts its first shard: either the whole worker dies, or only its
+// events route starts answering 503 while submit and /healthz keep
+// working. The coordinator must mark it down, resubmit the orphaned shard
+// to the survivor, and still assemble a report byte-identical to a local
+// run — with the retry visible on the resubmission counter. The
+// survivor's first submission is held until the flaky worker has broken,
+// so the flaky worker always owns a shard. With a slow probe the failed
+// attempt itself must mark the worker down: a worker that still read
+// healthy would reclaim the re-queued shard and burn every allowed
+// attempt before its next probe.
 func TestFleetSurvivesWorkerFailure(t *testing.T) {
 	want := localJSON(t)
-	for _, probe := range []time.Duration{25 * time.Millisecond, 10 * time.Second} {
-		t.Run("probe-"+probe.String(), func(t *testing.T) {
+	cases := []struct {
+		name       string
+		probe      time.Duration
+		eventsOnly bool // only the events route fails after the first submit
+	}{
+		{"probe-25ms", 25 * time.Millisecond, false},
+		{"probe-10s", 10 * time.Second, false},
+		{"events-503", 10 * time.Second, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			died := make(chan struct{})
 			healthySrv := newWorkerServer(t).Handler()
 			healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -165,30 +186,34 @@ func TestFleetSurvivesWorkerFailure(t *testing.T) {
 
 			flakySrv := newWorkerServer(t).Handler()
 			var killed atomic.Bool
+			var dieOnce sync.Once
 			flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if killed.Load() {
+				if killed.Load() && (!tc.eventsOnly || strings.HasSuffix(r.URL.Path, "/events")) {
 					http.Error(w, `{"error":{"code":"internal","message":"worker killed"}}`,
 						http.StatusServiceUnavailable)
 					return
 				}
 				flakySrv.ServeHTTP(w, r)
 				if r.Method == http.MethodPost && r.URL.Path == "/api/v1/campaigns" {
-					killed.Store(true) // die immediately after accepting the first shard
-					close(died)
+					// Break immediately after accepting the first shard.
+					dieOnce.Do(func() {
+						killed.Store(true)
+						close(died)
+					})
 				}
 			}))
 			t.Cleanup(flaky.Close)
 
 			set := telemetry.NewSet()
 			opts := fastOptions([]string{flaky.URL, healthy.URL})
-			opts.ProbeInterval = probe
+			opts.ProbeInterval = tc.probe
 			opts.Metrics = set.Fabric
 
 			ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
 			defer cancel()
 			rep, err := Run(ctx, testSpec(), opts)
 			if err != nil {
-				t.Fatalf("fabric run with a dying worker: %v", err)
+				t.Fatalf("fabric run with a failing worker: %v", err)
 			}
 			var got bytes.Buffer
 			if err := rep.WriteJSON(&got); err != nil {
@@ -201,6 +226,56 @@ func TestFleetSurvivesWorkerFailure(t *testing.T) {
 				t.Error("resubmission counter stayed 0 across a worker failure")
 			}
 		})
+	}
+}
+
+// TestFleetRejectsForeignCellIndex pins the merger's bounds check: a
+// worker whose stream carries a cell outside its shard, or a cursor for a
+// range of another length, fails the attempt with an error naming the
+// worker and the index. It never indexes past the matrix or overwrites
+// another shard's cell.
+func TestFleetRejectsForeignCellIndex(t *testing.T) {
+	for _, frame := range []string{
+		`{"index":99,"total":6,"jobs":2,"cell":{}}`,
+		`{"index":2,"total":3,"jobs":2,"cell":{}}`,
+	} {
+		var cr campaign.CellResult
+		if err := json.Unmarshal([]byte(frame), &cr); err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {})
+		mux.HandleFunc("POST /api/v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			io.WriteString(w, `{"id":"job-1","state":"running","cells_total":6,"jobs_total":12}`)
+		})
+		mux.HandleFunc("GET /api/v1/campaigns/job-1/events", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "id: 1\nevent: cell\ndata: "+frame+"\n\n")
+		})
+		mux.HandleFunc("POST /api/v1/campaigns/job-1/cancel", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			io.WriteString(w, `{"id":"job-1","state":"canceled"}`)
+		})
+		stub := httptest.NewServer(mux)
+		t.Cleanup(stub.Close)
+
+		var merged atomic.Int64
+		opts := fastOptions([]string{stub.URL})
+		opts.OnCellDone = func(campaign.CellResult) { merged.Add(1) }
+		ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+		_, err := Run(ctx, testSpec(), opts)
+		cancel()
+		if err == nil {
+			t.Fatalf("frame %s: fleet run succeeded", frame)
+		}
+		if want := fmt.Sprintf("cell index %d of %d", cr.Index, cr.Total); !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), stub.URL) {
+			t.Errorf("frame %s: error %q does not name the worker and %q", frame, err, want)
+		}
+		if n := merged.Load(); n != 0 {
+			t.Errorf("frame %s: %d cells merged from a rejected frame", frame, n)
+		}
 	}
 }
 

@@ -48,7 +48,8 @@ type campaignJob struct {
 }
 
 // jobStatus is the JSON view of a job, served by the status and listing
-// routes. Progress is cells-done/total, backed by the runner's stream.
+// routes. Progress is cells-done/total, advanced by the runner's per-cell
+// hook.
 type jobStatus struct {
 	ID         string `json:"id"`
 	State      string `json:"state"`
@@ -248,11 +249,6 @@ func (m *jobManager) run(j *campaignJob, ctx context.Context) {
 	opts := campaign.Options{
 		Workers: m.workers,
 		Metrics: m.tel.Campaign,
-		OnProgress: func(done, total int) {
-			j.mu.Lock()
-			j.jobsDone = done
-			j.mu.Unlock()
-		},
 		OnCellDone: func(cr campaign.CellResult) {
 			if m.testHookCell != nil {
 				m.testHookCell(j, cr)
@@ -260,9 +256,11 @@ func (m *jobManager) run(j *campaignJob, ctx context.Context) {
 			// Cells complete out of matrix order under a parallel pool, so
 			// progress counts completions; deriving it from the cell's index
 			// (cr.Index+1) would let cells_done move backwards when a
-			// later-indexed cell finishes first.
+			// later-indexed cell finishes first. jobs_done advances a whole
+			// cell's jobs at a time.
 			j.mu.Lock()
 			j.cellsDone++
+			j.jobsDone += cr.Jobs
 			j.mu.Unlock()
 			// One render feeds every subscriber; the hub broadcasts bytes.
 			if data, err := json.Marshal(cr); err == nil {
@@ -350,6 +348,13 @@ func (m *jobManager) metrics() jobMetrics {
 func (m *jobManager) shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.draining = true
+	// Cancel each job before the shared context. A parent's Done closes
+	// before its children are canceled, so code released by the manager's
+	// Done could otherwise still find a job's context live and let its
+	// sweep run on to "done".
+	for _, j := range m.jobs {
+		j.cancel()
+	}
 	m.mu.Unlock()
 	m.cancelAll()
 	drained := make(chan struct{})

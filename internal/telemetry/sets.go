@@ -86,7 +86,6 @@ func NewSet() *Set {
 			shardsInFlight: r.Gauge("wb_fabric_shards_in_flight", "Fabric shards currently submitted to a worker and not yet fully merged."),
 			resubmissions:  r.Counter("wb_fabric_resubmissions_total", "Fabric shard submissions beyond the first attempt: failure retries and work-stealing duplicates."),
 			workers:        r.GaugeVec("wb_fabric_workers", "Fabric worker endpoints by health state.", "state"),
-			mergeLag:       r.Gauge("wb_fabric_merge_lag_cells", "Cells received by the fabric merger but not yet emitted in matrix order."),
 			cellsDeduped:   r.Counter("wb_fabric_cells_deduped_total", "Duplicate cells discarded by the fabric merger (overlapping shard attempts)."),
 		},
 		Scenario: &ScenarioMetrics{
@@ -355,12 +354,11 @@ func (m *SSEMetrics) Counts() (subscribers, events, dropped, evicted int64) {
 }
 
 // FabricMetrics instruments the distributed campaign coordinator: shard
-// flow, re-submission pressure, worker health and merge lag.
+// flow, re-submission pressure, worker health and duplicate cells.
 type FabricMetrics struct {
 	shardsInFlight *Gauge
 	resubmissions  *Counter
 	workers        *GaugeVec
-	mergeLag       *Gauge
 	cellsDeduped   *Counter
 }
 
@@ -402,15 +400,6 @@ func (m *FabricMetrics) WorkerState(from, to string) {
 	if to != "" {
 		m.workers.With(to).Add(1)
 	}
-}
-
-// MergeLag sets the merger's backlog: cells received but not yet
-// emitted in matrix order.
-func (m *FabricMetrics) MergeLag(cells int64) {
-	if m == nil {
-		return
-	}
-	m.mergeLag.Set(cells)
 }
 
 // CellDeduped records one duplicate cell discarded by the merger.
