@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 
 	"repro/internal/adversary"
 	"repro/internal/bounds"
@@ -65,12 +66,16 @@ func main() {
 	}
 
 	fmt.Printf("%-22s %-10s %-10s %-10s %-10s\n", "problem", "SIMASYNC", "SIMSYNC", "ASYNC", "SYNC")
+	failed := 0
 	for _, r := range rows {
 		fmt.Printf("%-22s %-10s %-10s %-10s %-10s\n", r.problem,
 			r.cells[0].answer, r.cells[1].answer, r.cells[2].answer, r.cells[3].answer)
-		if *verbose {
-			for i, c := range r.cells {
+		for i, c := range r.cells {
+			if *verbose {
 				fmt.Printf("    %-9s %s\n", core.AllModels[i].String()+":", c.evidence)
+			}
+			if c.answer == "FAIL" {
+				failed++
 			}
 		}
 	}
@@ -80,6 +85,10 @@ func main() {
 	fmt.Println("             validated against centralized references, bits within O(log n) budgets")
 	fmt.Println("  no  cells: executable Figure 1/2 + Theorem 6 gadget reductions to BUILD, plus the")
 	fmt.Println("             Lemma 3 pigeonhole: log2|family| > n·f(n) for f = o(n)")
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "wbtable2: %d cells failed certification\n", failed)
+		os.Exit(1)
+	}
 }
 
 func inherit(ans, why string) cellResult { return cellResult{ans, why} }

@@ -8,9 +8,11 @@
 // Seeds derive from job coordinates, never from scheduling, so the
 // assembled report is byte-identical to campaign.Run of the same spec —
 // at any worker count, any shard assignment, and across worker failures,
-// which the coordinator handles by health-probing the fleet and
-// resubmitting orphaned shards (duplicate cells are deduped by absolute
-// index; first copy wins).
+// which the coordinator handles by resubmitting a failed attempt's shard
+// and health-probing the failed worker before it gets more work
+// (duplicate cells are deduped by absolute index; first copy wins). Run
+// returns only after every job it started has streamed its whole range
+// or had its cancel request return, which takes at most 5 s.
 //
 //	rep, err := fabric.Run(ctx, spec, fabric.Options{
 //		Workers: []string{"http://a:8080", "http://b:8080"},
@@ -28,9 +30,9 @@ import (
 // Options configures a fleet run; only Workers is required. Shards
 // picks the number of contiguous cell-range shards (0 = one per
 // worker), OnCellDone observes each cell once, in merge order, the
-// moment it is first merged, and the interval/timeout knobs pace idle
-// waits, health probing, work stealing and the all-workers-down
-// watchdog.
+// moment it is first merged, Metrics and Logf receive the coordinator's
+// wb_fabric_* series and progress lines, and HTTPClient replaces the
+// client used for worker calls. Retry, probe and steal timing is fixed.
 type Options = internal.Options
 
 // Metrics is the wb_fabric_* instrument group an Options.Metrics field

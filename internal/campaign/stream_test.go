@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // streamSpec is a small sampled sweep with six cells, one job each, so
@@ -41,7 +43,7 @@ func TestRunContextEquivalence(t *testing.T) {
 // TestStreamCancelStopsWithinOneJob pins the acceptance contract: a ctx
 // canceled mid-sweep stops the sweep without running further jobs — with
 // one worker and one job per cell, not a single job starts after the
-// cancellation lands in OnCellDone.
+// cancellation lands in OnCellDone — and no pool goroutine outlives Run.
 func TestStreamCancelStopsWithinOneJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -61,6 +63,7 @@ func TestStreamCancelStopsWithinOneJob(t *testing.T) {
 	if got := executed.Load(); got != 2 {
 		t.Errorf("%d jobs executed after canceling at job 2, want exactly 2", got)
 	}
+	testutil.CheckNoGoroutines(t, "repro/internal/campaign.")
 }
 
 // TestStreamErrors pins the error surface: a validation failure fires no

@@ -8,14 +8,19 @@
 // local run of the same spec at any worker count and any shard
 // assignment.
 //
-// The coordinator is failure-tolerant without giving up that guarantee:
-// a /healthz probe loop (with backoff) tracks worker state, shards from
-// failed workers are re-queued and re-submitted, and idle workers steal
-// long-in-flight shards. Overlapping attempts are safe because the
-// merger dedups by absolute cell index — recomputing a cell always
-// reproduces the same bytes, so the first copy wins and the rest are
-// discarded. Progress is observable through the wb_fabric_* telemetry
-// families.
+// The coordinator is failure-tolerant without giving up that guarantee.
+// One goroutine per worker owns that worker's health, its shard attempts
+// and the cancels of the jobs they submit. A worker counts as up until an
+// attempt on it fails; the failed shard is re-queued and re-submitted,
+// and the worker probes /healthz (with backoff) before it claims again.
+// Idle workers steal long-in-flight shards. Overlapping attempts are safe
+// because the merger dedups by absolute cell index — recomputing a cell
+// always reproduces the same bytes, so the first copy wins and the rest
+// are discarded. An attempt cancels its job unless the job's own stream
+// carried the whole range, and waits (bounded) for the cancel request to
+// return, so Run returns only once every job it started has streamed its
+// range or been asked to stop. Progress is observable through the
+// wb_fabric_* telemetry families.
 package fabric
 
 import (
@@ -24,6 +29,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -36,6 +42,24 @@ const (
 	workerHealthy = "healthy"
 	workerDown    = "down"
 )
+
+// pace is the coordinator's timing. poll paces an idle worker's wait for
+// a claimable shard. probe is how long a down worker sits out before its
+// next /healthz probe, doubling up to 8× while probes fail. stealAfter is
+// how long a shard may be in flight on exactly one worker before an idle
+// worker duplicates it, and workerTimeout fails the run once every worker
+// has been down that long. Tests shorten it.
+var pace = struct {
+	poll, probe, stealAfter, workerTimeout time.Duration
+}{
+	poll:          150 * time.Millisecond,
+	probe:         500 * time.Millisecond,
+	stealAfter:    2 * time.Second,
+	workerTimeout: 30 * time.Second,
+}
+
+// cancelTimeout bounds the request that cancels an attempt's job.
+const cancelTimeout = 5 * time.Second
 
 // Options configures a fleet run.
 type Options struct {
@@ -58,19 +82,6 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// HTTPClient overrides the HTTP client used for worker calls (tests).
 	HTTPClient *http.Client
-
-	// PollInterval paces idle waits for a claimable shard and the
-	// all-workers-down watchdog; 0 means 150ms.
-	PollInterval time.Duration
-	// ProbeInterval paces the per-worker /healthz loop; 0 means 500ms.
-	// Failing probes back off exponentially up to 8× this interval.
-	ProbeInterval time.Duration
-	// StealAfter is how long a shard may be in flight on exactly one
-	// worker before an idle worker duplicates it; 0 means 2s.
-	StealAfter time.Duration
-	// WorkerTimeout fails the run when every worker has been unhealthy
-	// for this long; 0 means 30s.
-	WorkerTimeout time.Duration
 }
 
 // Run executes a campaign across the worker fleet and returns the
@@ -101,44 +112,26 @@ type shard struct {
 	startedAt  time.Time // latest submission time (steal ordering)
 }
 
-// worker is one wbserve endpoint plus its probed health state.
+// worker is one wbserve endpoint. Only its own loop writes downSince; the
+// all-down watchdog of every loop reads it.
 type worker struct {
-	url string
-	c   *client.Client
-
-	mu    sync.Mutex
-	state string // "", workerHealthy or workerDown
-}
-
-func (w *worker) healthy() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.state == workerHealthy
-}
-
-// setState moves the worker between health states, keeping the labeled
-// gauge consistent; it reports whether the state changed.
-func (w *worker) setState(state string, tel *telemetry.FabricMetrics) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.state == state {
-		return false
-	}
-	tel.WorkerState(w.state, state)
-	w.state = state
-	return true
+	url       string
+	c         *client.Client
+	downSince atomic.Int64 // UnixNano when it went down; 0 while up
 }
 
 type coordinator struct {
-	spec campaign.Spec // normalized full spec; Cells always nil
-	opts Options
-	tel  *telemetry.FabricMetrics
-
-	poll, probe, stealAfter, workerTimeout time.Duration
-	maxFailures                            int
+	spec        campaign.Spec // normalized full spec; Cells always nil
+	opts        Options
+	tel         *telemetry.FabricMetrics
+	maxFailures int
 
 	workers []*worker
 	total   int
+
+	// stop ends the run's context: with nil once every cell is merged, or
+	// with the error that fails the run.
+	stop context.CancelCauseFunc
 
 	mu       sync.Mutex
 	cells    []campaign.Cell
@@ -146,32 +139,22 @@ type coordinator struct {
 	received int
 	shards   []*shard
 	pending  []*shard
-
-	doneCh   chan struct{}
-	failOnce sync.Once
-	failCh   chan struct{}
-	failErr  error
 }
 
 func newCoordinator(spec campaign.Spec, opts Options) *coordinator {
 	co := &coordinator{
-		spec:          spec,
-		opts:          opts,
-		tel:           opts.Metrics,
-		poll:          orDefault(opts.PollInterval, 150*time.Millisecond),
-		probe:         orDefault(opts.ProbeInterval, 500*time.Millisecond),
-		stealAfter:    orDefault(opts.StealAfter, 2*time.Second),
-		workerTimeout: orDefault(opts.WorkerTimeout, 30*time.Second),
-		maxFailures:   2*len(opts.Workers) + 4,
-		total:         spec.NumCells(),
-		doneCh:        make(chan struct{}),
-		failCh:        make(chan struct{}),
+		spec:        spec,
+		opts:        opts,
+		tel:         opts.Metrics,
+		maxFailures: 2*len(opts.Workers) + 4,
+		total:       spec.NumCells(),
 	}
 	for _, u := range opts.Workers {
 		co.workers = append(co.workers, &worker{
 			url: u,
 			c:   client.New(u, client.Options{HTTPClient: opts.HTTPClient}),
 		})
+		co.tel.WorkerState("", workerHealthy)
 	}
 	co.cells = make([]campaign.Cell, co.total)
 	co.have = make([]bool, co.total)
@@ -200,138 +183,111 @@ func newCoordinator(spec campaign.Spec, opts Options) *coordinator {
 	return co
 }
 
-func orDefault(d, def time.Duration) time.Duration {
-	if d <= 0 {
-		return def
-	}
-	return d
-}
-
 func (co *coordinator) logf(format string, args ...any) {
 	if co.opts.Logf != nil {
 		co.opts.Logf(format, args...)
 	}
 }
 
+// run starts one loop per worker and returns once all of them have
+// ended, which they do when the run's context does.
 func (co *coordinator) run(ctx context.Context) (*campaign.Report, error) {
-	ctx, cancel := context.WithCancel(ctx)
+	start := time.Now()
+	ctx, co.stop = context.WithCancelCause(ctx)
+	defer co.stop(nil)
 	var wg sync.WaitGroup
 	for _, w := range co.workers {
-		wg.Add(2)
-		go func(w *worker) { defer wg.Done(); co.probeLoop(ctx, w) }(w)
-		go func(w *worker) { defer wg.Done(); co.workerLoop(ctx, w) }(w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			co.workerLoop(ctx, w)
+		}()
 	}
-	stop := func() {
-		cancel()
-		wg.Wait()
+	wg.Wait()
+	if co.received < co.total {
+		return nil, context.Cause(ctx)
 	}
+	rep, err := campaign.AssembleReport(co.spec, co.cells)
+	if err != nil {
+		return nil, err
+	}
+	rep.Elapsed = time.Since(start)
+	rep.Workers = len(co.workers)
+	return rep, nil
+}
 
-	var downSince time.Time
-	for {
-		select {
-		case <-co.doneCh:
-			stop()
-			return campaign.AssembleReport(co.spec, co.cells)
-		case <-co.failCh:
-			stop()
-			return nil, co.failErr
-		case <-ctx.Done():
-			stop()
-			return nil, ctx.Err()
-		case <-time.After(co.poll):
-			// Watchdog: with every worker down there is no path to progress;
-			// fail bounded instead of spinning until the caller's deadline.
-			if co.anyHealthy() {
-				downSince = time.Time{}
+// workerLoop drives one worker until the run's context ends: claim a
+// shard (pending first, then a steal), run it, settle the attempt,
+// repeat. A failed attempt marks the worker down. A down worker sits out
+// a probe interval before each /healthz probe and claims again once one
+// answers; probing at once would let a worker whose /healthz answers but
+// whose jobs fail reclaim its re-queued shard and spend every allowed
+// attempt in a burst.
+func (co *coordinator) workerLoop(ctx context.Context, w *worker) {
+	backoff := pace.probe
+	for ctx.Err() == nil {
+		if w.downSince.Load() != 0 {
+			wait(ctx, backoff)
+			pctx, cancel := context.WithTimeout(ctx, 4*pace.probe)
+			err := w.c.Health(pctx)
+			cancel()
+			if err != nil {
+				backoff = min(2*backoff, 8*pace.probe)
+				if co.allDownFor(pace.workerTimeout) {
+					co.stop(fmt.Errorf("fabric: every worker unhealthy for %s", pace.workerTimeout))
+				}
 				continue
 			}
-			if downSince.IsZero() {
-				downSince = time.Now()
-			} else if time.Since(downSince) > co.workerTimeout {
-				co.fail(fmt.Errorf("fabric: every worker unhealthy for %s", co.workerTimeout))
-			}
-		}
-	}
-}
-
-func (co *coordinator) anyHealthy() bool {
-	for _, w := range co.workers {
-		if w.healthy() {
-			return true
-		}
-	}
-	return false
-}
-
-func (co *coordinator) fail(err error) {
-	co.failOnce.Do(func() {
-		co.failErr = err
-		close(co.failCh)
-	})
-}
-
-func (co *coordinator) finished() bool {
-	select {
-	case <-co.doneCh:
-		return true
-	case <-co.failCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// probeLoop tracks one worker's health via /healthz, backing off while
-// it stays down so a dead endpoint costs a bounded trickle of probes.
-func (co *coordinator) probeLoop(ctx context.Context, w *worker) {
-	interval := co.probe
-	for ctx.Err() == nil {
-		pctx, cancel := context.WithTimeout(ctx, 4*co.probe)
-		err := w.c.Health(pctx)
-		cancel()
-		if err == nil {
-			if w.setState(workerHealthy, co.tel) {
-				co.logf("fabric: worker %s healthy", w.url)
-			}
-			interval = co.probe
-		} else {
-			if w.setState(workerDown, co.tel) {
-				co.logf("fabric: worker %s down: %v", w.url, err)
-			}
-			interval = min(2*interval, 8*co.probe)
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(interval):
-		}
-	}
-}
-
-// workerLoop drives one worker: claim a shard (pending first, then a
-// steal), run it to completion, settle the attempt, repeat.
-func (co *coordinator) workerLoop(ctx context.Context, w *worker) {
-	for ctx.Err() == nil && !co.finished() {
-		if !w.healthy() {
-			co.idle(ctx)
-			continue
+			co.setHealth(w, nil)
+			backoff = pace.probe
 		}
 		sh := co.claimShard()
 		if sh == nil {
-			co.idle(ctx)
+			wait(ctx, pace.poll)
 			continue
 		}
-		co.settle(sh, w, co.runShard(ctx, w, sh))
+		if err := co.runShard(ctx, w, sh); co.settle(sh, w, err) && ctx.Err() == nil {
+			co.setHealth(w, err)
+		}
 	}
 }
 
-func (co *coordinator) idle(ctx context.Context) {
+// wait sleeps for d or until ctx ends.
+func wait(ctx context.Context, d time.Duration) {
 	select {
 	case <-ctx.Done():
-	case <-co.doneCh:
-	case <-co.failCh:
-	case <-time.After(co.poll):
+	case <-time.After(d):
 	}
+}
+
+// setHealth marks w down after err, or up when err is nil, keeping the
+// labeled gauge consistent. Only w's own loop calls it.
+func (co *coordinator) setHealth(w *worker, err error) {
+	if (w.downSince.Load() != 0) == (err != nil) {
+		return
+	}
+	if err != nil {
+		w.downSince.Store(time.Now().UnixNano())
+		co.tel.WorkerState(workerHealthy, workerDown)
+		co.logf("fabric: worker %s down: %v", w.url, err)
+		return
+	}
+	w.downSince.Store(0)
+	co.tel.WorkerState(workerDown, workerHealthy)
+	co.logf("fabric: worker %s healthy", w.url)
+}
+
+// allDownFor reports whether every worker has been down for longer than d:
+// with no path to progress, the run fails bounded instead of spinning
+// until the caller's deadline.
+func (co *coordinator) allDownFor(d time.Duration) bool {
+	for _, w := range co.workers {
+		since := w.downSince.Load()
+		if since == 0 || time.Since(time.Unix(0, since)) <= d {
+			return false
+		}
+	}
+	return true
 }
 
 // claimShard pops the pending queue, or — when it is empty — steals the
@@ -346,7 +302,7 @@ func (co *coordinator) claimShard() *shard {
 		sh.queued = false
 	} else {
 		for _, s := range co.shards {
-			if s.done || s.running != 1 || time.Since(s.startedAt) < co.stealAfter {
+			if s.done || s.running != 1 || time.Since(s.startedAt) < pace.stealAfter {
 				continue
 			}
 			if sh == nil || s.startedAt.Before(sh.startedAt) {
@@ -367,25 +323,18 @@ func (co *coordinator) claimShard() *shard {
 	return sh
 }
 
-// settle books the end of one shard attempt: a failure on a shard that
-// is still incomplete marks the worker down and re-queues the shard, and
+// settle books the end of one shard attempt and reports whether it
+// failed a shard that is still incomplete. Such a shard is re-queued, and
 // a shard that keeps failing aborts the run instead of cycling forever.
-func (co *coordinator) settle(sh *shard, w *worker, err error) {
+func (co *coordinator) settle(sh *shard, w *worker, err error) bool {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	sh.running--
 	if err == nil || sh.done {
-		return
+		return false
 	}
 	sh.failures++
 	co.logf("fabric: shard [%d,%d) attempt on %s failed: %v", sh.start, sh.end, w.url, err)
-	// The failed attempt is evidence the worker is unhealthy: take it out
-	// of scheduling now rather than at its next probe, or its loop could
-	// reclaim the re-queued shard and spend every allowed attempt inside
-	// one probe interval. The probe loop brings it back once it answers.
-	if !errors.Is(err, context.Canceled) && w.setState(workerDown, co.tel) {
-		co.logf("fabric: worker %s down: %v", w.url, err)
-	}
 	// A spec the server rejects as malformed is permanently rejected:
 	// every worker compiles the same source, so retrying or re-routing a
 	// bad_script (or any bad-request-class) refusal would just burn
@@ -394,26 +343,27 @@ func (co *coordinator) settle(sh *shard, w *worker, err error) {
 	if errors.As(err, &apiErr) {
 		switch apiErr.Code {
 		case "bad_script", "bad_spec", "bad_request", "bad_label":
-			co.fail(fmt.Errorf("fabric: shard [%d,%d) rejected by %s: %w", sh.start, sh.end, w.url, err))
-			return
+			co.stop(fmt.Errorf("fabric: shard [%d,%d) rejected by %s: %w", sh.start, sh.end, w.url, err))
+			return true
 		}
 	}
 	if sh.failures >= co.maxFailures {
-		co.fail(fmt.Errorf("fabric: shard [%d,%d) failed %d attempts, last on %s: %w",
+		co.stop(fmt.Errorf("fabric: shard [%d,%d) failed %d attempts, last on %s: %w",
 			sh.start, sh.end, sh.failures, w.url, err))
-		return
+		return true
 	}
 	if !sh.queued && sh.running == 0 {
 		sh.queued = true
 		co.pending = append(co.pending, sh)
 	}
+	return true
 }
 
 // runShard executes one shard attempt on one worker: submit the
 // cell-range job and merge its per-cell stream. The stream is the only
 // transport — client.Events already resumes a dropped connection without
-// loss — so a stream that fails for good fails the attempt: the orphaned
-// job is canceled and settle re-queues the shard.
+// loss — so a stream that fails for good fails the attempt, and settle
+// re-queues the shard.
 func (co *coordinator) runShard(ctx context.Context, w *worker, sh *shard) error {
 	co.tel.ShardInFlight(1)
 	defer co.tel.ShardInFlight(-1)
@@ -425,15 +375,25 @@ func (co *coordinator) runShard(ctx context.Context, w *worker, sh *shard) error
 	if err != nil {
 		return err
 	}
+	// A job whose own stream carried the whole range ends by itself; any
+	// other is an orphan or a losing duplicate still computing, so it is
+	// canceled on the way out. The request outlives ctx, whose end may be
+	// what stopped the attempt, and a job already terminal answers 409.
+	streamed := 0
+	defer func() {
+		if streamed < n {
+			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cancelTimeout)
+			defer cancel()
+			w.c.Cancel(cctx, job.ID) //nolint:errcheck // best effort
+		}
+	}()
 	if job.CellsTotal != n {
-		w.cancelJobAsync(job.ID)
 		return fmt.Errorf("fabric: worker %s expanded shard [%d,%d) to %d cells",
 			w.url, sh.start, sh.end, job.CellsTotal)
 	}
 
 	for ev, err := range w.c.Events(ctx, job.ID, 0) {
 		if err != nil {
-			w.cancelJobAsync(job.ID)
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -446,17 +406,15 @@ func (co *coordinator) runShard(ctx context.Context, w *worker, sh *shard) error
 			// index past the matrix or land in another shard's cells.
 			cr := *ev.Cell
 			if cr.Index < 0 || cr.Index >= n || cr.Total != n {
-				w.cancelJobAsync(job.ID)
 				return fmt.Errorf("fabric: worker %s sent cell index %d of %d for shard [%d,%d) of %d cells",
 					w.url, cr.Index, cr.Total, sh.start, sh.end, n)
 			}
+			streamed++
 			cr.Index += sh.start
 			cr.Total = co.total
-			co.deliver(cr)
-			if co.shardDone(sh) {
+			if co.deliver(sh, cr) {
 				// Every cell of the range is merged, possibly by a concurrent
-				// (stolen or resubmitted) attempt; stop this worker's copy.
-				w.cancelJobAsync(job.ID)
+				// (stolen or resubmitted) attempt.
 				return nil
 			}
 		case "state":
@@ -470,51 +428,31 @@ func (co *coordinator) runShard(ctx context.Context, w *worker, sh *shard) error
 		sh.start, sh.end, job.ID, w.url)
 }
 
-// cancelJobAsync best-effort cancels a worker-side job without blocking
-// the coordinator; already-terminal jobs answer 409, which is fine.
-func (w *worker) cancelJobAsync(id string) {
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		w.c.Cancel(ctx, id) //nolint:errcheck // best effort
-	}()
-}
-
-func (co *coordinator) shardDone(sh *shard) bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return sh.done
-}
-
-// deliver merges one cell at its absolute matrix index and reports it to
-// OnCellDone outside the lock. Duplicates from overlapping shard attempts
-// are discarded (recomputation is deterministic, so the first copy is the
-// only copy needed).
-func (co *coordinator) deliver(cr campaign.CellResult) {
+// deliver merges one cell of sh at its absolute matrix index, reports it
+// to OnCellDone outside the lock, and says whether sh is now complete.
+// Duplicates from overlapping shard attempts are discarded
+// (recomputation is deterministic, so the first copy is the only copy
+// needed). The cell that completes the matrix ends the run.
+func (co *coordinator) deliver(sh *shard, cr campaign.CellResult) bool {
 	co.mu.Lock()
 	if co.have[cr.Index] {
+		done := sh.done
 		co.mu.Unlock()
 		co.tel.CellDeduped()
-		return
+		return done
 	}
 	co.have[cr.Index] = true
 	co.cells[cr.Index] = cr.Cell
 	co.received++
-	for _, sh := range co.shards {
-		if cr.Index >= sh.start && cr.Index < sh.end {
-			sh.remaining--
-			if sh.remaining == 0 {
-				sh.done = true
-			}
-			break
-		}
-	}
-	finished := co.received == co.total
+	sh.remaining--
+	sh.done = sh.remaining == 0
+	done, finished := sh.done, co.received == co.total
 	co.mu.Unlock()
 	if co.opts.OnCellDone != nil {
 		co.opts.OnCellDone(cr)
 	}
 	if finished {
-		close(co.doneCh)
+		co.stop(nil)
 	}
+	return done
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/resultstore"
 	"repro/internal/server"
 	"repro/internal/telemetry"
+	"repro/internal/testutil"
 )
 
 func testSpec() campaign.Spec {
@@ -41,8 +43,9 @@ func newWorker(t *testing.T) string {
 
 // newWorkerServer builds a wbserve over its own store. Cleanups run last-in
 // first-out, so the bounded Shutdown registered here drains every job —
-// including duplicate shard attempts the coordinator cancelled without
-// waiting — before the TempDir cleanup removes the store it writes into.
+// including duplicate shard attempts the coordinator canceled, which may
+// still be winding down — before the TempDir cleanup removes the store it
+// writes into.
 func newWorkerServer(t *testing.T) *server.Server {
 	t.Helper()
 	st, err := resultstore.Open(t.TempDir())
@@ -76,42 +79,55 @@ func localJSON(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func fastOptions(workers []string) Options {
-	return Options{
-		Workers:       workers,
-		PollInterval:  20 * time.Millisecond,
-		ProbeInterval: 25 * time.Millisecond,
-		StealAfter:    time.Second,
-		WorkerTimeout: 5 * time.Second,
-		Logf:          nil,
-	}
+// setPace shortens the coordinator's probe interval and all-down timeout
+// for the rest of the test.
+func setPace(t *testing.T, probe, workerTimeout time.Duration) {
+	saved := pace
+	t.Cleanup(func() { pace = saved })
+	pace.probe, pace.workerTimeout = probe, workerTimeout
+}
+
+// unreachableURL returns the address of a server that has already shut
+// down, so every request to it is refused.
+func unreachableURL() string {
+	ts := httptest.NewServer(http.NotFoundHandler())
+	ts.Close()
+	return ts.URL
 }
 
 // TestFleetMatchesLocalRun is the distributed half of the equivalence
 // pin: the report a worker fleet assembles is byte-identical to a local
-// run of the same spec, at every worker count and shard assignment.
+// run of the same spec, at every worker count and shard assignment. A
+// worker unreachable from the start counts as up until its first submit
+// fails, so it costs a resubmission and nothing else. The report's
+// summary fields carry the run's wall time and its endpoint count.
 func TestFleetMatchesLocalRun(t *testing.T) {
 	want := localJSON(t)
 	cases := []struct {
-		name    string
-		workers int
-		shards  int
+		name        string
+		unreachable int // endpoints that refuse every request, listed first
+		workers     int
+		shards      int
 	}{
-		{"one-worker", 1, 0},
-		{"two-workers", 2, 0},
-		{"three-workers", 3, 0},
-		{"more-shards-than-workers", 2, 5},
-		{"one-shard-per-cell", 3, 6},
-		{"shards-capped-at-cells", 2, 99},
+		{"one-worker", 0, 1, 0},
+		{"two-workers", 0, 2, 0},
+		{"three-workers", 0, 3, 0},
+		{"more-shards-than-workers", 0, 2, 5},
+		{"one-shard-per-cell", 0, 3, 6},
+		{"shards-capped-at-cells", 0, 2, 99},
+		{"one-unreachable", 1, 1, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			urls := make([]string, tc.workers)
-			for i := range urls {
-				urls[i] = newWorker(t)
+			var urls []string
+			for range tc.workers {
+				urls = append(urls, newWorker(t))
 			}
-			opts := fastOptions(urls)
-			opts.Shards = tc.shards
+			for range tc.unreachable {
+				urls = append([]string{unreachableURL()}, urls...)
+			}
+			set := telemetry.NewSet()
+			opts := Options{Workers: urls, Shards: tc.shards, Metrics: set.Fabric}
 			var mu sync.Mutex
 			emitted := map[int]int{}
 			opts.OnCellDone = func(cr campaign.CellResult) {
@@ -142,6 +158,13 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 			if len(emitted) != 6 {
 				t.Errorf("OnCellDone fired for cells %v, want exactly 0..5", emitted)
 			}
+			if rep.Workers != len(urls) || rep.Elapsed <= 0 {
+				t.Errorf("report summary has %d workers over %s, want %d workers and a positive wall time",
+					rep.Workers, rep.Elapsed, len(urls))
+			}
+			if tc.unreachable > 0 && set.Fabric.Resubmissions() == 0 {
+				t.Error("resubmission counter stayed 0 with an unreachable worker")
+			}
 		})
 	}
 }
@@ -153,10 +176,10 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 // to the survivor, and still assemble a report byte-identical to a local
 // run — with the retry visible on the resubmission counter. The
 // survivor's first submission is held until the flaky worker has broken,
-// so the flaky worker always owns a shard. With a slow probe the failed
-// attempt itself must mark the worker down: a worker that still read
-// healthy would reclaim the re-queued shard and burn every allowed
-// attempt before its next probe.
+// so the flaky worker always owns a shard. The failed attempt itself
+// marks the worker down, and a down worker sits out a probe interval
+// before it probes: a worker whose /healthz still answers must not
+// reclaim the re-queued shard and burn every allowed attempt at once.
 func TestFleetSurvivesWorkerFailure(t *testing.T) {
 	want := localJSON(t)
 	cases := []struct {
@@ -205,9 +228,8 @@ func TestFleetSurvivesWorkerFailure(t *testing.T) {
 			t.Cleanup(flaky.Close)
 
 			set := telemetry.NewSet()
-			opts := fastOptions([]string{flaky.URL, healthy.URL})
-			opts.ProbeInterval = tc.probe
-			opts.Metrics = set.Fabric
+			setPace(t, tc.probe, pace.workerTimeout)
+			opts := Options{Workers: []string{flaky.URL, healthy.URL}, Metrics: set.Fabric}
 
 			ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
 			defer cancel()
@@ -235,6 +257,7 @@ func TestFleetSurvivesWorkerFailure(t *testing.T) {
 // worker and the index. It never indexes past the matrix or overwrites
 // another shard's cell.
 func TestFleetRejectsForeignCellIndex(t *testing.T) {
+	setPace(t, 10*time.Millisecond, pace.workerTimeout)
 	for _, frame := range []string{
 		`{"index":99,"total":6,"jobs":2,"cell":{}}`,
 		`{"index":2,"total":3,"jobs":2,"cell":{}}`,
@@ -261,7 +284,7 @@ func TestFleetRejectsForeignCellIndex(t *testing.T) {
 		t.Cleanup(stub.Close)
 
 		var merged atomic.Int64
-		opts := fastOptions([]string{stub.URL})
+		opts := Options{Workers: []string{stub.URL}}
 		opts.OnCellDone = func(campaign.CellResult) { merged.Add(1) }
 		ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
 		_, err := Run(ctx, testSpec(), opts)
@@ -286,11 +309,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	spec := testSpec()
 	spec.Cells = &campaign.CellRange{Start: 0, End: 1}
-	if _, err := Run(t.Context(), spec, fastOptions([]string{"http://localhost:1"})); err == nil {
+	if _, err := Run(t.Context(), spec, Options{Workers: []string{"http://localhost:1"}}); err == nil {
 		t.Error("run with a pre-sharded spec succeeded")
 	}
 	bad := campaign.Spec{}
-	if _, err := Run(t.Context(), bad, fastOptions([]string{"http://localhost:1"})); err == nil {
+	if _, err := Run(t.Context(), bad, Options{Workers: []string{"http://localhost:1"}}); err == nil {
 		t.Error("run with an invalid spec succeeded")
 	}
 }
@@ -320,9 +343,7 @@ func TestFleetMatchesLocalScriptedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	urls := []string{newWorker(t), newWorker(t)}
-	opts := fastOptions(urls)
-	opts.Shards = 4
-	fleet, err := Run(t.Context(), spec, opts)
+	fleet, err := Run(t.Context(), spec, Options{Workers: urls, Shards: 4})
 	if err != nil {
 		t.Fatalf("fabric run of scripted spec: %v", err)
 	}
@@ -344,11 +365,93 @@ func TestFleetFastFailsOnBadScript(t *testing.T) {
 	spec.Adversaries = []string{"script:candiates[0]"}
 	ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
 	defer cancel()
-	_, err := Run(ctx, spec, fastOptions([]string{newWorker(t)}))
+	_, err := Run(ctx, spec, Options{Workers: []string{newWorker(t)}})
 	if err == nil {
 		t.Fatal("bad script accepted by fleet")
 	}
 	if !strings.Contains(err.Error(), "candidates") {
 		t.Errorf("error does not carry the script diagnostic: %v", err)
+	}
+}
+
+// TestRunWaitsForCancelAnswer pins the job lifecycle on cancellation:
+// when the caller cancels a fleet run, the attempt that owns the running
+// job cancels it and waits for the worker's answer, so Run returns only
+// after the cancel was answered and leaves no coordinator goroutine
+// behind.
+func TestRunWaitsForCancelAnswer(t *testing.T) {
+	ctx, cancelRun := context.WithCancel(t.Context())
+	defer cancelRun()
+	var answered atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("POST /api/v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, `{"id":"job-1","state":"running","cells_total":6,"jobs_total":12}`)
+	})
+	mux.HandleFunc("GET /api/v1/campaigns/job-1/events", func(w http.ResponseWriter, r *http.Request) {
+		// The submit has returned: cancel the run while its stream is open.
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		cancelRun()
+		<-r.Context().Done()
+	})
+	mux.HandleFunc("POST /api/v1/campaigns/job-1/cancel", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(300 * time.Millisecond)
+		answered.Store(true)
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, `{"id":"job-1","state":"canceled"}`)
+	})
+	stub := httptest.NewServer(mux)
+	t.Cleanup(stub.Close)
+
+	_, err := Run(ctx, testSpec(), Options{Workers: []string{stub.URL}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled fleet run: err = %v, want context.Canceled", err)
+	}
+	if !answered.Load() {
+		t.Error("Run returned before the worker answered its job's cancel")
+	}
+	testutil.CheckNoGoroutines(t, "repro/internal/fabric.")
+}
+
+// TestFinishedShardsAreNotCanceled pins that a job whose own stream
+// carried its whole range is left to end by itself: a run to completion
+// across three workers and six shards sends no cancel request, and leaves
+// no coordinator goroutine behind.
+func TestFinishedShardsAreNotCanceled(t *testing.T) {
+	var cancels atomic.Int64
+	var urls []string
+	for range 3 {
+		srv := newWorkerServer(t).Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/cancel") {
+				cancels.Add(1)
+			}
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	if _, err := Run(t.Context(), testSpec(), Options{Workers: urls, Shards: 6}); err != nil {
+		t.Fatalf("fabric run: %v", err)
+	}
+	if n := cancels.Load(); n != 0 {
+		t.Errorf("%d cancel requests for shards that finished, want 0", n)
+	}
+	testutil.CheckNoGoroutines(t, "repro/internal/fabric.")
+}
+
+// TestFleetFailsWhenEveryWorkerIsDown pins the all-down watchdog: with
+// every endpoint unreachable, Run fails once all of them have been down
+// for the worker timeout, instead of waiting for the caller's deadline.
+func TestFleetFailsWhenEveryWorkerIsDown(t *testing.T) {
+	setPace(t, 10*time.Millisecond, 200*time.Millisecond)
+	ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+	defer cancel()
+	_, err := Run(ctx, testSpec(), Options{Workers: []string{unreachableURL(), unreachableURL()}})
+	if err == nil || !strings.Contains(err.Error(), "every worker unhealthy") {
+		t.Fatalf("fleet run with no reachable worker: err = %v, want the all-down watchdog", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/testutil"
 )
 
 // specBody renders a spec as a submission body.
@@ -278,9 +279,9 @@ func TestJobCancel(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsJobs pins the graceful-shutdown satellite: Shutdown
-// cancels in-flight jobs and waits until each records a terminal
-// "canceled" status — drained, not lost.
+// TestShutdownDrainsJobs pins graceful shutdown: Shutdown cancels
+// in-flight jobs and waits until each records a terminal "canceled"
+// status — drained, not lost — and no job goroutine outlives it.
 func TestShutdownDrainsJobs(t *testing.T) {
 	f := newFixture(t, Options{JobWorkers: 1})
 	entered := make(chan struct{})
@@ -308,6 +309,7 @@ func TestShutdownDrainsJobs(t *testing.T) {
 	if err := f.srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	testutil.CheckNoGoroutines(t, "repro/internal/server.(*jobManager)")
 	// Shutdown returned, so the terminal state is already recorded.
 	got := f.do(t, "GET", "/api/v1/campaigns/"+st.ID, nil, nil)
 	var final jobStatus
