@@ -420,7 +420,7 @@ func BenchmarkOpenProblem2_Connectivity(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(n) + 53))
 		g := graph.RandomGNP(n, 3.0/float64(n), rng)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := connectivity.New(true)
+			p := connectivity.New()
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				res = mustRun(b, p, g, adversary.Rotor{}, engine.Options{})

@@ -234,11 +234,13 @@ func TestSDKCLIHTTPEquivalence(t *testing.T) {
 // specs now that the memoized walk is the only one: Normalize still fills
 // in memoize true, so the example specs, a bare SDK spec and a flag-built
 // exhaustive spec (which also carries the -k and -p defaults) keep the
-// spec hashes their stored runs live under.
+// spec hashes their stored runs live under. sweep.json names both bfs and
+// its alias bfs-cached, which must keep hashing as before too.
 func TestExhaustiveSpecHashesUnchanged(t *testing.T) {
 	for file, want := range map[string]string{
 		"exhaustive-deep.json": "facc841c577d",
 		"exhaustive.json":      "5504d8966058",
+		"sweep.json":           "839abf369179",
 	} {
 		spec, err := campaign.LoadSpec(filepath.Join("..", "..", "examples", "campaigns", file))
 		if err != nil {

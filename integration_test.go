@@ -42,7 +42,7 @@ func TestCrossProtocolConsistency(t *testing.T) {
 			t.Fatalf("trial %d: component counts disagree", trial)
 		}
 
-		fres := whiteboard.Run(whiteboard.CachedBFS(), g, whiteboard.RotorAdversary, whiteboard.Options{})
+		fres := whiteboard.Run(whiteboard.BFS(), g, whiteboard.RotorAdversary, whiteboard.Options{})
 		if fres.Status != whiteboard.Success {
 			t.Fatalf("bfs: %v", fres.Err)
 		}

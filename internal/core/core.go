@@ -110,8 +110,22 @@ func (m Message) String() string {
 // so far. Protocols may read every entry and the order in which entries
 // appeared (the models make the order observable), but writer identities are
 // only knowable if the messages themselves encode them.
+//
+// A board also carries one derived-state slot (see Fold), where a protocol
+// keeps what it has decoded from the messages so far.
 type Board struct {
-	msgs []Message
+	msgs    []Message
+	derived any // the *slot of the last Fold, nil until the first
+}
+
+// slot is a board's derived-state slot as Fold keeps it: the state st
+// folded from the first covered messages under key, or the error that
+// stopped the fold.
+type slot[K comparable, S any] struct {
+	key     K
+	st      S
+	covered int
+	err     error
 }
 
 // NewBoard returns an empty whiteboard.
@@ -137,10 +151,14 @@ func (b *Board) Last() Message {
 // Append writes a message. Only the engine should call this.
 func (b *Board) Append(m Message) { b.msgs = append(b.msgs, m) }
 
-// Reset empties the board in place, keeping the spine's capacity. Only the
-// engine's reusable Runner should call this; boards handed out in Results
-// must not be reset while still referenced.
-func (b *Board) Reset() { b.msgs = b.msgs[:0] }
+// Reset empties the board in place, keeping the spine's capacity, and
+// clears its derived-state slot. Only the engine's reusable Runner should
+// call this; boards handed out in Results must not be reset while still
+// referenced.
+func (b *Board) Reset() {
+	b.msgs = b.msgs[:0]
+	b.derived = nil
+}
 
 // TotalBits returns the total number of bits on the board — the quantity
 // Lemma 3 bounds by O(n·f(n)).
@@ -153,15 +171,47 @@ func (b *Board) TotalBits() int {
 }
 
 // Clone returns a deep copy (messages are immutable once appended, so only
-// the spine is copied).
+// the spine is copied). The copy starts with an empty derived-state slot.
 func (b *Board) Clone() *Board {
 	return &Board{msgs: append([]Message(nil), b.msgs...)}
 }
 
 // Truncate returns a board containing only the first k messages (sharing
-// storage; the prefix is immutable).
+// storage; the prefix is immutable), with an empty derived-state slot.
 func (b *Board) Truncate(k int) *Board {
 	return &Board{msgs: b.msgs[:k:k]}
+}
+
+// Fold returns the state derived under key from every message on b. The
+// whiteboard is append-only within a run, so state derived from a prefix
+// stays true as the board grows: Fold keeps the state in b's derived-state
+// slot and folds in only the messages appended since the previous call
+// under key. key names what the decode depends on (say the protocol variant
+// and n); give it a type of the reader's own package, so that two readers
+// never share a slot by accident. When the slot is empty or holds another
+// key, fresh(key) starts the state over and every message is folded again.
+// step folds message i into st; once it fails, the slot keeps its error and
+// every later Fold under key returns that error, whatever is appended after.
+//
+// The slot belongs to the board: Reset clears it, Clone and Truncate return
+// boards without one, and Append keeps it. It takes no lock, since a run
+// reads its board from one goroutine. The returned state is shared with
+// every later reader of b: callers must not change it outside step.
+func Fold[K comparable, S any](b *Board, key K, fresh func(K) S, step func(st *S, i int, m Message) error) (*S, error) {
+	d, ok := b.derived.(*slot[K, S])
+	if !ok || d.key != key {
+		d = &slot[K, S]{key: key, st: fresh(key)}
+		b.derived = d
+	}
+	for d.err == nil && d.covered < len(b.msgs) {
+		if d.err = step(&d.st, d.covered, b.msgs[d.covered]); d.err == nil {
+			d.covered++
+		}
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return &d.st, nil
 }
 
 // Key returns a string identifying the full ordered board content.

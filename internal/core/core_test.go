@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -108,6 +110,90 @@ func TestBoardOrderAndContentKeys(t *testing.T) {
 	tr.Append(b)
 	if b1.At(1).Key() != b.Key() || b1.Len() != 2 {
 		t.Error("Truncate append corrupted the source board")
+	}
+}
+
+// TestFoldSlotLifecycle pins the derived-state slot's lifecycle: a read
+// folds only the messages appended since the previous read under its key;
+// Append keeps the slot, Clone and Truncate start without it, another key
+// takes it over, and Reset clears it.
+func TestFoldSlotLifecycle(t *testing.T) {
+	type tally struct{ msgs int }
+	starts, steps := 0, 0
+	fresh := func(string) tally { starts++; return tally{} }
+	step := func(st *tally, i int, _ Message) error {
+		if i != st.msgs {
+			t.Errorf("folded message %d after %d messages", i, st.msgs)
+		}
+		st.msgs++
+		steps++
+		return nil
+	}
+	read := func(label string, b *Board, key string, wantMsgs, wantStarts, wantSteps int) {
+		t.Helper()
+		st, err := Fold(b, key, fresh, step)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if st.msgs != wantMsgs || starts != wantStarts || steps != wantSteps {
+			t.Errorf("%s: state covers %d messages after %d starts and %d steps, want %d, %d, %d",
+				label, st.msgs, starts, steps, wantMsgs, wantStarts, wantSteps)
+		}
+	}
+	m := Message{Data: []byte{0x80}, Bits: 1}
+	b := NewBoard()
+	read("empty board", b, "a", 0, 1, 0)
+	b.Append(m)
+	b.Append(m)
+	read("first read", b, "a", 2, 1, 2)
+	read("second read", b, "a", 2, 1, 2)
+	b.Append(m)
+	read("after Append", b, "a", 3, 1, 3)
+	read("Clone", b.Clone(), "a", 3, 2, 6)
+	read("source after Clone", b, "a", 3, 2, 6)
+	read("Truncate", b.Truncate(2), "a", 2, 3, 8)
+	read("source after Truncate", b, "a", 3, 3, 8)
+	read("another key", b, "b", 3, 4, 11)
+	read("first key again", b, "a", 3, 5, 14)
+	b.Reset()
+	read("after Reset", b, "a", 0, 6, 14)
+	b.Append(m)
+	read("after Reset and Append", b, "a", 1, 6, 15)
+}
+
+// TestFoldErrorIsSticky pins that a fold stops at a message its step
+// rejects: every later read returns that error, however many messages are
+// appended, until Reset clears the slot.
+func TestFoldErrorIsSticky(t *testing.T) {
+	errEmpty := errors.New("empty message")
+	steps := 0
+	fresh := func(int) int { return 0 }
+	step := func(st *int, i int, m Message) error {
+		steps++
+		if m.Bits == 0 {
+			return fmt.Errorf("message %d: %w", i, errEmpty)
+		}
+		*st++
+		return nil
+	}
+	good := Message{Data: []byte{0x80}, Bits: 1}
+	b := NewBoard()
+	b.Append(good)
+	b.Append(Message{})
+	for round := 0; round < 3; round++ {
+		st, err := Fold(b, 8, fresh, step)
+		if !errors.Is(err, errEmpty) || err.Error() != "message 1: empty message" || st != nil {
+			t.Fatalf("round %d: Fold = %v, %v; want the message 1 error", round, st, err)
+		}
+		if steps != 2 {
+			t.Fatalf("round %d: %d steps, want the 2 that reached the bad message", round, steps)
+		}
+		b.Append(good)
+	}
+	b.Reset()
+	b.Append(good)
+	if st, err := Fold(b, 8, fresh, step); err != nil || *st != 1 {
+		t.Fatalf("after Reset: Fold = %v, %v; want 1 message", st, err)
 	}
 }
 

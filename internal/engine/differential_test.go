@@ -23,6 +23,20 @@ func treeWalkSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps in
 	return s, err
 }
 
+// registeredSpec returns a runnable spec for the registered protocol name:
+// the name itself, or for the two wrappers that require an argument, the
+// wrapper over mis.
+func registeredSpec(name string) string {
+	switch name {
+	case "lemma4":
+		return "lemma4:mis"
+	case "gate":
+		// A predicate that delays but never permanently silences a node.
+		return "gate:mis:id % 2 == 1 or boardlen * 2 >= n"
+	}
+	return name
+}
+
 // TestMemoizedMatchesNaiveAllRegistered is the differential property test
 // behind the memoized default: for every registered protocol on every
 // path/cycle/complete graph with n ≤ 5, under the protocol's native model
@@ -36,16 +50,7 @@ func TestMemoizedMatchesNaiveAllRegistered(t *testing.T) {
 	graphs := []string{"path", "cycle", "complete"}
 	models := []string{"native", "SIMASYNC", "SIMSYNC", "ASYNC", "SYNC"}
 	for _, pname := range registry.Protocols() {
-		spec := pname
-		switch pname {
-		case "lemma4":
-			// lemma4 is an arg-requiring wrapper; exercise it over mis.
-			spec = "lemma4:mis"
-		case "gate":
-			// gate is an arg-requiring wrapper; exercise a predicate that
-			// delays but never permanently silences a node.
-			spec = "gate:mis:id % 2 == 1 or boardlen * 2 >= n"
-		}
+		spec := registeredSpec(pname)
 		for _, gname := range graphs {
 			for n := 2; n <= 5; n++ {
 				if gname == "cycle" && n < 3 {

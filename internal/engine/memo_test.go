@@ -5,11 +5,14 @@ import (
 	"errors"
 	"math/big"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/protocols/mis"
+	"repro/internal/telemetry"
 )
 
 // TestMemoMatchesNaiveLocalProtocols cross-checks the memoized walk
@@ -114,6 +117,52 @@ func TestMemoizedStrictlyFewerSteps(t *testing.T) {
 	}
 	if memo.Classes == 0 {
 		t.Error("memoized walk reported no classes")
+	}
+}
+
+// TestMemoMetricFamilies pins the two memo counters of a live registry on
+// a collapsing walk (rooted MIS on a 6-cycle). Every step either opens a
+// class or lands in a known one, and the root class opens without a step,
+// so wb_engine_memo_hits_total is Steps − Classes + 1. Every step, hit and
+// terminal class adds one multiplicity, so wb_engine_memo_mult_adds_total
+// is Steps + hits + terminal classes.
+func TestMemoMetricFamilies(t *testing.T) {
+	set := telemetry.NewSet()
+	terminals := 0
+	stats, err := RunAllMemo(mis.Protocol{Root: 1}, graph.Cycle(6), Options{Metrics: set.Engine}, 1<<22,
+		func(*core.Result, *big.Int) error {
+			terminals++
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := set.Registry.WriteText(&body); err != nil {
+		t.Fatal(err)
+	}
+	value := func(family string) int {
+		t.Helper()
+		for _, line := range strings.Split(body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, family+" "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("exposition lacks %s:\n%s", family, body.String())
+		return 0
+	}
+	hits := value("wb_engine_memo_hits_total")
+	if want := stats.Steps - stats.Classes + 1; hits != want || hits <= 0 {
+		t.Errorf("wb_engine_memo_hits_total %d, want Steps − Classes + 1 = %d − %d + 1 = %d, and > 0",
+			hits, stats.Steps, stats.Classes, want)
+	}
+	if adds, want := value("wb_engine_memo_mult_adds_total"), stats.Steps+hits+terminals; adds != want {
+		t.Errorf("wb_engine_memo_mult_adds_total %d, want Steps + hits + terminal classes = %d + %d + %d = %d",
+			adds, stats.Steps, hits, terminals, want)
 	}
 }
 

@@ -30,7 +30,6 @@ package bfs
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -72,26 +71,16 @@ type Forest struct {
 	Roots  []int
 }
 
-// Protocol implements core.Protocol for the selected variant.
+// Protocol implements core.Protocol for the selected variant. It holds no
+// state of its own: what a node derives from the whiteboard is folded into
+// the board's derived-state slot (core.Fold), one message at a time, so a
+// run decodes each message once however often nodes read the board.
 type Protocol struct {
 	V Variant
-	// cache, when non-nil, holds the incrementally parsed board state so
-	// that each Activate/Compose call costs O(new entries) instead of
-	// O(board). Created by NewCached; nil for New.
-	cache *parseCache
 }
 
 // New returns the protocol for a variant.
 func New(v Variant) Protocol { return Protocol{V: v} }
-
-// NewCached returns the protocol with the incremental board-parse cache
-// enabled. Semantically identical to New(v); the whiteboard is append-only
-// within a run, so re-decoding the prefix every call is pure overhead. The
-// cache is keyed on the board's identity and is safe for concurrent use:
-// runs sharing one cached protocol from several goroutines serialize on
-// its mutex and re-parse whenever they interleave boards, so sharing is
-// correct but gains little. See BenchmarkParseCache for the ablation.
-func NewCached(v Variant) Protocol { return Protocol{V: v, cache: &parseCache{}} }
 
 // Name implements core.Protocol.
 func (p Protocol) Name() string { return "bfs-" + p.V.String() }
@@ -129,8 +118,16 @@ type entry struct {
 	invalid bool // only possible for EOB
 }
 
+// foldKey is what decoding a board depends on: the message layout (the
+// variant) and the identifier width (n).
+type foldKey struct {
+	v Variant
+	n int
+}
+
 // boardState is everything a node derives from the whiteboard.
 type boardState struct {
+	key        foldKey
 	entries    []entry
 	byID       map[int]entry
 	anyInvalid bool
@@ -142,29 +139,9 @@ type boardState struct {
 	layerNext map[int]int
 }
 
-// parseCache incrementally tracks the parsed state of one board. All use
-// is serialized by mu, which callers (Activate/Compose/Output) hold for
-// their entire body so the shared state cannot change under them.
-type parseCache struct {
-	mu     sync.Mutex
-	board  *core.Board // identity of the cached board
-	n      int
-	parsed int // entries decoded so far
-	st     *boardState
-}
-
-// lock acquires the cache mutex when caching is enabled; the returned
-// function releases it (a no-op otherwise).
-func (p Protocol) lock() func() {
-	if p.cache == nil {
-		return func() {}
-	}
-	p.cache.mu.Lock()
-	return p.cache.mu.Unlock
-}
-
-func newBoardState() *boardState {
-	return &boardState{
+func newBoardState(k foldKey) boardState {
+	return boardState{
+		key:       k,
 		byID:      map[int]entry{},
 		layerPrev: map[int]int{},
 		layerSame: map[int]int{},
@@ -184,9 +161,9 @@ func (st *boardState) addEntry(e entry) {
 	}
 	if e.parent == 0 {
 		st.comp = st.comp[:0]
-		st.layerPrev = map[int]int{}
-		st.layerSame = map[int]int{}
-		st.layerNext = map[int]int{}
+		clear(st.layerPrev)
+		clear(st.layerSame)
+		clear(st.layerNext)
 	}
 	st.comp = append(st.comp, e)
 	st.layerPrev[e.layer] += e.dPrev
@@ -194,12 +171,23 @@ func (st *boardState) addEntry(e entry) {
 	st.layerNext[e.layer] += e.dNext
 }
 
+// add decodes message i and folds it into the state (the step of
+// core.Fold).
+func (st *boardState) add(i int, m core.Message) error {
+	e, err := decodeEntry(st.key, m)
+	if err != nil {
+		return fmt.Errorf("bfs: message %d: %w", i, err)
+	}
+	st.addEntry(e)
+	return nil
+}
+
 // decodeEntry decodes one whiteboard message.
-func (p Protocol) decodeEntry(m core.Message, n int) (entry, error) {
-	w := bitio.WidthID(n)
+func decodeEntry(k foldKey, m core.Message) (entry, error) {
+	w := bitio.WidthID(k.n)
 	r := bitio.NewReader(m.Data, m.Bits)
 	var e entry
-	if p.V == EOB {
+	if k.v == EOB {
 		inv, err := r.ReadBool()
 		if err != nil {
 			return e, err
@@ -215,7 +203,7 @@ func (p Protocol) decodeEntry(m core.Message, n int) (entry, error) {
 		return e, nil
 	}
 	fields := []*int{&e.layer, &e.parent, &e.dPrev}
-	if p.V == General {
+	if k.v == General {
 		fields = append(fields, &e.dSame)
 	}
 	fields = append(fields, &e.dNext)
@@ -229,38 +217,12 @@ func (p Protocol) decodeEntry(m core.Message, n int) (entry, error) {
 	return e, nil
 }
 
-// parse returns the decoded board state, incrementally when the cache is
-// enabled and the board is the one already being tracked. Callers must
-// hold the cache lock (see lock).
+// parse returns the decoded board state for n nodes, folding in only the
+// messages appended since the board was last read under the same variant
+// and n. The state is shared by every reader of b: read it, never change
+// it. A malformed message fails this and every later call on b.
 func (p Protocol) parse(b *core.Board, n int) (*boardState, error) {
-	if p.cache == nil {
-		st := newBoardState()
-		for i := 0; i < b.Len(); i++ {
-			e, err := p.decodeEntry(b.At(i), n)
-			if err != nil {
-				return nil, fmt.Errorf("bfs: message %d: %w", i, err)
-			}
-			st.addEntry(e)
-		}
-		return st, nil
-	}
-	c := p.cache
-	if c.st == nil || c.board != b || c.n != n || b.Len() < c.parsed {
-		c.st = newBoardState()
-		c.board = b
-		c.n = n
-		c.parsed = 0
-	}
-	for i := c.parsed; i < b.Len(); i++ {
-		e, err := p.decodeEntry(b.At(i), n)
-		if err != nil {
-			c.st = nil
-			return nil, fmt.Errorf("bfs: message %d: %w", i, err)
-		}
-		c.st.addEntry(e)
-	}
-	c.parsed = b.Len()
-	return c.st, nil
+	return core.Fold(b, foldKey{p.V, n}, newBoardState, (*boardState).add)
 }
 
 // layerComplete reports whether every node of layer k in the current
@@ -288,16 +250,22 @@ func (st *boardState) minUnwritten(n int) int {
 	return 0
 }
 
-// writtenNeighbors returns the BFS entries of v's written neighbors
-// (ignoring invalid markers, which carry no layer information).
-func (st *boardState) writtenNeighbors(v core.NodeView) []entry {
-	var out []entry
+// writtenNeighbor returns the BFS entry node u wrote, if it wrote one
+// (invalid markers carry no layer information).
+func (st *boardState) writtenNeighbor(u int) (entry, bool) {
+	e, ok := st.byID[u]
+	return e, ok && !e.invalid
+}
+
+// minWrittenLayer returns the smallest layer among v's written neighbors;
+// ok is false when none has written.
+func (st *boardState) minWrittenLayer(v core.NodeView) (k int, ok bool) {
 	for _, u := range v.Neighbors {
-		if e, ok := st.byID[u]; ok && !e.invalid {
-			out = append(out, e)
+		if e, w := st.writtenNeighbor(u); w && (!ok || e.layer < k) {
+			k, ok = e.layer, true
 		}
 	}
-	return out
+	return k, ok
 }
 
 // hasSameParityNeighbor is the EOB variant's local validity check.
@@ -312,7 +280,6 @@ func hasSameParityNeighbor(v core.NodeView) bool {
 
 // Activate implements core.Protocol.
 func (p Protocol) Activate(v core.NodeView, b *core.Board) bool {
-	defer p.lock()()
 	st, err := p.parse(b, v.N)
 	if err != nil {
 		return false
@@ -320,14 +287,7 @@ func (p Protocol) Activate(v core.NodeView, b *core.Board) bool {
 	if p.V == EOB && (hasSameParityNeighbor(v) || st.anyInvalid) {
 		return true
 	}
-	wn := st.writtenNeighbors(v)
-	if len(wn) > 0 {
-		k := wn[0].layer
-		for _, e := range wn[1:] {
-			if e.layer < k {
-				k = e.layer
-			}
-		}
+	if k, ok := st.minWrittenLayer(v); ok {
 		return st.layerComplete(k)
 	}
 	// No written neighbor: root rules.
@@ -349,7 +309,6 @@ func (p Protocol) Activate(v core.NodeView, b *core.Board) bool {
 
 // Compose implements core.Protocol.
 func (p Protocol) Compose(v core.NodeView, b *core.Board) core.Message {
-	defer p.lock()()
 	st, err := p.parse(b, v.N)
 	if err != nil {
 		return core.Message{}
@@ -366,20 +325,17 @@ func (p Protocol) Compose(v core.NodeView, b *core.Board) core.Message {
 	}
 	var e entry
 	e.id = v.ID
-	wn := st.writtenNeighbors(v)
-	if len(wn) == 0 {
+	if k, ok := st.minWrittenLayer(v); !ok {
 		e.layer, e.parent, e.dPrev, e.dSame = 0, 0, 0, 0
 		e.dNext = v.Degree()
 	} else {
-		k := wn[0].layer
-		for _, x := range wn[1:] {
-			if x.layer < k {
-				k = x.layer
-			}
-		}
 		e.layer = k + 1
 		e.parent = 0
-		for _, x := range wn {
+		for _, u := range v.Neighbors {
+			x, w := st.writtenNeighbor(u)
+			if !w {
+				continue
+			}
 			if x.layer == k {
 				e.dPrev++
 				if e.parent == 0 || x.id < e.parent {
@@ -405,7 +361,6 @@ func (p Protocol) Compose(v core.NodeView, b *core.Board) core.Message {
 
 // Output implements core.Protocol.
 func (p Protocol) Output(n int, b *core.Board) (any, error) {
-	defer p.lock()()
 	st, err := p.parse(b, n)
 	if err != nil {
 		return nil, err

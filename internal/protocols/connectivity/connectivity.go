@@ -32,14 +32,8 @@ type Protocol struct {
 	inner bfs.Protocol
 }
 
-// New returns the connectivity protocol. cached enables the inner BFS
-// board-parse cache.
-func New(cached bool) Protocol {
-	if cached {
-		return Protocol{inner: bfs.NewCached(bfs.General)}
-	}
-	return Protocol{inner: bfs.New(bfs.General)}
-}
+// New returns the connectivity protocol.
+func New() Protocol { return Protocol{inner: bfs.New(bfs.General)} }
 
 // Name implements core.Protocol.
 func (p Protocol) Name() string { return "connectivity" }

@@ -8,11 +8,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/protocols/bfs"
 )
 
 func decide(t *testing.T, g *graph.Graph, adv adversary.Adversary) Answer {
 	t.Helper()
-	res := engine.Run(New(false), g, adv, engine.Options{})
+	res := engine.Run(New(), g, adv, engine.Options{})
 	if res.Status != core.Success {
 		t.Fatalf("%v: %v (%v)", g, res.Status, res.Err)
 	}
@@ -84,25 +85,11 @@ func TestSpanningTreeOnConnectedInput(t *testing.T) {
 	}
 }
 
-func TestCachedVariantAgrees(t *testing.T) {
-	g := graph.RandomGNP(14, 0.12, rand.New(rand.NewSource(4)))
-	a := decide(t, g, adversary.MinID{})
-	res := engine.Run(New(true), g, adversary.MinID{}, engine.Options{})
-	if res.Status != core.Success {
-		t.Fatal(res.Err)
-	}
-	b := res.Output.(Answer)
-	if a.Connected != b.Connected || a.Components != b.Components ||
-		len(a.SpanningForest) != len(b.SpanningForest) {
-		t.Error("cached variant disagrees")
-	}
-}
-
 func TestUnderAsyncFreezingMayDeadlock(t *testing.T) {
 	// The open side of Open Problem 2/3: this protocol does not survive
 	// ASYNC freezing.
 	g := graph.FromEdges(6, [][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1}})
-	res := engine.Run(New(false), g, adversary.MinID{},
+	res := engine.Run(New(), g, adversary.MinID{},
 		engine.Options{Model: engine.ModelPtr(core.Async)})
 	if res.Status != core.Deadlock {
 		t.Fatalf("status %v, want deadlock", res.Status)
@@ -110,7 +97,7 @@ func TestUnderAsyncFreezingMayDeadlock(t *testing.T) {
 }
 
 func TestBudgetMatchesBFS(t *testing.T) {
-	if New(false).MaxMessageBits(100) != New(true).MaxMessageBits(100) {
-		t.Error("cached/uncached budgets differ")
+	if New().MaxMessageBits(100) != bfs.New(bfs.General).MaxMessageBits(100) {
+		t.Error("connectivity and Theorem 10 BFS budgets differ")
 	}
 }

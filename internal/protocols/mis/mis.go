@@ -13,7 +13,7 @@ package mis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -63,28 +63,46 @@ func (p Protocol) Compose(v core.NodeView, b *core.Board) core.Message {
 	return core.Message{Data: w.Bytes(), Bits: w.Bits()}
 }
 
-// membersOn parses the identifiers that have announced membership.
-func membersOn(b *core.Board, n int) []int {
-	var ids []int
-	for i := 0; i < b.Len(); i++ {
-		m := b.At(i)
-		r := bitio.NewReader(m.Data, m.Bits)
-		in, err := r.ReadBool()
-		if err != nil || !in {
-			continue
-		}
-		id, err := r.ReadUint(bitio.WidthID(n))
-		if err == nil {
-			ids = append(ids, int(id))
-		}
+// foldKey is what decoding a board depends on: n, which sets the
+// identifier width.
+type foldKey struct{ n int }
+
+// members is what the protocol derives from a board: the identifiers that
+// have announced membership, in board order.
+type members struct {
+	width int
+	ids   []int
+}
+
+func newMembers(k foldKey) members { return members{width: bitio.WidthID(k.n)} }
+
+// add folds one message in (the step of core.Fold); a message that does
+// not decode as an announcement adds nothing.
+func (ms *members) add(_ int, m core.Message) error {
+	r := bitio.NewReader(m.Data, m.Bits)
+	in, err := r.ReadBool()
+	if err != nil || !in {
+		return nil
 	}
-	return ids
+	if id, err := r.ReadUint(ms.width); err == nil {
+		ms.ids = append(ms.ids, int(id))
+	}
+	return nil
+}
+
+// membersOn returns the identifiers that have announced membership, folding
+// in only the messages appended since the board was last read for n. The
+// slice is the board's derived state, shared by every reader: never change
+// it.
+func membersOn(b *core.Board, n int) []int {
+	ms, _ := core.Fold(b, foldKey{n}, newMembers, (*members).add) // add never fails
+	return ms.ids
 }
 
 // Output implements core.Protocol: the sorted member identifiers.
 func (Protocol) Output(n int, b *core.Board) (any, error) {
-	ids := membersOn(b, n)
-	sort.Ints(ids)
+	ids := slices.Clone(membersOn(b, n))
+	slices.Sort(ids)
 	for i := 1; i < len(ids); i++ {
 		if ids[i] == ids[i-1] {
 			return nil, fmt.Errorf("mis: node %d wrote twice", ids[i])

@@ -133,6 +133,43 @@ func TestRootAlwaysWins(t *testing.T) {
 	}
 }
 
+// TestOutputLeavesFoldedStateAlone pins that Output hands out a sorted
+// copy of the members the board's fold holds: a caller that changes it
+// changes neither a later Output nor what nodes compose on the board.
+func TestOutputLeavesFoldedStateAlone(t *testing.T) {
+	g := graph.Cycle(9)
+	p := Protocol{Root: 4}
+	res := engine.Run(p, g, adversary.MaxID{}, engine.Options{})
+	if res.Status != core.Success {
+		t.Fatal(res.Err)
+	}
+	views := engine.Views(g)
+	b := res.Board.Truncate(6)
+	composed := func(b *core.Board) string {
+		var out []string
+		for _, v := range views[1:] {
+			out = append(out, p.Compose(v, b).String())
+		}
+		return fmt.Sprint(out)
+	}
+	want := composed(b.Clone())
+	first, err := p.Output(g.N(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := first.([]int)
+	wantIDs := fmt.Sprint(ids)
+	for i := range ids {
+		ids[i] = 0
+	}
+	if again, err := p.Output(g.N(), b); err != nil || fmt.Sprint(again) != wantIDs {
+		t.Errorf("second Output %v (%v), want %s", again, err, wantIDs)
+	}
+	if got := composed(b); got != want {
+		t.Errorf("Compose after changing Output's result:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestConcurrentEngineAgrees(t *testing.T) {
 	g := graph.Cycle(9)
 	p := Protocol{Root: 4}

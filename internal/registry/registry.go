@@ -112,14 +112,14 @@ func init() {
 		func(Params) (core.Protocol, error) { return twocliques.Protocol{}, nil }})
 	registerProtocol(ProtocolEntry{"bfs", "SYNC[log n] BFS forests of arbitrary graphs (Thm 10)", "",
 		func(Params) (core.Protocol, error) { return bfs.New(bfs.General), nil }})
-	registerProtocol(ProtocolEntry{"bfs-cached", "Thm 10 BFS with the incremental board-parse cache", "",
-		func(Params) (core.Protocol, error) { return bfs.NewCached(bfs.General), nil }})
+	registerProtocol(ProtocolEntry{"bfs-cached", "alias of bfs, kept so that stored specs naming it still validate and hash the same", "",
+		func(Params) (core.Protocol, error) { return bfs.New(bfs.General), nil }})
 	registerProtocol(ProtocolEntry{"eob-bfs", "ASYNC[log n] BFS for even-odd-bipartite graphs (Thm 7)", "",
 		func(Params) (core.Protocol, error) { return bfs.New(bfs.EOB), nil }})
 	registerProtocol(ProtocolEntry{"bipartite-bfs", "ASYNC[log n] BFS for bipartite graphs (Cor 4)", "",
 		func(Params) (core.Protocol, error) { return bfs.New(bfs.Bipartite), nil }})
 	registerProtocol(ProtocolEntry{"connectivity", "SYNC[log n] CONNECTIVITY + SPANNING-TREE (Open Problem 2)", "",
-		func(Params) (core.Protocol, error) { return connectivity.New(true), nil }})
+		func(Params) (core.Protocol, error) { return connectivity.New(), nil }})
 	registerProtocol(ProtocolEntry{"subgraph", "SIMASYNC[f+log n] SUBGRAPH_f with f(n)=k (Thm 9)", "k",
 		func(p Params) (core.Protocol, error) {
 			k := p.K

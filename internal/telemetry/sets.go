@@ -184,14 +184,6 @@ func (m *EngineMetrics) Steps() int64 {
 	return m.steps.Value()
 }
 
-// MemoHits returns the lifetime dedup total (tests and views).
-func (m *EngineMetrics) MemoHits() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.memoHits.Value()
-}
-
 // CampaignMetrics instruments campaign sweeps. Engine points at the
 // engine group so one Options field carries the whole chain downward.
 type CampaignMetrics struct {

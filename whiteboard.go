@@ -194,12 +194,6 @@ type TwoCliquesAnswer = twocliques.Output
 // Its output type is BFSForest.
 func BFS() Protocol { return bfs.New(bfs.General) }
 
-// CachedBFS is BFS with the incremental board-parse cache enabled:
-// observationally identical, but each node's activation check costs O(new
-// messages) instead of O(board) — use it for large runs (the ablation in
-// internal/protocols/bfs shows 30–110× at n=64..256).
-func CachedBFS() Protocol { return bfs.NewCached(bfs.General) }
-
 // EOBBFS returns the ASYNC[log n] BFS-forest protocol for even-odd-
 // bipartite graphs, rejecting invalid inputs.
 func EOBBFS() Protocol { return bfs.New(bfs.EOB) }
@@ -214,7 +208,7 @@ type BFSForest = bfs.Forest
 // Connectivity returns the SYNC[log n] protocol answering CONNECTIVITY and
 // SPANNING-TREE (the achievable side of Open Problem 2) on top of the
 // Theorem 10 BFS machinery. Its output type is ConnectivityAnswer.
-func Connectivity() Protocol { return connectivity.New(true) }
+func Connectivity() Protocol { return connectivity.New() }
 
 // ConnectivityAnswer is Connectivity's output.
 type ConnectivityAnswer = connectivity.Answer
