@@ -250,3 +250,97 @@ func TestCachedEOBInvalidFlow(t *testing.T) {
 		checkPrefixes(t, g.String(), res.Board, newReader(EOB, g, g.N()))
 	}
 }
+
+// uncached hands every Activate, Compose and Output call a clone of the
+// board, whose derived-state slot is empty, so the protocol decodes the
+// whole board on each call, as it did before the fold.
+type uncached struct{ Protocol }
+
+func (u uncached) Activate(v core.NodeView, b *core.Board) bool {
+	return u.Protocol.Activate(v, b.Clone())
+}
+
+func (u uncached) Compose(v core.NodeView, b *core.Board) core.Message {
+	return u.Protocol.Compose(v, b.Clone())
+}
+
+func (u uncached) Output(n int, b *core.Board) (any, error) {
+	return u.Protocol.Output(n, b.Clone())
+}
+
+// TestCachedMatchesUncachedSequential runs each variant with its state
+// folded into the board and with every call decoding the board afresh:
+// the runs must write the same board and output the same forest.
+func TestCachedMatchesUncachedSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	cases := []*graph.Graph{
+		graph.Path(9),
+		graph.Cycle(7),
+		graph.RandomConnectedGNP(20, 0.15, rng),
+		graph.RandomGNP(18, 0.1, rng),
+		graph.New(5),
+	}
+	for _, variant := range []Variant{General, EOB, Bipartite} {
+		for _, g := range cases {
+			if variant != General && !graph.IsEvenOddBipartite(g) {
+				continue
+			}
+			for _, mkAdv := range []func() adversary.Adversary{
+				func() adversary.Adversary { return adversary.MinID{} },
+				func() adversary.Adversary { return adversary.Rotor{} },
+				func() adversary.Adversary { return adversary.NewRandom(9) },
+			} {
+				plain := engine.Run(uncached{New(variant)}, g, mkAdv(), engine.Options{})
+				cached := engine.Run(New(variant), g, mkAdv(), engine.Options{})
+				if plain.Status != cached.Status {
+					t.Fatalf("%v %v: status %v vs %v", variant, g, plain.Status, cached.Status)
+				}
+				if plain.Status != core.Success {
+					continue
+				}
+				if plain.Board.Key() != cached.Board.Key() {
+					t.Fatalf("%v %v: boards differ", variant, g)
+				}
+				pf, cf := plain.Output.(Forest), cached.Output.(Forest)
+				for v := 1; v <= g.N(); v++ {
+					if pf.Parent[v] != cf.Parent[v] || pf.Layer[v] != cf.Layer[v] {
+						t.Fatalf("%v %v: outputs differ at node %d", variant, g, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCachedMatchesUncachedExhaustive walks every schedule with RunAll,
+// which clones the board at each branch, so every branch folds its board
+// from an empty slot: schedule by schedule, the folded and the uncached
+// protocol must write the same board.
+func TestCachedMatchesUncachedExhaustive(t *testing.T) {
+	g := graph.FromEdges(5, [][2]int{{1, 2}, {2, 3}, {3, 4}, {1, 4}, {4, 5}})
+	collect := func(p core.Protocol) map[string]string {
+		out := map[string]string{}
+		_, err := engine.RunAll(p, g, engine.Options{}, 1<<22,
+			func(res *core.Result, order []int) error {
+				if res.Status != core.Success {
+					return fmt.Errorf("order %v: %v", order, res.Status)
+				}
+				out[fmt.Sprint(order)] = res.Board.Key()
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain := collect(uncached{New(General)})
+	cached := collect(New(General))
+	if len(plain) != len(cached) {
+		t.Fatalf("schedule counts differ: %d vs %d", len(plain), len(cached))
+	}
+	for order, key := range plain {
+		if cached[order] != key {
+			t.Fatalf("order %s: boards differ", order)
+		}
+	}
+}
