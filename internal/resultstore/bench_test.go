@@ -66,7 +66,7 @@ func scanList(st *Store) (int, error) {
 			if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
 				continue
 			}
-			e, err := st.readEntry(filepath.Join(st.Dir(), g.Name(), f.Name()))
+			e, _, err := st.readEntry(filepath.Join(st.Dir(), g.Name(), f.Name()))
 			if err != nil {
 				if errors.Is(err, os.ErrNotExist) || isParseError(err) {
 					continue

@@ -91,10 +91,8 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 		if we.Label == "" {
 			return res, fmt.Errorf("resultstore: import line %d: no label", line)
 		}
-		if !AutoLabel(we.Label) {
-			if err := validLabel(we.Label); err != nil {
-				return res, fmt.Errorf("resultstore: import line %d: %w", line, err)
-			}
+		if err := validName(we.Label); err != nil {
+			return res, fmt.Errorf("resultstore: import line %d: %w", line, err)
 		}
 		// Address by the report's own spec, not the archive's claim: hashes
 		// must stay consistent with this store's normalization.
@@ -105,24 +103,10 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 				continue
 			}
 		}
-		dir := filepath.Join(s.dir, hash)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Join(s.dir, hash), 0o755); err != nil {
 			return res, errStore(err)
 		}
-		mode := "sampled"
-		if we.Report.Spec.Exhaustive() {
-			mode = campaign.ModeExhaustive
-		}
-		env := envelope{
-			Entry: Entry{
-				SpecHash: hash, Label: we.Label, Seq: s.nextSeqLocked(),
-				Name: we.Report.Spec.Name, Jobs: we.Report.Jobs,
-				Cells: len(we.Report.Cells), Mode: mode,
-			},
-			Report: we.Report,
-		}
-		entry, size, err := s.write(dir, env)
-		if err != nil {
+		if _, err := s.putLocked(we.Report, hash, we.Label, s.nextSeqLocked()); err != nil {
 			if os.IsExist(err) {
 				// A concurrent save landed this label after our refresh; the
 				// run exists, which is all idempotence promises.
@@ -131,8 +115,6 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 			}
 			return res, err
 		}
-		s.noteSavedLocked(indexEntry{Entry: entry, Size: size})
-		s.metrics.Ingest()
 		res.Added++
 	}
 	if err := sc.Err(); err != nil {

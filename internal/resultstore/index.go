@@ -1,22 +1,26 @@
 package resultstore
 
 // index.go maintains the store's persistent entry-metadata index: the
-// reason List, Resolve, Stat and Save are O(index) instead of re-reading
-// every envelope in the store on every call.
+// reason List, Stat and Save are O(index) instead of re-reading every
+// envelope in the store on every call.
 //
-// The in-memory index maps spec group → {dirent names, entry metadata}.
-// It is loaded once from <dir>/index.json plus the <dir>/index.log
-// journal, then kept honest by a cheap freshness walk before every read:
-// ReadDir of the store root (group names) and one Stat per group
-// directory. A group whose recorded mtime matches the directory and is
-// older than the filesystem-granularity window is proven untouched; a
-// group that moved gets its dirent names re-listed, and only when the
-// name set actually changed are that group's envelopes re-parsed. The
-// index is therefore a cache with a rebuild path, never a source of
-// truth: a corrupt or stale index file, files vanished or planted by an
-// external sync, and orphaned .tmp debris all converge back to the same
-// listing a full scan would produce — at the cost of rescanning only the
-// groups that moved.
+// The in-memory index maps spec group → {dirent names, entry metadata,
+// the spec's protocols and graphs}. It is loaded once from
+// <dir>/index.json plus the <dir>/index.log journal, then kept honest by a
+// cheap freshness walk before every listing: ReadDir of the store root
+// (group names) and one Stat per group directory. A group whose recorded
+// mtime matches the directory and is older than the filesystem-
+// granularity window is proven untouched; a group that moved gets its
+// dirent names re-listed, and only when the name set actually changed are
+// that group's envelopes re-parsed. The index is therefore a cache with a
+// rebuild path, never a source of truth: a corrupt or stale index file,
+// files vanished or planted by an external sync, and orphaned .tmp debris
+// all converge back to the same listing a full scan would produce — at
+// the cost of rescanning only the groups that moved.
+//
+// Save does not walk: it re-checks only its own group and takes its
+// sequence number above the journal's last line, which every handle's
+// save appends (see saveFloorLocked).
 //
 // Persistence is transactional in the crash-safe sense: Save appends one
 // journal line after its envelope landed, and snapshot rewrites go
@@ -27,6 +31,7 @@ package resultstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -42,13 +47,19 @@ const (
 	// spec group, so the group walk never mistakes them for entries.
 	indexFile    = "index.json"
 	indexJournal = "index.log"
-	indexVersion = 1
+	// indexVersion 2 records each group's protocols and graphs; a snapshot
+	// of another version is rejected and rebuilt from the envelopes.
+	indexVersion = 2
 	// racyWindow is how recently a group directory may have been modified
 	// before its mtime stops proving freshness: within one filesystem
 	// timestamp granule, a second write can land without moving the mtime,
 	// so young groups are verified by re-listing their dirent names (still
 	// no envelope reads) instead.
 	racyWindow = 2 * time.Second
+	// journalTail bounds the bytes Save reads from the end of the journal
+	// for its last line, which takes a few hundred; a longer line sends the
+	// save down the full walk instead.
+	journalTail = 8 << 10
 )
 
 // zeroTime marks a group for dirent re-verification on the next walk.
@@ -61,6 +72,33 @@ type indexEntry struct {
 	Size int64 `json:"size"`
 }
 
+// axes are the protocols and graphs a spec sweeps, which filtered
+// listings match on. Every run of a spec group shares them (the spec hash
+// covers them), so the index keeps them once per group. Nil Protocols
+// means unknown: a group first seen in a journal line written before the
+// index recorded axes, which the next walk re-parses.
+type axes struct {
+	Protocols []string `json:"protocols"`
+	Graphs    []string `json:"graphs"`
+}
+
+// newAxes copies a spec's axes. The copies are never nil, so known axes
+// stay distinct from unknown ones, and the index never aliases a caller's
+// spec.
+func newAxes(protocols, graphs []string) axes {
+	return axes{
+		Protocols: append([]string{}, protocols...),
+		Graphs:    append([]string{}, graphs...),
+	}
+}
+
+// sweeps reports whether the axes include protocol and graph; an empty
+// argument matches any.
+func (a axes) sweeps(protocol, graph string) bool {
+	return (protocol == "" || slices.Contains(a.Protocols, protocol)) &&
+		(graph == "" || slices.Contains(a.Graphs, graph))
+}
+
 // groupState is the index's view of one spec-group directory. Entries is
 // keyed by dirent name ("<label>.json") and Files records every dirent —
 // debris included — so known-inert .tmp orphans and foreign files do not
@@ -68,9 +106,16 @@ type indexEntry struct {
 type groupState struct {
 	Files   []string              `json:"files"`
 	Entries map[string]indexEntry `json:"entries"`
+	axes
 	// mtime is the directory mtime that Files/Entries were verified
 	// against; zero means "verify by name comparison on next walk".
 	mtime time.Time
+}
+
+// journalLine is one index.log line: a saved run and its group's axes.
+type journalLine struct {
+	indexEntry
+	axes
 }
 
 // storeIndex is the in-memory index; it lives inside Store behind its
@@ -78,7 +123,8 @@ type groupState struct {
 type storeIndex struct {
 	groups map[string]*groupState
 	loaded bool
-	// sorted caches the List ordering; nil after any mutation.
+	// sorted caches the List ordering; nil after any mutation that is not
+	// an append at its end.
 	sorted []Entry
 }
 
@@ -88,9 +134,19 @@ type indexSnapshot struct {
 	Groups  map[string]*groupState `json:"groups"`
 }
 
+// loadOnceLocked loads the persisted index on a handle's first use.
+func (s *Store) loadOnceLocked() {
+	if !s.idx.loaded {
+		s.loadIndexLocked()
+		s.idx.loaded = true
+	}
+}
+
 // loadIndexLocked reads the persisted snapshot and journal, best-effort:
 // anything unparseable or implausible degrades to an empty index, which
-// the freshness walk rebuilds from the directory tree.
+// the freshness walk rebuilds from the directory tree. The journal is
+// replayed even when the snapshot is rejected; a group it brings in
+// without axes is re-parsed by the next walk.
 func (s *Store) loadIndexLocked() {
 	s.idx.groups = map[string]*groupState{}
 	data, err := os.ReadFile(filepath.Join(s.dir, indexFile))
@@ -119,42 +175,55 @@ func (s *Store) loadIndexLocked() {
 	sc := bufio.NewScanner(jf)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
-		var ie indexEntry
-		if json.Unmarshal(sc.Bytes(), &ie) != nil || ie.SpecHash == "" || ie.Label == "" {
+		var line journalLine
+		if json.Unmarshal(sc.Bytes(), &line) != nil || line.SpecHash == "" || line.Label == "" {
 			return
 		}
-		s.applyEntryLocked(ie)
+		s.applyEntryLocked(line.indexEntry, line.axes)
 	}
 }
 
 // plausibleGroup rejects snapshot groups that could not describe a real
-// spec group — every entry must claim a file that the group lists.
+// spec group — every entry must sit at its own key, in a file that the
+// group lists.
 func plausibleGroup(hash string, g *groupState) bool {
 	if hash == "" || strings.ContainsAny(hash, "/\\") {
 		return false
 	}
 	for file, ie := range g.Entries {
-		if ie.SpecHash == "" || ie.Label == "" || !slices.Contains(g.Files, file) {
+		if ie.SpecHash != hash || ie.Label == "" || ie.Label+".json" != file || !slices.Contains(g.Files, file) {
 			return false
 		}
 	}
 	return true
 }
 
-// applyEntryLocked folds one saved entry into the in-memory index.
-func (s *Store) applyEntryLocked(ie indexEntry) {
+// applyEntryLocked folds one saved entry into the in-memory index. Known
+// axes replace the group's; unknown ones (an old journal line) leave them.
+func (s *Store) applyEntryLocked(ie indexEntry, a axes) {
 	g := s.idx.groups[ie.SpecHash]
 	if g == nil {
 		g = &groupState{Entries: map[string]indexEntry{}}
 		s.idx.groups[ie.SpecHash] = g
 	}
+	if a.Protocols != nil {
+		g.axes = a
+	}
 	file := ie.Label + ".json"
+	_, replaced := g.Entries[file]
 	g.Entries[file] = ie
 	if i, found := slices.BinarySearch(g.Files, file); !found {
 		g.Files = slices.Insert(g.Files, i, file)
 	}
-	g.mtime = time.Time{} // re-verify the group's dirents on the next walk
-	s.idx.sorted = nil
+	g.mtime = zeroTime // re-verify the group's dirents on the next walk
+	// A save takes the next sequence number, so it normally sorts last:
+	// extend the cached List order rather than re-sort every entry.
+	n := len(s.idx.sorted)
+	if !replaced && s.idx.sorted != nil && (n == 0 || entryLess(s.idx.sorted[n-1], ie.Entry)) {
+		s.idx.sorted = append(s.idx.sorted, ie.Entry)
+	} else {
+		s.idx.sorted = nil
+	}
 }
 
 // refreshLocked brings the index up to date with the directory tree. It
@@ -162,10 +231,7 @@ func (s *Store) applyEntryLocked(ie indexEntry) {
 // dirent names changed, in which case just that group is re-parsed. On
 // error the index keeps its previous state.
 func (s *Store) refreshLocked() error {
-	if !s.idx.loaded {
-		s.loadIndexLocked()
-		s.idx.loaded = true
-	}
+	s.loadOnceLocked()
 	dirs, err := os.ReadDir(s.dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -185,44 +251,13 @@ func (s *Store) refreshLocked() error {
 		}
 		name := d.Name()
 		onDisk[name] = true
-		g := s.idx.groups[name]
-		if g == nil {
-			if err := s.syncGroupLocked(name); err != nil {
-				return err
-			}
-			changed, rebuilt = true, rebuilt+1
-			continue
-		}
-		st, err := os.Stat(filepath.Join(s.dir, name))
+		moved, parsed, err := s.freshenGroupLocked(name)
 		if err != nil {
-			delete(s.idx.groups, name)
-			changed = true
-			continue
+			return err
 		}
-		mt := st.ModTime()
-		if !g.mtime.IsZero() && g.mtime.Equal(mt) && time.Since(mt) >= racyWindow {
-			continue // proven untouched since last verification
-		}
-		names, err := readNames(filepath.Join(s.dir, name))
-		if err != nil {
-			if os.IsNotExist(err) {
-				delete(s.idx.groups, name)
-				changed = true
-				continue
-			}
-			return errStore(err)
-		}
-		if !slices.Equal(names, g.Files) {
-			if err := s.syncGroupLocked(name); err != nil {
-				return err
-			}
-			changed, rebuilt = true, rebuilt+1
-			continue
-		}
-		if time.Since(mt) >= racyWindow {
-			g.mtime = mt
-		} else {
-			g.mtime = time.Time{}
+		changed = changed || moved
+		if parsed {
+			rebuilt++
 		}
 	}
 	for name := range s.idx.groups {
@@ -241,6 +276,46 @@ func (s *Store) refreshLocked() error {
 		s.metrics.IndexRebuilds(rebuilt)
 	}
 	return nil
+}
+
+// freshenGroupLocked brings one spec group of the index up to date with
+// its directory: a Stat, then a re-list of its dirent names unless the
+// mtime proves it untouched, then a re-parse of its envelopes only if the
+// names changed or its axes are unknown. changed reports that the group's
+// entries may differ from before, parsed that its envelopes were read.
+func (s *Store) freshenGroupLocked(name string) (changed, parsed bool, err error) {
+	g := s.idx.groups[name]
+	if g == nil || (g.Protocols == nil && len(g.Entries) > 0) {
+		return true, true, s.syncGroupLocked(name)
+	}
+	dir := filepath.Join(s.dir, name)
+	st, err := os.Stat(dir)
+	if err != nil {
+		delete(s.idx.groups, name)
+		return true, false, nil
+	}
+	mt := st.ModTime()
+	settled := time.Since(mt) >= racyWindow
+	if settled && g.mtime.Equal(mt) {
+		return false, false, nil // proven untouched since last verification
+	}
+	names, err := readNames(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			delete(s.idx.groups, name)
+			return true, false, nil
+		}
+		return false, false, errStore(err)
+	}
+	if !slices.Equal(names, g.Files) {
+		return true, true, s.syncGroupLocked(name)
+	}
+	if settled {
+		g.mtime = mt
+	} else {
+		g.mtime = zeroTime
+	}
+	return false, false, nil
 }
 
 // syncGroupLocked re-reads one spec group's directory and parses the
@@ -272,21 +347,28 @@ func (s *Store) syncGroupLocked(hash string) error {
 		if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
 			continue
 		}
-		e, err := s.readEntry(filepath.Join(dir, f.Name()))
+		e, a, err := s.readEntry(filepath.Join(dir, f.Name()))
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) || isParseError(err) {
 				continue // vanished or partial file
 			}
 			return err // unreadable store: surface, don't shrink
 		}
-		if e.SpecHash == "" || e.Label == "" {
-			continue // foreign JSON, not a stored run
+		if e.SpecHash != hash || e.Label+".json" != f.Name() || validName(e.Label) != nil {
+			// Foreign JSON, or an envelope copied in from another group or
+			// under another name: a file is a stored run only at its own
+			// key, the one GetEntry reads, so no run is listed twice and
+			// every ref names one run.
+			continue
 		}
 		var size int64
 		if info, err := f.Info(); err == nil {
 			size = info.Size()
 		}
 		g.Entries[f.Name()] = indexEntry{Entry: e, Size: size}
+		if g.Protocols == nil {
+			g.axes = a
+		}
 	}
 	if mt := st.ModTime(); time.Since(mt) >= racyWindow {
 		g.mtime = mt
@@ -309,9 +391,19 @@ func readNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// snapshotLocked returns the entries in List order (a fresh copy; callers
-// keep it past the lock).
-func (s *Store) snapshotLocked() []Entry {
+// entryLess is the List order: by sequence, then by ref for entries that
+// predate the sequence or tied in a cross-process race.
+func entryLess(a, b Entry) bool {
+	if a.Seq != b.Seq {
+		return a.Seq < b.Seq
+	}
+	return a.Ref() < b.Ref()
+}
+
+// listLocked returns, in List order, the entries whose group sweeps
+// protocol and graph (empty arguments match any) as a fresh slice that
+// callers keep past the lock.
+func (s *Store) listLocked(protocol, graph string) []Entry {
 	if s.idx.sorted == nil {
 		out := []Entry{}
 		for _, g := range s.idx.groups {
@@ -319,18 +411,22 @@ func (s *Store) snapshotLocked() []Entry {
 				out = append(out, ie.Entry)
 			}
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Seq != out[j].Seq {
-				return out[i].Seq < out[j].Seq
-			}
-			return out[i].Ref() < out[j].Ref()
-		})
+		sort.Slice(out, func(i, j int) bool { return entryLess(out[i], out[j]) })
 		s.idx.sorted = out
 	}
-	if len(s.idx.sorted) == 0 {
-		return nil
+	if protocol == "" && graph == "" {
+		if len(s.idx.sorted) == 0 {
+			return nil
+		}
+		return slices.Clone(s.idx.sorted)
 	}
-	return append([]Entry(nil), s.idx.sorted...)
+	var out []Entry
+	for _, e := range s.idx.sorted {
+		if s.idx.groups[e.SpecHash].sweeps(protocol, graph) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // nextSeqLocked returns one past the highest stored sequence number.
@@ -346,11 +442,64 @@ func (s *Store) nextSeqLocked() int {
 	return seq
 }
 
+// saveFloorLocked readies the index for a save into group hash and
+// returns a sequence number the save must exceed. Every handle's save
+// appends a journal line, so the seq on its last line is the newest save,
+// also one this handle never listed; the save then needs only its own
+// group re-checked, for the auto-label choice. Without a readable journal
+// (a fresh store, or one whose snapshot a walk just rewrote) the full
+// freshness walk stands in, and the index's maximum is the floor.
+func (s *Store) saveFloorLocked(hash string) (int, error) {
+	s.loadOnceLocked()
+	floor, ok := lastJournalSeq(filepath.Join(s.dir, indexJournal))
+	if !ok {
+		return 0, s.refreshLocked()
+	}
+	changed, parsed, err := s.freshenGroupLocked(hash)
+	if changed {
+		s.idx.sorted = nil
+	}
+	if parsed {
+		s.metrics.IndexRebuilds(1)
+	}
+	return floor, err
+}
+
+// lastJournalSeq reads the seq on the journal's last line. ok is false
+// when there is no journal, or its last line is torn, garbled or longer
+// than journalTail.
+func lastJournalSeq(path string) (seq int, ok bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false
+	}
+	off := max(st.Size()-journalTail, 0)
+	buf := make([]byte, st.Size()-off)
+	if _, err := f.ReadAt(buf, off); err != nil {
+		return 0, false
+	}
+	buf, complete := bytes.CutSuffix(buf, []byte("\n"))
+	if !complete {
+		return 0, false // empty, or torn mid-append
+	}
+	var line journalLine
+	if json.Unmarshal(buf[bytes.LastIndexByte(buf, '\n')+1:], &line) != nil ||
+		line.SpecHash == "" || line.Label == "" {
+		return 0, false
+	}
+	return line.Seq, true
+}
+
 // noteSavedLocked records a just-written envelope in the index and its
 // journal — the transactional half-step that keeps warm restarts exact.
-func (s *Store) noteSavedLocked(ie indexEntry) {
-	s.applyEntryLocked(ie)
-	if data, err := json.Marshal(ie); err == nil {
+func (s *Store) noteSavedLocked(ie indexEntry, a axes) {
+	s.applyEntryLocked(ie, a)
+	if data, err := json.Marshal(journalLine{ie, a}); err == nil {
 		if jf, err := os.OpenFile(filepath.Join(s.dir, indexJournal),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
 			jf.Write(append(data, '\n'))

@@ -226,7 +226,8 @@ func TestIndexSurvivesVanishedGroup(t *testing.T) {
 }
 
 // TestConcurrentSaves hammers one handle from many goroutines; every save
-// must land under a unique label and sequence (run with -race in CI).
+// must land under a unique label and sequence, while filtered listings
+// and keyed resolves run alongside (run with -race in CI).
 func TestConcurrentSaves(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -240,7 +241,14 @@ func TestConcurrentSaves(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Half share a spec group, half get their own.
-			_, errs[i] = st.Save(syntheticReport(4+i%8), "")
+			var e Entry
+			if e, errs[i] = st.Save(syntheticReport(4+i%8), ""); errs[i] != nil {
+				return
+			}
+			if _, errs[i] = st.Resolve(e.Ref()); errs[i] != nil {
+				return
+			}
+			_, errs[i] = st.ListFiltered("build-forest", "path")
 		}(i)
 	}
 	wg.Wait()

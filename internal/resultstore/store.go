@@ -71,9 +71,11 @@ type Entry struct {
 	SpecHash string `json:"spec_hash"`
 	// Label distinguishes runs within a spec group ("run-001", "v2-g3f9a").
 	Label string `json:"label"`
-	// Seq is the store-wide save order; higher is newer. Saves racing from
-	// separate processes can tie (each derives the next number from what it
-	// sees stored); List breaks ties deterministically by ref.
+	// Seq is the store-wide save order; higher is newer. A save takes the
+	// number after the highest it sees: in its handle's index and on the
+	// journal's last line, which every save appends. Saves racing from
+	// separate handles or processes can still tie; List breaks ties
+	// deterministically by ref.
 	Seq int `json:"seq"`
 	// Name echoes the campaign's name for listings.
 	Name string `json:"name,omitempty"`
@@ -150,6 +152,10 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
+// specHashLen is the length of a spec hash; a ref that spells out this
+// many hex digits names one spec group, not a prefix of several.
+const specHashLen = 12
+
 // SpecHash returns the content address of a spec: the first 12 hex digits
 // of the SHA-256 of its normalized canonical JSON, with the cosmetic Name
 // blanked. Two specs that expand to the same job matrix hash alike
@@ -164,7 +170,7 @@ func SpecHash(spec campaign.Spec) string {
 		panic(fmt.Sprintf("resultstore: marshal spec: %v", err))
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])[:12]
+	return hex.EncodeToString(sum[:])[:specHashLen]
 }
 
 // CheckLabel reports whether a caller-chosen label could name a stored
@@ -173,9 +179,26 @@ func SpecHash(spec campaign.Spec) string {
 // already run to completion.
 func CheckLabel(label string) error { return validLabel(label) }
 
-// validLabel guards the label's use as a file name; failures wrap
-// ErrBadLabel.
+// validLabel accepts a label a caller may choose: a valid file name
+// outside the store-assigned run-NNN namespace. Failures wrap ErrBadLabel.
 func validLabel(label string) error {
+	if err := validName(label); err != nil {
+		return err
+	}
+	if AutoLabel(label) {
+		// The run-NNN namespace is reserved for store-assigned labels: a
+		// caller-chosen "run-100" would read as auto-assigned to GC and
+		// lose its pin protection, so it can never be saved in the first
+		// place.
+		return fmt.Errorf("resultstore: %w: %q is reserved for auto-assigned labels (leave the label empty instead)", ErrBadLabel, label)
+	}
+	return nil
+}
+
+// validName accepts a label that may name a stored file, caller-chosen or
+// store-assigned: it guards the label's use as a file name. Failures wrap
+// ErrBadLabel.
+func validName(label string) error {
 	if label == "" {
 		return fmt.Errorf("resultstore: %w: empty label", ErrBadLabel)
 	}
@@ -190,13 +213,6 @@ func validLabel(label string) error {
 	if strings.HasPrefix(label, ".") {
 		return fmt.Errorf("resultstore: %w: %q must not start with a dot", ErrBadLabel, label)
 	}
-	if AutoLabel(label) {
-		// The run-NNN namespace is reserved for store-assigned labels: a
-		// caller-chosen "run-100" would read as auto-assigned to GC and
-		// lose its pin protection, so it can never be saved in the first
-		// place.
-		return fmt.Errorf("resultstore: %w: %q is reserved for auto-assigned labels (leave the label empty instead)", ErrBadLabel, label)
-	}
 	return nil
 }
 
@@ -205,8 +221,13 @@ func validLabel(label string) error {
 // exists for this spec is an error (stored runs are immutable). Saves
 // racing from separate processes are safe: the final file appears
 // atomically, and an auto-labeled save that loses a run-NNN race re-syncs
-// the group and retries with the next free number. The sequence number
-// comes from the entry index, not a store rescan.
+// the group and retries with the next free number.
+//
+// Save does not walk the store: it re-lists only its own group (parsing
+// envelopes only when that group's names changed) and takes its sequence
+// number above both the index's maximum and the seq on the journal's last
+// line, which every handle's save appends. Only a store without a
+// readable journal costs the full freshness walk.
 func (s *Store) Save(rep *campaign.Report, label string) (Entry, error) {
 	auto := label == ""
 	if !auto {
@@ -215,36 +236,23 @@ func (s *Store) Save(rep *campaign.Report, label string) (Entry, error) {
 		}
 	}
 	hash := SpecHash(rep.Spec)
-	mode := "sampled"
-	if rep.Spec.Exhaustive() {
-		mode = campaign.ModeExhaustive
-	}
-	dir := filepath.Join(s.dir, hash)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(s.dir, hash), 0o755); err != nil {
 		return Entry{}, errStore(err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.refreshLocked(); err != nil {
+	floor, err := s.saveFloorLocked(hash)
+	if err != nil {
 		return Entry{}, err
 	}
 	for attempt := 0; ; attempt++ {
-		seq := s.nextSeqLocked()
+		seq := max(s.nextSeqLocked(), floor+1)
 		lbl := label
 		if auto {
 			lbl = s.freeAutoLabelLocked(hash, seq)
 		}
-		env := envelope{
-			Entry: Entry{
-				SpecHash: hash, Label: lbl, Seq: seq,
-				Name: rep.Spec.Name, Jobs: rep.Jobs, Cells: len(rep.Cells), Mode: mode,
-			},
-			Report: rep,
-		}
-		entry, size, err := s.write(dir, env)
+		entry, err := s.putLocked(rep, hash, lbl, seq)
 		if err == nil {
-			s.noteSavedLocked(indexEntry{Entry: entry, Size: size})
-			s.metrics.Ingest()
 			return entry, nil
 		}
 		if os.IsExist(err) {
@@ -265,6 +273,29 @@ func (s *Store) Save(rep *campaign.Report, label string) (Entry, error) {
 		}
 		return Entry{}, err
 	}
+}
+
+// putLocked writes rep as the run hash/label with sequence number seq
+// and notes it, axes included, in the index and its journal. A taken
+// label fails with an os.IsExist error.
+func (s *Store) putLocked(rep *campaign.Report, hash, label string, seq int) (Entry, error) {
+	mode := "sampled"
+	if rep.Spec.Exhaustive() {
+		mode = campaign.ModeExhaustive
+	}
+	entry, size, err := s.write(filepath.Join(s.dir, hash), envelope{
+		Entry: Entry{
+			SpecHash: hash, Label: label, Seq: seq,
+			Name: rep.Spec.Name, Jobs: rep.Jobs, Cells: len(rep.Cells), Mode: mode,
+		},
+		Report: rep,
+	})
+	if err != nil {
+		return Entry{}, err
+	}
+	s.noteSavedLocked(indexEntry{Entry: entry, Size: size}, newAxes(rep.Spec.Protocols, rep.Spec.Graphs))
+	s.metrics.Ingest()
+	return entry, nil
 }
 
 // freeAutoLabelLocked returns the first free "run-NNN" label for the
@@ -389,13 +420,19 @@ func (s *Store) write(dir string, env envelope) (Entry, int64, error) {
 // Only those mutation shapes are tolerated: a file that exists and parses
 // but cannot be read (permissions, I/O errors) still fails the listing,
 // so a genuinely broken store stays loud instead of shrinking silently.
-func (s *Store) List() ([]Entry, error) {
+func (s *Store) List() ([]Entry, error) { return s.ListFiltered("", "") }
+
+// ListFiltered returns, in List order and with List's freshness walk, the
+// stored runs whose spec sweeps protocol and graph; an empty argument
+// matches any run, so ListFiltered("", "") is List. The index records
+// each spec group's protocols and graphs, so filtering reads no envelope.
+func (s *Store) ListFiltered(protocol, graph string) ([]Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.refreshLocked(); err != nil {
 		return nil, err
 	}
-	return s.snapshotLocked(), nil
+	return s.listLocked(protocol, graph), nil
 }
 
 // isParseError reports whether err is a JSON decoding failure — what a
@@ -408,17 +445,23 @@ func isParseError(err error) bool {
 }
 
 // readEntry parses just the metadata of a stored envelope — what the
-// index keeps per run — without materializing the report's cell tree.
-func (s *Store) readEntry(path string) (Entry, error) {
+// index keeps per run, and its spec's axes — without materializing the
+// report's cell tree.
+func (s *Store) readEntry(path string) (Entry, axes, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Entry{}, errStore(err)
+		return Entry{}, axes{}, errStore(err)
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return Entry{}, fmt.Errorf("resultstore: parsing %s: %w", path, err)
+	var doc struct {
+		Entry
+		Report struct {
+			Spec axes `json:"spec"`
+		} `json:"report"`
 	}
-	return e, nil
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return Entry{}, axes{}, fmt.Errorf("resultstore: parsing %s: %w", path, err)
+	}
+	return doc.Entry, newAxes(doc.Report.Spec.Protocols, doc.Report.Spec.Graphs), nil
 }
 
 // read parses one stored envelope, unpacking columnar cells when present
@@ -473,16 +516,45 @@ func (s *Store) Load(ref string) (*campaign.Report, Entry, error) {
 // Hashes may be abbreviated to any unique prefix of at least 4 hex
 // digits; shorter prefixes are rejected in both hash forms. A miss wraps
 // ErrNotFound.
+//
+// The exact form with the hash spelled out in full is answered by the
+// keyed GetEntry, which reads one envelope; the other forms scan the
+// listing and so pay List's freshness walk.
 func (s *Store) Resolve(ref string) (Entry, error) {
+	if hash, label, exact := strings.Cut(ref, "/"); exact && len(hash) == specHashLen {
+		// A full hash names one group, and a file counts as a run only at
+		// its own key, so the keyed read's hit or miss is the scan's answer.
+		// Only a file that fails to read or parse (a save in flight) is
+		// left to the scan.
+		e, err := s.GetEntry(hash, label)
+		if err == nil {
+			return e, nil
+		}
+		if errors.Is(err, ErrNotFound) {
+			return Entry{}, errNoRun(ref)
+		}
+	}
+	return s.resolveScan(ref)
+}
+
+// errNoRun is Resolve's miss.
+func errNoRun(ref string) error {
+	return fmt.Errorf("resultstore: %w: %q (use `list` to see refs)", ErrNotFound, ref)
+}
+
+// resolveScan resolves ref, in any of Resolve's forms, by scanning the
+// listing.
+func (s *Store) resolveScan(ref string) (Entry, error) {
+	hash, label, exact := strings.Cut(ref, "/")
+	if exact && len(hash) < 4 {
+		return Entry{}, fmt.Errorf("resultstore: %w: %q (hash prefix must be at least 4 hex digits)", ErrNotFound, ref)
+	}
 	entries, err := s.List()
 	if err != nil {
 		return Entry{}, err
 	}
 	var matches []Entry
-	if hash, label, ok := strings.Cut(ref, "/"); ok {
-		if len(hash) < 4 {
-			return Entry{}, fmt.Errorf("resultstore: %w: %q (hash prefix must be at least 4 hex digits)", ErrNotFound, ref)
-		}
+	if exact {
 		for _, e := range entries {
 			if e.Label == label && strings.HasPrefix(e.SpecHash, hash) {
 				matches = append(matches, e)
@@ -521,7 +593,7 @@ func (s *Store) Resolve(ref string) (Entry, error) {
 	}
 	switch len(matches) {
 	case 0:
-		return Entry{}, fmt.Errorf("resultstore: %w: %q (use `list` to see refs)", ErrNotFound, ref)
+		return Entry{}, errNoRun(ref)
 	case 1:
 		return matches[0], nil
 	default:
@@ -534,10 +606,14 @@ func (s *Store) Resolve(ref string) (Entry, error) {
 }
 
 // GetEntry is the keyed O(1) lookup: the exact spec hash and label of one
-// stored run, returning its metadata without scanning the store the way
-// Resolve must. A miss wraps ErrNotFound. Both key parts are validated
-// before touching the filesystem, so hostile values (an HTTP path segment
-// aiming "../" at the host) cannot escape the store directory.
+// stored run — a caller-chosen label or a store-assigned "run-NNN" —
+// returning its metadata from that one envelope, without the freshness
+// walk that List and Resolve's scan forms pay. A miss wraps ErrNotFound,
+// and so does a file at the key whose envelope names another run (one
+// copied in from another group or under another name). Both key parts are
+// validated before touching the filesystem, so hostile values (an HTTP
+// path segment aiming "../" at the host) cannot escape the store
+// directory.
 func (s *Store) GetEntry(specHash, label string) (Entry, error) {
 	if err := validKey(specHash, label); err != nil {
 		// A key that could never have been stored is by definition absent;
@@ -545,20 +621,21 @@ func (s *Store) GetEntry(specHash, label string) (Entry, error) {
 		// that suggests store corruption.
 		return Entry{}, fmt.Errorf("resultstore: %w: %v", ErrNotFound, err)
 	}
-	e, err := s.readEntry(filepath.Join(s.dir, specHash, label+".json"))
+	e, _, err := s.readEntry(filepath.Join(s.dir, specHash, label+".json"))
 	if err != nil {
-		if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {
+		if errors.Is(err, os.ErrNotExist) {
 			return Entry{}, fmt.Errorf("resultstore: %w: %s/%s", ErrNotFound, specHash, label)
 		}
 		return Entry{}, err
 	}
-	if e.SpecHash == "" || e.Label == "" {
+	if e.SpecHash != specHash || e.Label != label {
 		return Entry{}, fmt.Errorf("resultstore: %w: %s/%s", ErrNotFound, specHash, label)
 	}
 	return e, nil
 }
 
-// validKey guards keyed lookups fed from untrusted input.
+// validKey guards keyed lookups fed from untrusted input: a lowercase hex
+// hash and a label that may name a stored file.
 func validKey(specHash, label string) error {
 	if specHash == "" {
 		return fmt.Errorf("resultstore: empty spec hash")
@@ -568,7 +645,7 @@ func validKey(specHash, label string) error {
 			return fmt.Errorf("resultstore: spec hash %q is not lowercase hex", specHash)
 		}
 	}
-	return validLabel(label)
+	return validName(label)
 }
 
 // LoadEntry reads the report of an already-resolved entry directly,
@@ -673,7 +750,7 @@ func (s *Store) GC(keep int, force bool) (GCResult, error) {
 	if err := s.refreshLocked(); err != nil {
 		return GCResult{}, err
 	}
-	entries := s.snapshotLocked()
+	entries := s.listLocked("", "")
 	perSpec := map[string]int{}
 	for _, e := range entries {
 		perSpec[e.SpecHash]++

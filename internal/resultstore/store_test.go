@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/telemetry"
 	"repro/internal/testutil"
 )
 
@@ -510,6 +511,9 @@ func TestGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := telemetry.NewSet()
+	st.SetMetrics(set.Store)
+	gcRemoved := set.Registry.Counter("wb_store_gc_removed_total", "")
 	rep := runSmoke(t)
 	for i := 0; i < 4; i++ {
 		if _, err := st.Save(rep, ""); err != nil { // run-001..run-004
@@ -534,6 +538,9 @@ func TestGC(t *testing.T) {
 		if res.Removed[i].Label != want {
 			t.Errorf("Removed[%d] = %s, want %s (oldest first)", i, res.Removed[i].Label, want)
 		}
+	}
+	if got := gcRemoved.Value(); got != 2 {
+		t.Errorf("wb_store_gc_removed_total = %d after removing 2 runs", got)
 	}
 	entries, err := st.List()
 	if err != nil {
@@ -588,6 +595,10 @@ func TestGC(t *testing.T) {
 	}
 	if !removed["pinned-v1"] {
 		t.Errorf("force GC spared the pinned run; removed %v", res.Removed)
+	}
+	// The refused pass removed nothing; the counter holds every removal.
+	if got, want := gcRemoved.Value(), int64(2+len(res.Removed)); got != want {
+		t.Errorf("wb_store_gc_removed_total = %d, want %d", got, want)
 	}
 	entries, _ = st.List()
 	if len(entries) != 2 { // one per spec group

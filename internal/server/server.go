@@ -6,9 +6,13 @@
 // carries a strong ETag derived from the immutable store key pair, a
 // conditional request with that tag short-circuits to 304 Not Modified
 // without touching a report body, and rendered diffs are kept in an
-// in-memory LRU so repeated comparisons never recompute. Listing and
-// stat routes answer from the store's persistent entry index, so their
-// cost tracks the page served, not the number of stored reports.
+// in-memory LRU so repeated comparisons never recompute. Report, 304 and
+// diff requests that name a run by its full hash/label pair — the refs
+// listings hand out, store-assigned run-NNN labels included — are
+// answered by a keyed read of that one envelope, without the store's
+// freshness walk. Listings, ?protocol= and ?graph= filters included,
+// answer from the store's persistent entry index after that walk, which
+// reads directory metadata only; no route re-reads every envelope.
 //
 // The service also *accepts* work: POST /api/v1/campaigns submits a
 // campaign spec as an asynchronous job, executed in-process on the
@@ -331,17 +335,16 @@ type located struct {
 	store *resultstore.Store
 }
 
-// list snapshots every store, in store order then save order.
-func (s *Server) list() ([]located, error) {
-	var out []located
+// list snapshots the runs of every store that sweep protocol and graph
+// (empty matches any), in store order then save order.
+func (s *Server) list(protocol, graph string) ([]resultstore.Entry, error) {
+	var out []resultstore.Entry
 	for _, st := range s.stores {
-		entries, err := st.List()
+		entries, err := st.ListFiltered(protocol, graph)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range entries {
-			out = append(out, located{entry: e, store: st})
-		}
+		out = append(out, entries...)
 	}
 	return out, nil
 }
@@ -385,14 +388,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	all, err := s.list()
+	all, err := s.list(protocol, graph)
 	if err != nil {
 		s.storeError(w, err)
 		return
 	}
-	items := make([]listItem, 0, len(all))
-	for _, loc := range all {
-		e := loc.entry
+	matched := all[:0]
+	for _, e := range all {
 		if specPrefix != "" && !strings.HasPrefix(e.SpecHash, specPrefix) {
 			continue
 		}
@@ -402,23 +404,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		if mode != "" && e.Mode != mode {
 			continue
 		}
-		if protocol != "" || graph != "" {
-			// Axis filters need the stored spec; cheap filters above keep
-			// this read off as many entries as possible.
-			spec, err := loc.store.LoadSpec(e)
-			if err != nil {
-				continue // entry vanished mid-listing; the snapshot moves on
-			}
-			if protocol != "" && !contains(spec.Protocols, protocol) {
-				continue
-			}
-			if graph != "" && !contains(spec.Graphs, graph) {
-				continue
-			}
-		}
-		items = append(items, listItem{Entry: e, RefStr: e.Ref()})
+		matched = append(matched, e)
 	}
-	total := len(items)
+	page := matched
+	total := len(matched)
 	body := map[string]any{"total": total}
 	if limit > 0 {
 		// Slice the filtered window and emit RFC 5988 Link headers so
@@ -431,7 +420,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		if end > total {
 			end = total
 		}
-		items = items[offset:end]
+		page = matched[offset:end]
 		var links []string
 		if end < total {
 			links = append(links, pageLink(r, limit, end, "next"))
@@ -448,49 +437,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		body["limit"], body["offset"] = limit, offset
 	}
+	items := make([]listItem, len(page))
+	for i, e := range page {
+		items[i] = listItem{Entry: e, RefStr: e.Ref()}
+	}
 	body["count"], body["reports"] = len(items), items
 	s.writeJSON(w, body)
 }
 
-func contains(list []string, want string) bool {
-	for _, v := range list {
-		if v == want {
-			return true
-		}
-	}
-	return false
-}
-
 // --- single report ---
-
-// lookup resolves a (hash, label) path pair across the stores: exact
-// keyed lookup first (O(1)), then ref resolution so abbreviated hashes
-// keep working like they do on the CLI.
-func (s *Server) lookup(hash, label string) (located, error) {
-	var firstErr error
-	for _, st := range s.stores {
-		e, err := st.GetEntry(hash, label)
-		if err == nil {
-			return located{entry: e, store: st}, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, st := range s.stores {
-		e, err := st.Resolve(hash + "/" + label)
-		if err == nil {
-			return located{entry: e, store: st}, nil
-		}
-		if !errors.Is(err, resultstore.ErrNotFound) {
-			return located{}, err
-		}
-	}
-	if firstErr != nil && !errors.Is(firstErr, resultstore.ErrNotFound) {
-		return located{}, firstErr
-	}
-	return located{}, fmt.Errorf("%w: %s/%s", resultstore.ErrNotFound, hash, label)
-}
 
 // reportFormat negotiates the report representation: an explicit ?format=
 // wins, then Accept: text/csv, defaulting to JSON.
@@ -516,7 +471,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
 		return
 	}
-	loc, err := s.lookup(r.PathValue("hash"), r.PathValue("label"))
+	loc, err := s.resolveRef(r.PathValue("hash") + "/" + r.PathValue("label"))
 	if err != nil {
 		s.storeError(w, err)
 		return
@@ -564,7 +519,10 @@ func diffFormat(r *http.Request) (format, contentType string, err error) {
 	}
 }
 
-// resolveRef resolves a diff operand across the stores.
+// resolveRef resolves a ref — a report route's hash/label pair or a diff
+// operand — across the stores, in order. A full hash/label pair is a
+// keyed read (resultstore.Resolve); abbreviated hashes and bare labels
+// keep working like they do on the CLI.
 func (s *Server) resolveRef(ref string) (located, error) {
 	for _, st := range s.stores {
 		e, err := st.Resolve(ref)

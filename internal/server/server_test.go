@@ -98,6 +98,14 @@ func (f *fixture) do(t *testing.T, method, target string, hdr map[string]string,
 	return rec
 }
 
+// walks counts the stores' freshness walks so far: each is an index hit
+// or at least one group rebuild.
+func (f *fixture) walks() int64 {
+	reg := f.srv.Telemetry().Registry
+	return reg.Counter("wb_store_index_hits_total", "").Value() +
+		reg.Counter("wb_store_index_rebuilds_total", "").Value()
+}
+
 // TestRoutes is the table-driven pass over every route: status codes,
 // content negotiation, filters and 404s on unknown hashes.
 func TestRoutes(t *testing.T) {
@@ -383,9 +391,15 @@ func TestMultiStore(t *testing.T) {
 	if !strings.Contains(list.Body.String(), `"count": 2`) {
 		t.Errorf("merged listing:\n%s", list.Body.String())
 	}
+	// A full ref that misses the primary store falls through to the
+	// secondary with keyed reads only: neither store walks.
+	before := f.walks()
 	rep := f.do(t, "GET", "/api/v1/reports/"+e2.SpecHash+"/in-secondary", nil, nil)
 	if rep.Code != 200 {
 		t.Errorf("secondary-store report: %d", rep.Code)
+	}
+	if walked := f.walks() - before; walked != 0 {
+		t.Errorf("secondary-store report walked the stores %d times", walked)
 	}
 	diff := f.do(t, "GET", "/api/v1/diff?old=in-primary&new=in-secondary", nil, nil)
 	if diff.Code != 200 || !strings.Contains(diff.Body.String(), "no differences") {
@@ -437,5 +451,51 @@ func TestMetricsBody(t *testing.T) {
 	}
 	if len(m.Stores) != 1 || m.Stores[0].Reports != 3 || m.Stores[0].Bytes == 0 {
 		t.Errorf("store stats %+v, want 3 reports with nonzero bytes", m.Stores)
+	}
+}
+
+// TestKeyedRoutesSkipTheWalk counts the store's freshness walks (index
+// hits plus group rebuilds) per request: report, 304 and diff requests
+// that name runs by hash/label — caller-chosen and run-NNN alike — read
+// those envelopes only, a listing walks once, filtered or not, and an
+// ingest into an existing group re-checks only that group.
+func TestKeyedRoutesSkipTheWalk(t *testing.T) {
+	f := newFixture(t, Options{})
+	auto, err := f.store.Save(runCampaign(t, smokeSpec()), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := runCampaign(t, smokeSpec()).WriteJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, method, target, etag string
+		body                       []byte
+		status                     int
+		walks                      int64
+	}{
+		{name: "report caller label", method: "GET", target: "/api/v1/reports/" + f.e1.Ref(), status: 200},
+		{name: "report run-NNN", method: "GET", target: "/api/v1/reports/" + auto.Ref() + "?format=csv", status: 200},
+		{name: "304 caller label", method: "GET", target: "/api/v1/reports/" + f.other.Ref(), etag: f.other.ETag("json"), status: 304},
+		{name: "304 run-NNN", method: "GET", target: "/api/v1/reports/" + auto.Ref(), etag: auto.ETag("json"), status: 304},
+		{name: "404 full ref", method: "GET", target: "/api/v1/reports/" + f.e1.SpecHash + "/run-999", status: 404},
+		{name: "diff", method: "GET", target: "/api/v1/diff?old=" + f.e1.Ref() + "&new=" + auto.Ref(), status: 200},
+		{name: "list", method: "GET", target: "/api/v1/reports?limit=2", status: 200, walks: 1},
+		{name: "list filtered", method: "GET", target: "/api/v1/reports?protocol=bfs&graph=cycle", status: 200, walks: 1},
+		{name: "ingest into an existing group", method: "POST", target: "/api/v1/reports", body: body.Bytes(), status: 201},
+	} {
+		hdr := map[string]string{}
+		if tc.etag != "" {
+			hdr["If-None-Match"] = tc.etag
+		}
+		before := f.walks()
+		rec := f.do(t, tc.method, tc.target, hdr, tc.body)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.status, rec.Body.String())
+		}
+		if got := f.walks() - before; got != tc.walks {
+			t.Errorf("%s: %d store walks, want %d", tc.name, got, tc.walks)
+		}
 	}
 }

@@ -22,9 +22,9 @@ import (
 )
 
 // Store is a directory of stored campaign runs. All methods of the
-// underlying store — List, Save, Load, Resolve, GetEntry, LoadEntry,
-// LoadSpec, LatestPair, Stat, GC, Export, Import — are part of the
-// public surface.
+// underlying store — List, ListFiltered, Save, Load, Resolve, GetEntry,
+// LoadEntry, LoadSpec, LatestPair, Stat, GC, Export, Import — are part
+// of the public surface.
 type Store = internal.Store
 
 // Entry identifies one stored run: spec hash, label, save sequence and
