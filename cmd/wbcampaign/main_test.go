@@ -238,6 +238,7 @@ func TestSDKCLIHTTPEquivalence(t *testing.T) {
 // its alias bfs-cached, which must keep hashing as before too.
 func TestExhaustiveSpecHashesUnchanged(t *testing.T) {
 	for file, want := range map[string]string{
+		"exhaustive-c10.json":  "fa1b4d52707f",
 		"exhaustive-deep.json": "facc841c577d",
 		"exhaustive.json":      "5504d8966058",
 		"sweep.json":           "839abf369179",

@@ -37,6 +37,21 @@ func registeredSpec(name string) string {
 	return name
 }
 
+// registeredInstance builds a registered protocol and graph on n nodes.
+func registeredInstance(t testing.TB, pname, gname string, n int) (core.Protocol, *graph.Graph) {
+	t.Helper()
+	params := registry.Params{N: n, K: 2, Seed: 1}
+	p, err := registry.NewProtocol(pname, params)
+	if err != nil {
+		t.Fatalf("%s: %v", pname, err)
+	}
+	g, err := registry.NewGraph(gname, params, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", gname, err)
+	}
+	return p, g
+}
+
 // TestMemoizedMatchesNaiveAllRegistered is the differential property test
 // behind the memoized default: for every registered protocol on every
 // path/cycle/complete graph with n ≤ 5, under the protocol's native model
@@ -56,15 +71,7 @@ func TestMemoizedMatchesNaiveAllRegistered(t *testing.T) {
 				if gname == "cycle" && n < 3 {
 					continue
 				}
-				params := registry.Params{N: n, K: 2, Seed: 1}
-				proto, err := registry.NewProtocol(spec, params)
-				if err != nil {
-					t.Fatalf("%s: %v", spec, err)
-				}
-				g, err := registry.NewGraph(gname, params, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", gname, err)
-				}
+				proto, g := registeredInstance(t, spec, gname, n)
 				for _, mname := range models {
 					model, err := registry.ParseModel(mname)
 					if err != nil {

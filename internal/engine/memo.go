@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -78,11 +79,43 @@ func appendMessage(buf []byte, m core.Message) []byte {
 }
 
 // memoClass is one node of the configuration DAG: a canonical configuration
-// plus the exact number of schedules reaching it.
+// under its key, plus the exact number of schedules reaching it. The node
+// states are held by value; an asynchronous class may share its pending
+// vector with its parent (see keep), and no class ever writes to one.
 type memoClass struct {
-	st    *state
+	key   string
+	st    state
 	board *core.Board
 	mult  *big.Int
+}
+
+// load overwrites the scratch state s with parent's node states, and with
+// its pending messages when they matter (asynchronous models), keeping s's
+// own storage.
+func (s *state) load(parent *state, pending bool) {
+	copy(s.state, parent.state)
+	if pending {
+		copy(s.pending, parent.pending)
+	}
+	s.written = parent.written
+}
+
+// keep copies the scratch state s, a successor of parent, out into a new
+// class. An asynchronous class shares parent's pending vector unless
+// settle activated a node, freezing its message into s; a synchronous
+// class keeps none, since message never reads it.
+func (s *state) keep(parent *state, async bool) state {
+	kept := state{state: slices.Clone(s.state), written: s.written}
+	if async {
+		kept.pending = parent.pending
+		for v := 1; v < len(s.state); v++ {
+			if parent.state[v] == awake && s.state[v] == active {
+				kept.pending = slices.Clone(s.pending)
+				break
+			}
+		}
+	}
+	return kept
 }
 
 // RunAllMemo explores every adversarial schedule of p on g like RunAll, but
@@ -96,6 +129,12 @@ type memoClass struct {
 // stats.Steps == maxSteps. Classes at each depth are processed in a
 // deterministic (sorted-key) order, so errors and budget cut-offs are
 // reproducible.
+//
+// Each successor is built in one scratch state and board, reused for the
+// whole walk, and keyed there; only a class whose key is new is copied out
+// (its board as one exact-size clone), and a write that lands in a known
+// class just adds its multiplicity. A class is dropped once expanded, so
+// at most two levels are live.
 //
 // The collapse is sound because protocols are deterministic in (view,
 // board) and the engine's future behaviour is a function of the
@@ -118,71 +157,75 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 
 	// A class is keyed after its activation phase, so classes settle when
 	// they are created rather than when they are expanded.
-	root := &memoClass{st: newState(m.n), board: core.NewBoard(), mult: big.NewInt(1)}
-	if err := m.settle(root.st, root.board); err != nil {
+	root := &memoClass{st: *newState(m.n), board: core.NewBoard(), mult: big.NewInt(1)}
+	if err := m.settle(&root.st, root.board); err != nil {
 		return stats, err
 	}
-	frontier := map[string]*memoClass{
-		string(appendConfigKey(nil, root.board, root.st, async)): root,
-	}
-
+	level, next := []*memoClass{root}, []*memoClass(nil)
+	index := map[string]*memoClass{} // the classes in next, by key
+	scratch, scratchBoard := newState(m.n), core.NewBoard()
 	var keyBuf []byte
-	keys := make([]string, 0, 1)
+	var cand []int
 	// Every transition writes exactly one message, so the DAG is leveled by
-	// board length and a frontier sweep visits each class exactly once.
-	for depth := 0; len(frontier) > 0; depth++ {
+	// board length and a level-by-level sweep visits each class exactly once.
+	for depth := 0; len(level) > 0; depth++ {
 		round := depth + 1
 		if round > m.maxRounds {
 			return stats, fmt.Errorf("engine: RunAllMemo exceeded %d rounds at %d written messages", m.maxRounds, depth)
 		}
-		keys = keys[:0]
-		for k := range frontier {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		next := make(map[string]*memoClass)
-		for _, k := range keys {
-			c := frontier[k]
+		for i, c := range level {
 			stats.Classes++
-			candidates := c.st.candidates()
-			if len(candidates) == 0 {
+			c.st.cand = cand // the walk's one candidates buffer
+			cand = c.st.candidates()
+			if len(cand) == 0 {
 				res := &core.Result{Board: c.board, Rounds: round}
-				m.outcome(c.st, res)
+				m.outcome(&c.st, res)
 				multAdds++
 				stats.Schedules.Add(stats.Schedules, c.mult)
 				if err := visit(res, c.mult); err != nil {
 					return stats, err
 				}
-				continue
 			}
-			for _, chosen := range candidates {
+			for _, chosen := range cand {
 				if stats.Steps == maxSteps {
 					return stats, ErrBudget
 				}
 				stats.Steps++
 				multAdds++
 				stats.NaiveSteps.Add(stats.NaiveSteps, c.mult)
-				msg, err := m.message(c.st, c.board, chosen)
+				msg, err := m.message(&c.st, c.board, chosen)
 				if err != nil {
 					return stats, err
 				}
-				st2, board2 := c.st.clone(), c.board.Clone()
-				board2.Append(msg)
-				st2.markWritten(chosen)
-				if err := m.settle(st2, board2); err != nil {
+				scratch.load(&c.st, async)
+				scratch.markWritten(chosen)
+				// Reset also empties the derived-state slot, which still
+				// holds what the previous successor's board folded to.
+				scratchBoard.Reset()
+				for j := 0; j < c.board.Len(); j++ {
+					scratchBoard.Append(c.board.At(j))
+				}
+				scratchBoard.Append(msg)
+				if err := m.settle(scratch, scratchBoard); err != nil {
 					return stats, err
 				}
-				keyBuf = appendConfigKey(keyBuf[:0], board2, st2, async)
-				if dup, ok := next[string(keyBuf)]; ok {
+				keyBuf = appendConfigKey(keyBuf[:0], scratchBoard, scratch, async)
+				if dup, ok := index[string(keyBuf)]; ok {
 					memoHits++
 					multAdds++
 					dup.mult.Add(dup.mult, c.mult)
-				} else {
-					next[string(keyBuf)] = &memoClass{st: st2, board: board2, mult: new(big.Int).Set(c.mult)}
+					continue
 				}
+				kept := &memoClass{key: string(keyBuf), st: scratch.keep(&c.st, async),
+					board: scratchBoard.Clone(), mult: new(big.Int).Set(c.mult)}
+				index[kept.key] = kept
+				next = append(next, kept)
 			}
+			level[i] = nil
 		}
-		frontier = next
+		clear(index)
+		slices.SortFunc(next, func(a, b *memoClass) int { return strings.Compare(a.key, b.key) })
+		level, next = next, level[:0]
 	}
 	return stats, nil
 }

@@ -58,8 +58,9 @@ func (c *coldCheck) Output(n int, b *core.Board) (any, error) {
 // each callback answers on the board the engine hands it exactly as on a
 // fresh copy of that board. It samples single runs on path, cycle, tree
 // and G(n,p) graphs up to n = 24 under the min and rotor adversaries, and
-// walks every schedule with RunAllMemo at n ≤ 5, whose classes clone
-// their boards and so start cold.
+// walks every schedule with RunAllMemo at n ≤ 5, which builds each
+// successor on a reset scratch board and keeps each new class as a clone,
+// so both start cold.
 func TestWarmMatchesColdAllRegistered(t *testing.T) {
 	graphs := []string{"path", "cycle", "tree", "gnp"}
 	build := func(pname, gname string, n int) (*coldCheck, *graph.Graph) {

@@ -13,7 +13,7 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Graph is a simple undirected graph on nodes 1..n.
@@ -38,8 +38,11 @@ func New(n int) *Graph {
 		adj:  make([][]int, n+1),
 		bits: make([][]uint64, n+1),
 	}
+	// Rows are only indexed and copied, never appended to, so they can
+	// share one backing array.
+	backing := make([]uint64, n*words)
 	for v := 1; v <= n; v++ {
-		g.bits[v] = make([]uint64, words)
+		g.bits[v] = backing[(v-1)*words : v*words : v*words]
 	}
 	return g
 }
@@ -196,13 +199,23 @@ func (g *Graph) Key() string {
 
 // String renders the graph compactly, e.g. "G(n=4, m=3: 1-2 2-3 3-4)".
 func (g *Graph) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "G(n=%d, m=%d:", g.n, g.m)
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&sb, " %d-%d", e[0], e[1])
+	buf := make([]byte, 0, 16+8*g.m)
+	buf = append(buf, "G(n="...)
+	buf = strconv.AppendInt(buf, int64(g.n), 10)
+	buf = append(buf, ", m="...)
+	buf = strconv.AppendInt(buf, int64(g.m), 10)
+	buf = append(buf, ':')
+	for u := 1; u <= g.n; u++ {
+		for _, v := range g.adj[u] {
+			if u < v {
+				buf = append(buf, ' ')
+				buf = strconv.AppendInt(buf, int64(u), 10)
+				buf = append(buf, '-')
+				buf = strconv.AppendInt(buf, int64(v), 10)
+			}
+		}
 	}
-	sb.WriteString(")")
-	return sb.String()
+	return string(append(buf, ')'))
 }
 
 // AdjacencyMatrix returns the n×n boolean adjacency matrix with rows and

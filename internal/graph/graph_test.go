@@ -108,6 +108,53 @@ func findNonEdge(g *Graph) (int, int) {
 	panic("complete graph")
 }
 
+// TestBitsetRowsDoNotAlias checks that the adjacency rows New carves out
+// of one backing array stay apart when a row spans several words.
+func TestBitsetRowsDoNotAlias(t *testing.T) {
+	const n = 130 // three words per row
+	g := New(n)
+	want := map[[2]int]bool{}
+	for _, e := range [][2]int{{1, 130}, {1, 2}, {64, 128}, {65, 129}, {63, 127}, {2, 66}} {
+		g.AddEdge(e[0], e[1])
+		want[e], want[[2]int{e[1], e[0]}] = true, true
+	}
+	for u := 1; u <= n; u++ {
+		for v := 1; v <= n; v++ {
+			if u != v && g.HasEdge(u, v) != want[[2]int{u, v}] {
+				t.Fatalf("HasEdge(%d, %d) = %v, want %v", u, v, g.HasEdge(u, v), want[[2]int{u, v}])
+			}
+		}
+	}
+	c := g.Clone()
+	c.RemoveEdge(1, 130)
+	if !g.HasEdge(1, 130) || c.HasEdge(1, 130) || !c.Equal(c.Clone()) {
+		t.Error("Clone shares rows with its source")
+	}
+}
+
+// TestStringGolden pins Graph.String's rendering, which campaigns use to
+// count distinct outputs: the empty graph, one node, a path, a star, a
+// forest with an isolated node and a graph after RemoveEdge.
+func TestStringGolden(t *testing.T) {
+	removed := Cycle(5)
+	removed.RemoveEdge(2, 3)
+	for _, c := range []struct {
+		g    *Graph
+		want string
+	}{
+		{New(0), "G(n=0, m=0:)"},
+		{New(1), "G(n=1, m=0:)"},
+		{Path(4), "G(n=4, m=3: 1-2 2-3 3-4)"},
+		{Star(5), "G(n=5, m=4: 1-2 1-3 1-4 1-5)"},
+		{FromEdges(12, [][2]int{{10, 12}, {1, 11}, {3, 2}, {2, 9}}), "G(n=12, m=4: 1-11 2-3 2-9 10-12)"},
+		{removed, "G(n=5, m=4: 1-2 1-5 3-4 4-5)"},
+	} {
+		if got := c.g.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}
+
 func TestKeyDistinguishesGraphs(t *testing.T) {
 	seen := map[string]bool{}
 	count := 0
