@@ -5,7 +5,7 @@
 // and optionally CSV) aggregates per-cell outcome counts and round /
 // board-bit distributions, and is byte-identical for any worker count.
 // Specs with "mode": "exhaustive" enumerate every adversarial schedule per
-// cell (engine.RunAll) instead of sampling adversaries.
+// cell (engine.RunAllMemo) instead of sampling adversaries.
 //
 // Subcommands wire the persistent result store and the wbserve job API —
 // the CLI is one of three clients (with the Go SDK and HTTP) of the same

@@ -353,7 +353,8 @@ func TestFleetCLIEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("-metrics-out wrote nothing: %v", err)
 	}
-	for _, family := range []string{"wb_fabric_shards_in_flight", "wb_fabric_resubmissions_total", "wb_fabric_workers"} {
+	for _, family := range []string{"wb_fabric_shards_in_flight", "wb_fabric_resubmissions_total", "wb_fabric_workers",
+		"wb_fabric_cells_deduped_total"} {
 		if !strings.Contains(string(metrics), family) {
 			t.Errorf("metrics exposition lacks %s", family)
 		}

@@ -20,15 +20,15 @@
 // stream of per-cell results as they complete; Last-Event-ID resumes,
 // late subscribers replay, slow consumers are evicted rather than
 // stalling the sweep), GET /watch/{id} (embedded live-sweep page over
-// that stream), GET /api/v1/trace/{id} (span tree of a
-// job), GET /healthz, GET /metricsz (JSON), GET /metrics (Prometheus
-// text). Structured request and job logs go to stderr (-log-level,
-// -log-format), and -debug-addr serves net/http/pprof on a separate
-// listener. The process shuts down gracefully on SIGINT/SIGTERM,
-// draining in-flight requests and canceling in-flight campaign jobs
-// (their status reads "canceled", and no partial report touches the
-// store), then logs one structured summary line with the lifetime job
-// counts and the drain duration.
+// that stream), GET /api/v1/trace/{id} (span tree of a job), GET
+// /healthz, GET /metrics (every wb_* family, Prometheus text).
+// Structured request, job and store-failure logs go to stderr
+// (-log-level, -log-format; store failures at error level), and
+// -debug-addr serves net/http/pprof on a separate listener. The process
+// shuts down gracefully on SIGINT/SIGTERM, draining in-flight requests
+// and canceling in-flight campaign jobs (their status reads "canceled",
+// and no partial report touches the store), then logs one structured
+// summary line with the lifetime job counts and the drain duration.
 package main
 
 import (
@@ -54,10 +54,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		dirs       = flag.String("dir", ".wbstore", "comma-separated result store directories; the first receives ingested reports and job results")
-		cache      = flag.Int("cache", server.DefaultCacheSize, "rendered-diff LRU capacity (entries)")
 		readonly   = flag.Bool("readonly", false, "disable report ingest and campaign job submission")
 		jobWorkers = flag.Int("job-workers", 0, "campaign worker pool per submitted job; 0 = GOMAXPROCS")
-		quiet      = flag.Bool("quiet", false, "suppress per-error logging")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		logFormat  = flag.String("log-format", "text", "structured log format: text|json")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables it")
@@ -84,18 +82,10 @@ func main() {
 		}
 		stores = append(stores, st)
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "wbserve: "+format+"\n", args...)
-	}
-	if *quiet {
-		logf = nil
-	}
 	srv, err := server.New(server.Options{
 		Stores:     stores,
-		CacheSize:  *cache,
 		ReadOnly:   *readonly,
 		JobWorkers: *jobWorkers,
-		Logf:       logf,
 		Logger:     logger,
 	})
 	if err != nil {

@@ -83,8 +83,5 @@ else
 	echo "(jq not installed; raw span dump in $DIR/trace.json skipped)"
 fi
 
-echo "== request counters, cache hit rate and job counts =="
-curl -fsS "http://$ADDR/metricsz"
-
-echo "== the same registry, in Prometheus text form =="
-curl -fsS "http://$ADDR/metrics" | grep -E '^wb_(jobs|sse)'
+echo "== request, diff-cache, job and event-stream counters (Prometheus text) =="
+curl -fsS "http://$ADDR/metrics" | grep -E '^wb_(http_requests|diff_cache|jobs|sse)'

@@ -207,7 +207,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 				if i >= len(jobs) {
 					return
 				}
-				m.WorkerBusy(1)
 				jobStart := time.Now()
 				if spec.Exhaustive() {
 					results[i] = runExhaustiveJob(wctx, rng, spec, jobs[i], em)
@@ -216,7 +215,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 				}
 				results[i].start = jobStart
 				results[i].dur = time.Since(jobStart)
-				m.WorkerBusy(-1)
 				m.JobDone()
 				ran++
 				// The worker that retires a cell's last job sees every result

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -187,6 +189,49 @@ func TestErrorEnvelopeShuttingDown(t *testing.T) {
 	}
 	if got := decodeEnvelope(t, rec.Body.Bytes()); got.Code != ErrCodeShuttingDown {
 		t.Errorf("code %q, want %q", got.Code, ErrCodeShuttingDown)
+	}
+}
+
+// TestStoreFailureIsLogged pins the one log path: a stored envelope whose
+// cell block does not decode answers 500 "internal", and the failure
+// reaches Options.Logger as exactly one error-level record.
+func TestStoreFailureIsLogged(t *testing.T) {
+	var logs bytes.Buffer
+	f := newFixture(t, Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	path := filepath.Join(f.store.Dir(), f.e1.SpecHash, f.e1.Label+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc["cells_packed"], err = json.Marshal([]byte("not a cell block")); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := f.do(t, "GET", "/api/v1/reports/"+f.e1.Ref(), nil, nil)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("corrupt report: status %d, want 500\nbody: %s", rec.Code, rec.Body.Bytes())
+	}
+	if got := decodeEnvelope(t, rec.Body.Bytes()); got.Code != ErrCodeInternal {
+		t.Errorf("code %q, want %q", got.Code, ErrCodeInternal)
+	}
+	var errs []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "level=ERROR") {
+			errs = append(errs, line)
+		}
+	}
+	if len(errs) != 1 || !strings.Contains(errs[0], "cell codec") {
+		t.Errorf("want one error record naming the cell codec, got %d:\n%s", len(errs), logs.String())
 	}
 }
 

@@ -81,15 +81,6 @@ func (j *campaignJob) status() jobStatus {
 	return st
 }
 
-// jobMetrics is the jobs block of /metricsz.
-type jobMetrics struct {
-	Submitted int `json:"submitted"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Canceled  int `json:"canceled"`
-}
-
 // jobManager owns every submitted campaign job: an in-memory registry (a
 // server restart forgets jobs, but never their completed reports, which
 // land in the result store) plus the shared base context a graceful
@@ -97,10 +88,10 @@ type jobMetrics struct {
 type jobManager struct {
 	store   *resultstore.Store
 	workers int
-	// tel carries the monotonic lifetime counters for both metrics
-	// endpoints, independent of the pruned job registry: a scraper must
-	// never see "submitted" or "done" go backwards because old records
-	// aged out. Its campaign group is threaded into every sweep.
+	// tel carries the monotonic lifetime counters /metrics serves,
+	// independent of the pruned job registry: a scraper must never see
+	// "submitted" or "done" go backwards because old records aged out.
+	// Its campaign group is threaded into every sweep.
 	tel    *telemetry.Set
 	tracer *telemetry.Tracer
 	logger *slog.Logger
@@ -325,20 +316,6 @@ func (m *jobManager) list() []jobStatus {
 		out = append(out, j.status())
 	}
 	return out
-}
-
-// metrics reports the monotonic lifetime tallies straight from the shared
-// registry — the same cells /metrics exposes — so counters never move
-// backwards as records age out of the pruned registry.
-func (m *jobManager) metrics() jobMetrics {
-	submitted, done, failed, canceled := m.tel.Jobs.Counts()
-	return jobMetrics{
-		Submitted: int(submitted),
-		Running:   int(submitted - done - failed - canceled),
-		Done:      int(done),
-		Failed:    int(failed),
-		Canceled:  int(canceled),
-	}
 }
 
 // shutdown cancels every in-flight job and waits — bounded by ctx — for

@@ -97,7 +97,7 @@ func TestJobSubmitToCompletion(t *testing.T) {
 		t.Error("HTTP-job report differs from a local Run of the same spec")
 	}
 
-	// The job listing includes it; the metrics block counts it.
+	// The job listing includes it; the registry counts it.
 	list := f.do(t, "GET", "/api/v1/campaigns", nil, nil)
 	var jl struct {
 		Count int         `json:"count"`
@@ -116,15 +116,8 @@ func TestJobSubmitToCompletion(t *testing.T) {
 	if jl.Count != 1 {
 		t.Errorf("state=done filter found %d jobs", jl.Count)
 	}
-	var m struct {
-		Jobs jobMetrics `json:"jobs"`
-	}
-	met := f.do(t, "GET", "/metricsz", nil, nil)
-	if err := json.Unmarshal(met.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Jobs.Submitted != 1 || m.Jobs.Done != 1 {
-		t.Errorf("job metrics %+v, want 1 submitted / 1 done", m.Jobs)
+	if submitted, done := f.counter("wb_jobs_submitted_total"), f.counter("wb_jobs_done_total"); submitted != 1 || done != 1 {
+		t.Errorf("job counters %d submitted / %d done, want 1/1", submitted, done)
 	}
 }
 
@@ -267,15 +260,52 @@ func TestJobCancel(t *testing.T) {
 	if rec := f.do(t, "POST", "/api/v1/campaigns/"+st.ID+"/cancel", nil, nil); rec.Code != http.StatusConflict {
 		t.Errorf("cancel of canceled job: %d, want 409", rec.Code)
 	}
-	var m struct {
-		Jobs jobMetrics `json:"jobs"`
+	if n := f.counter("wb_jobs_canceled_total"); n != 1 {
+		t.Errorf("wb_jobs_canceled_total = %d, want 1", n)
 	}
-	met := f.do(t, "GET", "/metricsz", nil, nil)
-	if err := json.Unmarshal(met.Body.Bytes(), &m); err != nil {
+}
+
+// TestJobFailsWhenItsLabelIsTaken drives a job to "failed": its label is
+// free at submission, but a run saved under it while the sweep is held
+// makes the job's own Save lose the race. The job reports the taken label
+// and no ref, and the failure is counted.
+func TestJobFailsWhenItsLabelIsTaken(t *testing.T) {
+	f := newFixture(t, Options{JobWorkers: 1})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	f.srv.jobs.testHookCell = func(j *campaignJob, cr campaign.CellResult) {
+		if cr.Index == 0 {
+			close(entered)
+			<-release
+		}
+	}
+	spec := smokeSpec()
+	spec.Name = "raced"
+	rec := f.do(t, "POST", "/api/v1/campaigns?label=taken", nil, specBody(t, spec))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", rec.Code, rec.Body.String())
+	}
+	var st jobStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.Canceled != 1 {
-		t.Errorf("job metrics %+v, want 1 canceled", m.Jobs)
+	<-entered
+	if _, err := f.store.Save(runCampaign(t, spec), "taken"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	final := f.pollJob(t, st.ID)
+	if final.State != jobFailed {
+		t.Fatalf("final state %q, want failed", final.State)
+	}
+	if taken := st.SpecHash + "/taken"; !strings.Contains(final.Error, taken) {
+		t.Errorf("error %q does not name the taken label %s", final.Error, taken)
+	}
+	if final.Ref != "" || final.ReportURL != "" {
+		t.Errorf("failed job carries ref %q / %q", final.Ref, final.ReportURL)
+	}
+	if n := f.counter("wb_jobs_failed_total"); n != 1 {
+		t.Errorf("wb_jobs_failed_total = %d, want 1", n)
 	}
 }
 

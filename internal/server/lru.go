@@ -10,10 +10,8 @@ import (
 // lru is a fixed-capacity, concurrency-safe cache of rendered response
 // bodies. Keys are store key pairs plus a representation variant, and the
 // underlying runs are immutable, so entries never need invalidation — the
-// only eviction is capacity pressure, oldest-use first. Hit and miss
-// counters feed both metrics endpoints; newLRU starts with standalone
-// counters and the server swaps in its registry-backed pair so /metrics
-// and /metricsz read the same cells.
+// only eviction is capacity pressure, oldest-use first. Hits and misses
+// record into the counters it is built with (the registry's, in a Server).
 type lru struct {
 	mu    sync.Mutex
 	cap   int
@@ -29,13 +27,13 @@ type lruEntry struct {
 	body []byte
 }
 
-func newLRU(capacity int) *lru {
+func newLRU(capacity int, hits, misses *telemetry.Counter) *lru {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &lru{
 		cap: capacity, order: list.New(), byKey: make(map[string]*list.Element),
-		hits: new(telemetry.Counter), misses: new(telemetry.Counter),
+		hits: hits, misses: misses,
 	}
 }
 
@@ -76,9 +74,4 @@ func (c *lru) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// stats snapshots the counters for the metrics endpoint.
-func (c *lru) stats() (hits, misses int64, entries, capacity int) {
-	return c.hits.Value(), c.misses.Value(), c.len(), c.cap
 }

@@ -37,9 +37,12 @@
 //	                                        subscribers replay completed cells
 //	GET  /watch/{id}                        embedded live-sweep page over the stream
 //	POST /api/v1/campaigns/{id}/cancel      cancel a running job
+//	GET  /api/v1/trace/{id}                 span tree recorded while a job ran
 //	GET  /healthz                           liveness (cheap, no store scan)
-//	GET  /metricsz                          request counts, cache hit rate, store
-//	                                        sizes, job counts
+//	GET  /metrics                           every wb_* family, Prometheus text format
+//
+// A store failure that is not the client's answers 500 and is logged once,
+// at error level, through Options.Logger, next to the request and job logs.
 //
 // Reads are safe against stores being written concurrently by
 // `wbcampaign run -store`: listings are mutation-tolerant snapshots
@@ -63,33 +66,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultCacheSize bounds the rendered-diff LRU when Options leaves it 0.
-const DefaultCacheSize = 256
+// diffCacheSize bounds the rendered-diff LRU.
+const diffCacheSize = 256
 
 // Options configures a Server.
 type Options struct {
 	// Stores are the result stores to serve, merged into one namespace.
 	// Lookups try them in order; ingest writes to the first.
 	Stores []*resultstore.Store
-	// CacheSize is the rendered-diff LRU capacity; 0 means DefaultCacheSize.
-	CacheSize int
 	// ReadOnly disables the write routes: report ingest and campaign job
 	// submission both answer 403.
 	ReadOnly bool
 	// JobWorkers is the campaign worker-pool size for each submitted job;
 	// 0 means GOMAXPROCS. Reports are byte-identical at any value.
 	JobWorkers int
-	// Logf, when non-nil, receives one line per request error.
-	Logf func(format string, args ...any)
-	// Logger receives structured request and job logs; nil discards them.
+	// Logger receives structured request, job and store-failure logs; nil
+	// discards them.
 	Logger *slog.Logger
-	// Telemetry is the metrics set backing /metrics and /metricsz; nil
-	// gives the server its own private set.
-	Telemetry *telemetry.Set
-	// Tracer receives the span trees of submitted campaign jobs, served at
-	// /api/v1/trace/{id}; nil gives the server its own default-capacity
-	// ring.
-	Tracer *telemetry.Tracer
 }
 
 // Server is the HTTP facade over the stores. It is safe for concurrent
@@ -101,7 +94,6 @@ type Server struct {
 	tracer   *telemetry.Tracer
 	jobs     *jobManager
 	readOnly bool
-	logf     func(format string, args ...any)
 	logger   *slog.Logger
 	handler  http.Handler
 }
@@ -111,43 +103,26 @@ func New(opts Options) (*Server, error) {
 	if len(opts.Stores) == 0 {
 		return nil, fmt.Errorf("server: at least one result store is required")
 	}
-	size := opts.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	tel := opts.Telemetry
-	if tel == nil {
-		tel = telemetry.NewSet()
-	}
+	tel := telemetry.NewSet()
 	// Script compiles and evaluator steps record into this server's
 	// registry; the hook is process-global, matching the one-registry-
 	// per-process shape of every binary here.
 	scenario.SetMetrics(tel.Scenario)
-	tracer := opts.Tracer
-	if tracer == nil {
-		tracer = telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	}
+	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
+	hits, misses := tel.HTTP.CacheCounters()
 	s := &Server{
 		stores:   opts.Stores,
-		cache:    newLRU(size),
+		cache:    newLRU(diffCacheSize, hits, misses),
 		tel:      tel,
 		tracer:   tracer,
 		jobs:     newJobManager(opts.Stores[0], opts.JobWorkers, tel, tracer, logger),
 		readOnly: opts.ReadOnly,
-		logf:     logf,
 		logger:   logger,
 	}
-	// The diff LRU and the stores record straight into the shared registry,
-	// so /metrics and /metricsz can never disagree about the same event.
-	s.cache.hits, s.cache.misses = tel.HTTP.CacheCounters()
 	for _, st := range opts.Stores {
 		st.SetMetrics(tel.Store)
 	}
@@ -164,7 +139,6 @@ func New(opts Options) (*Server, error) {
 	mux.HandleFunc("GET /watch/{id}", s.handleWatch)
 	mux.HandleFunc("GET /api/v1/trace/{id}", s.handleTrace)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metricsz", s.handleMetrics)
 	mux.Handle("GET /metrics", s.tel.Registry.Handler())
 	// Method-less fallbacks: the catch-all "/" below would otherwise
 	// swallow wrong-method requests as 404s, hiding the Allow set.
@@ -178,7 +152,6 @@ func New(opts Options) (*Server, error) {
 	mux.Handle("/watch/{id}", s.methodNotAllowed("GET"))
 	mux.Handle("/api/v1/trace/{id}", s.methodNotAllowed("GET"))
 	mux.Handle("/healthz", s.methodNotAllowed("GET"))
-	mux.Handle("/metricsz", s.methodNotAllowed("GET"))
 	mux.Handle("/metrics", s.methodNotAllowed("GET"))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("no route %s %s", r.Method, r.URL.Path))
@@ -190,10 +163,9 @@ func New(opts Options) (*Server, error) {
 // Handler returns the service's root handler, ready for an http.Server.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Telemetry returns the metrics set the server records into — the one
-// passed in Options, or the private set New created. Embedders use it to
-// read counters (the wbserve shutdown summary) or to mount the registry
-// elsewhere.
+// Telemetry returns the metrics set the server records into, the one
+// New created and /metrics serves. Embedders use it to read counters
+// (the wbserve shutdown summary) or to mount the registry elsewhere.
 func (s *Server) Telemetry() *telemetry.Set { return s.tel }
 
 // Shutdown drains the server's asynchronous work: every in-flight
@@ -264,7 +236,7 @@ func (s *Server) storeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, resultstore.ErrLabelTaken):
 		s.error(w, http.StatusConflict, ErrCodeLabelTaken, err.Error())
 	default:
-		s.logf("server: %v", err)
+		s.logger.Error("store failure", "err", err)
 		s.error(w, http.StatusInternalServerError, ErrCodeInternal, err.Error())
 	}
 }
@@ -644,45 +616,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(data, '\n'))
 }
 
-// --- health and metrics ---
+// --- health ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"status": "ok", "stores": len(s.stores)})
-}
-
-// storeMetrics is one store's row in the metrics body.
-type storeMetrics struct {
-	Dir string `json:"dir"`
-	resultstore.Stats
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, entries, capacity := s.cache.stats()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	stores := make([]storeMetrics, 0, len(s.stores))
-	for _, st := range s.stores {
-		stat, err := st.Stat()
-		if err != nil {
-			s.storeError(w, err)
-			return
-		}
-		stores = append(stores, storeMetrics{Dir: st.Dir(), Stats: stat})
-	}
-	// Every number below reads the same registry cells Prometheus scrapes
-	// at /metrics; this JSON view only re-shapes them.
-	s.writeJSON(w, map[string]any{
-		"requests": s.tel.HTTP.RequestCounts(),
-		"diff_cache": map[string]any{
-			"hits": hits, "misses": misses,
-			"entries": entries, "capacity": capacity,
-			"hit_rate": rate,
-		},
-		"stores": stores,
-		"jobs":   s.jobs.metrics(),
-	})
 }
 
 // handleTrace serves the recorded span tree of a campaign job. Spans are

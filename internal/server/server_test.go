@@ -98,12 +98,16 @@ func (f *fixture) do(t *testing.T, method, target string, hdr map[string]string,
 	return rec
 }
 
+// counter reads an unlabeled counter family of the server's registry;
+// Registry.Counter returns the cell already registered under the name.
+func (f *fixture) counter(name string) int64 {
+	return f.srv.Telemetry().Registry.Counter(name, "").Value()
+}
+
 // walks counts the stores' freshness walks so far: each is an index hit
 // or at least one group rebuild.
 func (f *fixture) walks() int64 {
-	reg := f.srv.Telemetry().Registry
-	return reg.Counter("wb_store_index_hits_total", "").Value() +
-		reg.Counter("wb_store_index_rebuilds_total", "").Value()
+	return f.counter("wb_store_index_hits_total") + f.counter("wb_store_index_rebuilds_total")
 }
 
 // TestRoutes is the table-driven pass over every route: status codes,
@@ -119,6 +123,7 @@ func TestRoutes(t *testing.T) {
 		wantStatus int
 		wantCT     string // Content-Type prefix, "" = don't check
 		wantBody   string // substring, "" = don't check
+		wantAllow  string // Allow header, "" = don't check
 	}{
 		{name: "list all", method: "GET", target: "/api/v1/reports",
 			wantStatus: 200, wantCT: "application/json", wantBody: `"count": 3`},
@@ -170,8 +175,12 @@ func TestRoutes(t *testing.T) {
 			wantStatus: 404, wantBody: "error"},
 		{name: "health", method: "GET", target: "/healthz",
 			wantStatus: 200, wantCT: "application/json", wantBody: `"status": "ok"`},
-		{name: "metrics", method: "GET", target: "/metricsz",
-			wantStatus: 200, wantCT: "application/json", wantBody: `"diff_cache"`},
+		{name: "metrics", method: "GET", target: "/metrics",
+			wantStatus: 200, wantCT: "text/plain", wantBody: "wb_diff_cache_hits_total"},
+		{name: "metrics wrong method", method: "DELETE", target: "/metrics",
+			wantStatus: 405, wantAllow: "GET"},
+		{name: "no json metrics view", method: "GET", target: "/metricsz",
+			wantStatus: 404, wantBody: `"not_found"`},
 		{name: "unknown route", method: "GET", target: "/api/v1/nothing",
 			wantStatus: 404, wantBody: "no route"},
 		{name: "method not allowed", method: "DELETE", target: "/api/v1/reports",
@@ -193,6 +202,9 @@ func TestRoutes(t *testing.T) {
 			}
 			if tc.wantBody != "" && !strings.Contains(rec.Body.String(), tc.wantBody) {
 				t.Errorf("body does not contain %q:\n%s", tc.wantBody, rec.Body.String())
+			}
+			if tc.wantAllow != "" && rec.Header().Get("Allow") != tc.wantAllow {
+				t.Errorf("Allow = %q, want %q", rec.Header().Get("Allow"), tc.wantAllow)
 			}
 		})
 	}
@@ -273,7 +285,7 @@ func TestDiffCacheAndETag(t *testing.T) {
 	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
 		t.Error("cached diff body differs from the computed one")
 	}
-	if hits, misses, _, _ := f.srv.cache.stats(); hits != 1 || misses != 1 {
+	if hits, misses := f.counter("wb_diff_cache_hits_total"), f.counter("wb_diff_cache_misses_total"); hits != 1 || misses != 1 {
 		t.Errorf("cache counters hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	etag := first.Header().Get("ETag")
@@ -417,40 +429,6 @@ func TestMultiStore(t *testing.T) {
 	}
 	if _, err := st2.GetEntry(e1.SpecHash, "pushed"); err == nil {
 		t.Error("ingest leaked into the secondary store")
-	}
-}
-
-// TestMetricsBody sanity-checks the metrics payload shape and that the
-// request counter saw traffic.
-func TestMetricsBody(t *testing.T) {
-	f := newFixture(t, Options{})
-	f.do(t, "GET", "/api/v1/diff", nil, nil)
-	f.do(t, "GET", "/api/v1/diff", nil, nil)
-	rec := f.do(t, "GET", "/metricsz", nil, nil)
-	var m struct {
-		Requests  map[string]int64 `json:"requests"`
-		DiffCache struct {
-			Hits    int64   `json:"hits"`
-			Misses  int64   `json:"misses"`
-			HitRate float64 `json:"hit_rate"`
-		} `json:"diff_cache"`
-		Stores []struct {
-			Dir     string `json:"dir"`
-			Reports int    `json:"reports"`
-			Bytes   int64  `json:"bytes"`
-		} `json:"stores"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Requests["GET /api/v1/diff"] != 2 {
-		t.Errorf("diff request count = %d, want 2", m.Requests["GET /api/v1/diff"])
-	}
-	if m.DiffCache.Hits != 1 || m.DiffCache.Misses != 1 || m.DiffCache.HitRate != 0.5 {
-		t.Errorf("cache stats %+v, want 1 hit / 1 miss / 0.5", m.DiffCache)
-	}
-	if len(m.Stores) != 1 || m.Stores[0].Reports != 3 || m.Stores[0].Bytes == 0 {
-		t.Errorf("store stats %+v, want 3 reports with nonzero bytes", m.Stores)
 	}
 }
 

@@ -152,7 +152,11 @@ func TestHubEvictsStalledSubscriber(t *testing.T) {
 	if _, ok := <-stalled.ch; ok {
 		t.Fatal("stalled subscriber's channel was not closed on eviction")
 	}
-	subscribers, events, dropped, evicted := tel.SSE.Counts()
+	reg := tel.Registry
+	subscribers := reg.Gauge("wb_sse_subscribers", "").Value()
+	events := reg.Counter("wb_sse_events_total", "").Value()
+	dropped := reg.Counter("wb_sse_dropped_events_total", "").Value()
+	evicted := reg.Counter("wb_sse_evicted_subscribers_total", "").Value()
 	if subscribers != 1 || events != int64(subscriberBuffer)+1 || dropped != 1 || evicted != 1 {
 		t.Errorf("SSE counts = %d subscribed / %d events / %d dropped / %d evicted, want 1/%d/1/1",
 			subscribers, events, dropped, evicted, subscriberBuffer+1)

@@ -41,20 +41,6 @@ func TestPrometheusEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-
-	// /metricsz reads the same registry cells: the two views must agree.
-	var m struct {
-		Requests  map[string]int64 `json:"requests"`
-		DiffCache struct {
-			Hits int64 `json:"hits"`
-		} `json:"diff_cache"`
-	}
-	if err := json.Unmarshal(f.do(t, "GET", "/metricsz", nil, nil).Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Requests["GET /api/v1/diff"] != 2 || m.DiffCache.Hits != 1 {
-		t.Errorf("/metricsz disagrees with /metrics: %+v", m)
-	}
 }
 
 // TestRequestID pins the middleware's ID plumbing: every response carries

@@ -268,26 +268,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.getOrCreate(values).counter
 }
 
-// Snapshot copies the current per-child values, keyed by the first label
-// value (multi-label children join values with "/"). It backs JSON views
-// like /metricsz that predate the registry.
-func (v *CounterVec) Snapshot() map[string]int64 {
-	if v == nil {
-		return nil
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	out := make(map[string]int64, len(v.f.children))
-	for _, c := range v.f.children {
-		key := c.labelValues[0]
-		for _, lv := range c.labelValues[1:] {
-			key += "/" + lv
-		}
-		out[key] = c.counter.Value()
-	}
-	return out
-}
-
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 

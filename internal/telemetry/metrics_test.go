@@ -30,13 +30,26 @@ func TestExpositionGolden(t *testing.T) {
 	hv.With("load").Observe(0.25)
 	hv.With("save").Observe(5)
 
+	checkGolden(t, r, "exposition.golden")
+}
+
+// TestNewSetGolden pins the zero-value exposition of a fresh NewSet: every
+// family the stack registers, with its help text and type, so adding or
+// removing one shows up as a reviewed golden diff.
+func TestNewSetGolden(t *testing.T) {
+	checkGolden(t, NewSet().Registry, "newset.golden")
+}
+
+// checkGolden compares r's exposition with testdata/name byte for byte,
+// rewriting the file first under -update.
+func checkGolden(t *testing.T, r *Registry, name string) {
+	t.Helper()
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
-
-	golden := filepath.Join("testdata", "exposition.golden")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -50,7 +63,7 @@ func TestExpositionGolden(t *testing.T) {
 		t.Fatalf("%v (regenerate with go test ./internal/telemetry -update)", err)
 	}
 	if got != string(want) {
-		t.Errorf("exposition drifted from golden (regenerate with -update if intended):\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("exposition drifted from %s (regenerate with -update if intended):\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 
@@ -100,12 +113,8 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 	}
 	Nop.HTTP.Request("GET /x", 0.1)
 	Nop.HTTP.InFlightAdd(1)
-	if got := Nop.HTTP.RequestCounts(); len(got) != 0 {
-		t.Errorf("Nop request counts = %v", got)
-	}
 	Nop.Engine.RunDone(10)
 	Nop.Engine.ExhaustiveDone(1, 2, 3, 4)
-	Nop.Campaign.WorkerBusy(1)
 	Nop.Campaign.JobDone()
 	Nop.Campaign.CellDone(0.5)
 	if Nop.Campaign.EngineMetrics() != nil {
@@ -204,8 +213,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := h.Count(); got != goroutines*iters {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*iters)
 	}
-	if got := cv.Snapshot(); got["a"] != goroutines*iters || got["b"] != 2*goroutines*iters {
-		t.Errorf("vec snapshot = %v", got)
+	if a, b := cv.With("a").Value(), cv.With("b").Value(); a != goroutines*iters || b != 2*goroutines*iters {
+		t.Errorf("vec children a=%d b=%d, want %d and %d", a, b, goroutines*iters, 2*goroutines*iters)
 	}
 	if got := hv.With("x").Count(); got != goroutines*iters {
 		t.Errorf("labeled histogram count = %d, want %d", got, goroutines*iters)

@@ -59,7 +59,6 @@ func NewSet() *Set {
 			Engine:      engine,
 			jobs:        r.Counter("wb_campaign_jobs_total", "Campaign jobs (trials) completed."),
 			cellSeconds: r.Histogram("wb_campaign_cell_seconds", "Per-cell wall time in seconds (sum of the cell's job durations).", DefCellBounds),
-			workersBusy: r.Gauge("wb_campaign_workers_busy", "Campaign worker goroutines currently executing a job."),
 		},
 		Store: &StoreMetrics{
 			ingests:       r.Counter("wb_store_ingests_total", "Reports saved into the result store."),
@@ -122,16 +121,6 @@ func (m *HTTPMetrics) InFlightAdd(delta int64) {
 	m.inFlight.Add(delta)
 }
 
-// RequestCounts snapshots per-route request totals for the JSON metrics
-// view — the same numbers the registry exposes, same keys as the
-// pre-registry /metricsz.
-func (m *HTTPMetrics) RequestCounts() map[string]int64 {
-	if m == nil {
-		return map[string]int64{}
-	}
-	return m.requests.Snapshot()
-}
-
 // CacheCounters hands out the diff-LRU hit/miss counters so the cache
 // records straight into the registry.
 func (m *HTTPMetrics) CacheCounters() (hits, misses *Counter) {
@@ -176,21 +165,12 @@ func (m *EngineMetrics) ExhaustiveDone(steps, classes, memoHits, multAdds int) {
 	m.multAdds.Add(int64(multAdds))
 }
 
-// Steps returns the lifetime simulated-write total (tests and views).
-func (m *EngineMetrics) Steps() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.steps.Value()
-}
-
 // CampaignMetrics instruments campaign sweeps. Engine points at the
 // engine group so one Options field carries the whole chain downward.
 type CampaignMetrics struct {
 	Engine      *EngineMetrics
 	jobs        *Counter
 	cellSeconds *Histogram
-	workersBusy *Gauge
 }
 
 // EngineMetrics returns the engine group, nil-safely.
@@ -199,14 +179,6 @@ func (m *CampaignMetrics) EngineMetrics() *EngineMetrics {
 		return nil
 	}
 	return m.Engine
-}
-
-// WorkerBusy shifts the busy-worker gauge (+1 entering a job, -1 leaving).
-func (m *CampaignMetrics) WorkerBusy(delta int64) {
-	if m == nil {
-		return
-	}
-	m.workersBusy.Add(delta)
 }
 
 // JobDone records one completed job (trial).
@@ -336,15 +308,6 @@ func (m *SSEMetrics) Evicted() {
 	m.evicted.Inc()
 }
 
-// Counts snapshots the fan-out tallies (subscribers currently attached,
-// events published, events dropped, subscribers evicted).
-func (m *SSEMetrics) Counts() (subscribers, events, dropped, evicted int64) {
-	if m == nil {
-		return 0, 0, 0, 0
-	}
-	return m.subscribers.Value(), m.events.Value(), m.dropped.Value(), m.evicted.Value()
-}
-
 // FabricMetrics instruments the distributed campaign coordinator: shard
 // flow, re-submission pressure, worker health and duplicate cells.
 type FabricMetrics struct {
@@ -425,14 +388,6 @@ func (m *ScenarioMetrics) EvalSteps(n int64) {
 		return
 	}
 	m.evalSteps.Add(n)
-}
-
-// Counts snapshots the lifetime tallies (compiles, eval steps).
-func (m *ScenarioMetrics) Counts() (compiles, evalSteps int64) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.compiles.Value(), m.evalSteps.Value()
 }
 
 // JobMetrics instruments the HTTP job API's lifetime counters. Monotonic
