@@ -104,15 +104,17 @@ func TestMemoVisitErrorStopsAtPinnedTerminal(t *testing.T) {
 // and on one that never collapses (build-forest on P6, SIMASYNC). A walk
 // that clones each successor's state and board before keying it makes
 // 21.7 and 20.6 allocations per class; building successors in scratch and
-// materializing only new classes cuts that to 12.6 and 14.8.
+// materializing only new classes cut that to 12.6 and 14.8, and sharing
+// board prefixes, keying by parent rank and taking classes from slabs to
+// 4.2 and 9.5.
 func TestMemoAllocsPerClass(t *testing.T) {
 	for _, c := range []struct {
 		proto, graph string
 		n            int
 		bound        float64
 	}{
-		{"mis", "cycle", 7, 16},
-		{"build-forest", "path", 6, 17},
+		{"mis", "cycle", 7, 5},
+		{"build-forest", "path", 6, 11},
 	} {
 		p, g := registeredInstance(t, c.proto, c.graph, c.n)
 		var stats MemoStats

@@ -2,13 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/big"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/protocols/mis"
@@ -235,6 +239,24 @@ func TestRunAllMemoPropagatesVisitError(t *testing.T) {
 	}
 }
 
+// appendConfigKey appends an injective encoding of a configuration — the
+// ordered board, the per-node states, and (for asynchronous models, where
+// messages freeze at activation) the pending message of every active node —
+// to buf and returns the extended slice. Every variable-length component is
+// length-prefixed, so distinct configurations can never encode alike; the
+// board's human-oriented Key() has no such guarantee (a message whose data
+// embeds the separator can mimic two messages), which is why the memoizer
+// must not use it. It is the reference RunAllMemo's compact successor keys
+// (appendSuccessorKey) must sort and collide like.
+func appendConfigKey(buf []byte, board *core.Board, st *state, includePending bool) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(st.state)-1))
+	buf = binary.AppendUvarint(buf, uint64(board.Len()))
+	for i := 0; i < board.Len(); i++ {
+		buf = appendMessage(buf, board.At(i))
+	}
+	return appendStates(buf, st, includePending)
+}
+
 // TestConfigKeyDistinguishesBoardKeyAmbiguity documents why the memoizer
 // must not key on Board.Key(): a message whose data embeds the rendered
 // separator can mimic a two-message board. The length-prefixed config key
@@ -355,17 +377,27 @@ func equalFuzzConfigs(a, b fuzzConfig, pending bool) bool {
 	return true
 }
 
+// configKeySeeds are FuzzConfigKey's seeds: an equal pair (all-zero
+// decode), a permuted-board pair, a flipped-state pair, and a pending-only
+// difference.
+var configKeySeeds = []struct {
+	pending bool
+	data    []byte
+}{
+	{true, []byte{}},
+	{true, []byte{2, 8, 1, 0xAA, 8, 1, 0xBB, 1, 0, 0, 1, 0, 0, 2, 8, 1, 0xBB, 8, 1, 0xAA, 1, 0, 0, 1, 0, 0}},
+	{false, []byte{0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0}},
+	{true, []byte{0, 1, 4, 1, 0x10, 1, 0, 0, 0, 1, 4, 1, 0x20, 1, 0, 0}},
+}
+
 // FuzzConfigKey checks the canonical key's two defining properties on
 // arbitrary configuration pairs: distinct configurations (including boards
 // that are mere permutations of one another) never collide, and equal
 // configurations — however they were assembled — always do.
 func FuzzConfigKey(f *testing.F) {
-	// Equal pair (all-zero decode), a permuted-board pair, a flipped-state
-	// pair, and a pending-only difference.
-	f.Add(true, []byte{})
-	f.Add(true, []byte{2, 8, 1, 0xAA, 8, 1, 0xBB, 1, 0, 0, 1, 0, 0, 2, 8, 1, 0xBB, 8, 1, 0xAA, 1, 0, 0, 1, 0, 0})
-	f.Add(false, []byte{0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0})
-	f.Add(true, []byte{0, 1, 4, 1, 0x10, 1, 0, 0, 0, 1, 4, 1, 0x20, 1, 0, 0})
+	for _, s := range configKeySeeds {
+		f.Add(s.pending, s.data)
+	}
 	f.Fuzz(func(t *testing.T, pending bool, data []byte) {
 		r := &fuzzReader{data: data}
 		n := int(r.byte())%5 + 1
@@ -382,4 +414,180 @@ func FuzzConfigKey(f *testing.F) {
 			t.Fatalf("distinct configurations collided on key %x", keyA)
 		}
 	})
+}
+
+// withLen returns b cut, or padded with empty messages, to k messages.
+func withLen(b *core.Board, k int) *core.Board {
+	if b.Len() >= k {
+		return b.Truncate(k)
+	}
+	b = b.Clone()
+	for b.Len() < k {
+		b.Append(core.Message{})
+	}
+	return b
+}
+
+// FuzzMemoSuccessorKey checks RunAllMemo's compact successor keys against
+// the full encodings: on two successor configurations whose boards have one
+// length, the compact keys must compare (and so collide) exactly as the
+// full keys do. The parents' boards (all but the last message) are ranked
+// as rankBoards ranks a sorted level, densely in the order of their full
+// encodings, from a fuzzed base so that the ranks' width crosses byte
+// boundaries.
+func FuzzMemoSuccessorKey(f *testing.F) {
+	for _, s := range configKeySeeds {
+		f.Add(s.pending, s.data)
+	}
+	// Equal parents under different last messages, then under one last
+	// message with a pending-only difference, then last messages with one
+	// data byte but different bit counts; the last two rank from a base
+	// that takes two and three bytes. Then different parents ranked 0xFF
+	// and 0x100.
+	f.Add(false, []byte{0, 2, 8, 1, 0xAA, 8, 1, 0xBB, 1, 0, 0, 2, 8, 1, 0xAA, 8, 1, 0xBC, 1, 0, 0})
+	f.Add(true, []byte{0, 1, 8, 1, 0xAA, 1, 4, 1, 0x10, 1, 8, 1, 0xAA, 1, 4, 1, 0x20, 0, 0xFF, 0xFF})
+	f.Add(false, []byte{1, 2, 8, 1, 0x01, 3, 1, 0xE0, 2, 0, 0, 0, 0, 0, 2, 8, 1, 0x01, 4, 1, 0xE0, 2, 0, 0, 0, 0, 0, 1, 0, 0})
+	f.Add(false, []byte{1, 2, 8, 1, 0x02, 3, 1, 0xE0, 2, 0, 0, 0, 0, 0, 2, 8, 1, 0x01, 3, 1, 0xE0, 2, 0, 0, 0, 0, 0, 0, 0, 0xFF})
+	f.Fuzz(func(t *testing.T, pending bool, data []byte) {
+		r := &fuzzReader{data: data}
+		n := int(r.byte())%5 + 1
+		a, b := parseFuzzConfig(r, n), parseFuzzConfig(r, n)
+		k := max(1, min(a.board.Len(), b.board.Len()))
+		a.board, b.board = withLen(a.board, k), withLen(b.board, k)
+		base := uint64(r.byte())<<16 | uint64(r.byte())<<8 | uint64(r.byte())
+
+		// A board's full encoding is a configuration key without nodes.
+		parent := func(c fuzzConfig) string {
+			return string(appendConfigKey(nil, c.board.Truncate(k-1), newState(0), false))
+		}
+		parents := []string{parent(a), parent(b)}
+		slices.Sort(parents)
+		parents = slices.Compact(parents)
+		rank := func(c fuzzConfig) uint64 { return base + uint64(slices.Index(parents, parent(c))) }
+		width := 0
+		for last := base + uint64(len(parents)-1); last>>(8*width) != 0; {
+			width++
+		}
+
+		fullA := appendConfigKey(nil, a.board, a.st, pending)
+		fullB := appendConfigKey(nil, b.board, b.st, pending)
+		keyA := appendSuccessorKey(nil, rank(a), width, a.board.Last(), a.st, pending)
+		keyB := appendSuccessorKey(nil, rank(b), width, b.board.Last(), b.st, pending)
+		if got, want := bytes.Compare(keyA, keyB), bytes.Compare(fullA, fullB); got != want {
+			t.Fatalf("compact keys compare %d, full keys %d:\ncompact %x\n        %x\nfull    %x\n        %x",
+				got, want, keyA, keyB, fullA, fullB)
+		}
+	})
+}
+
+// firstWriterGate is an ASYNC id-echo in which nodes n−1 and n activate
+// only once node 1 has written first. A schedule that starts with another
+// writer deadlocks two writes short, so terminal classes sit at two depths
+// and the walk goes on making classes after visiting the shallower ones.
+type firstWriterGate struct{ idEcho }
+
+func (firstWriterGate) Model() core.Model { return core.Async }
+
+func (firstWriterGate) Activate(v core.NodeView, b *core.Board) bool {
+	if v.ID < v.N-1 {
+		return true
+	}
+	if b.Empty() {
+		return false
+	}
+	first, err := bitio.NewReader(b.At(0).Data, b.At(0).Bits).ReadUint(bitio.WidthID(v.N))
+	return err == nil && first == 1
+}
+
+// TestMemoResultsOutliveVisit keeps every Result and multiplicity visit
+// receives and reads each again once every walk has returned: its board,
+// status, output and multiplicity must be what visit saw. It fails if a
+// terminal is handed the board the walk rebuilds for later classes, or if
+// the slab memory a multiplicity lives in is recycled, within a walk (the
+// gated walk visits deadlocks before it makes its last classes) or across
+// walks.
+func TestMemoResultsOutliveVisit(t *testing.T) {
+	mis6, cycle6 := registeredInstance(t, "mis", "cycle", 6)
+	forest5, path5 := registeredInstance(t, "build-forest", "path", 5)
+	snapshot := func(res *core.Result, mult *big.Int) string {
+		var sb strings.Builder
+		for i := 0; i < res.Board.Len(); i++ {
+			fmt.Fprintf(&sb, "%d:%x ", res.Board.At(i).Bits, res.Board.At(i).Data)
+		}
+		fmt.Fprintf(&sb, "%v %v ×%s", res.Status, res.Output, mult)
+		return sb.String()
+	}
+	type kept struct {
+		walk string
+		res  *core.Result
+		mult *big.Int
+		seen string
+	}
+	var all []kept
+	for _, c := range []struct {
+		name string
+		p    core.Protocol
+		g    *graph.Graph
+	}{
+		{"mis/C6", mis6, cycle6},
+		{"build-forest/P5", forest5, path5},
+		{"first-writer-gate/P6", firstWriterGate{}, graph.Path(6)},
+	} {
+		terminals := 0
+		if _, err := RunAllMemo(c.p, c.g, Options{}, 1<<22, func(res *core.Result, mult *big.Int) error {
+			terminals++
+			all = append(all, kept{c.name, res, mult, snapshot(res, mult)})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if terminals < 2 {
+			t.Fatalf("%s: %d terminal classes, want several", c.name, terminals)
+		}
+	}
+	for i, k := range all {
+		if now := snapshot(k.res, k.mult); now != k.seen {
+			t.Errorf("%s: terminal %d changed after visit:\nsaw %s\nnow %s", k.walk, i, k.seen, now)
+		}
+	}
+}
+
+// composeLog wraps a protocol and counts its Compose calls by board and
+// writer.
+type composeLog struct {
+	core.Protocol
+	calls map[string]int
+}
+
+func (l *composeLog) Compose(v core.NodeView, b *core.Board) core.Message {
+	var key []byte
+	for i := 0; i < b.Len(); i++ {
+		key = appendMessage(key, b.At(i))
+	}
+	l.calls[fmt.Sprintf("%x/%d", key, v.ID)]++
+	return l.Protocol.Compose(v, b)
+}
+
+// TestMemoComposesOncePerBoard checks that in a synchronous model the
+// classes on one board share each writer's composed message: on mis/C7
+// (SIMSYNC) no (board, writer) pair is composed twice, so there are fewer
+// Compose calls than simulated writes.
+func TestMemoComposesOncePerBoard(t *testing.T) {
+	p, g := registeredInstance(t, "mis", "cycle", 7)
+	log := &composeLog{Protocol: p, calls: map[string]int{}}
+	stats, err := RunAllMemo(log, g, Options{}, 1<<22, func(*core.Result, *big.Int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for pair, k := range log.calls {
+		total += k
+		if k > 1 {
+			t.Errorf("board/writer %s composed %d times", pair, k)
+		}
+	}
+	t.Logf("%d composes for %d steps over %d classes", total, stats.Steps, stats.Classes)
+	if total >= stats.Steps {
+		t.Errorf("%d composes for %d steps: classes on one board do not share them", total, stats.Steps)
+	}
 }

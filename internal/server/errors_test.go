@@ -194,7 +194,8 @@ func TestErrorEnvelopeShuttingDown(t *testing.T) {
 
 // TestStoreFailureIsLogged pins the one log path: a stored envelope whose
 // cell block does not decode answers 500 "internal", and the failure
-// reaches Options.Logger as exactly one error-level record.
+// reaches Options.Logger as exactly one error-level record. The body names
+// neither the store's directory nor its files: only the log does.
 func TestStoreFailureIsLogged(t *testing.T) {
 	var logs bytes.Buffer
 	f := newFixture(t, Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
@@ -223,6 +224,11 @@ func TestStoreFailureIsLogged(t *testing.T) {
 	}
 	if got := decodeEnvelope(t, rec.Body.Bytes()); got.Code != ErrCodeInternal {
 		t.Errorf("code %q, want %q", got.Code, ErrCodeInternal)
+	}
+	for _, leak := range []string{f.store.Dir(), f.e1.SpecHash, "cell codec"} {
+		if strings.Contains(rec.Body.String(), leak) {
+			t.Errorf("500 body names %q: %s", leak, rec.Body.Bytes())
+		}
 	}
 	var errs []string
 	for _, line := range strings.Split(logs.String(), "\n") {

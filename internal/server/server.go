@@ -224,7 +224,9 @@ func (s *Server) error(w http.ResponseWriter, status int, code, msg string) {
 }
 
 // storeError maps a store failure to a status and envelope code via the
-// resultstore sentinels, logging the ones that indicate real trouble.
+// resultstore sentinels, logging the ones that indicate real trouble. A
+// 500 answers with a fixed message: the store's error names its
+// directory and files, which only the error-level log record keeps.
 func (s *Server) storeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, resultstore.ErrNotFound):
@@ -237,7 +239,7 @@ func (s *Server) storeError(w http.ResponseWriter, err error) {
 		s.error(w, http.StatusConflict, ErrCodeLabelTaken, err.Error())
 	default:
 		s.logger.Error("store failure", "err", err)
-		s.error(w, http.StatusInternalServerError, ErrCodeInternal, err.Error())
+		s.error(w, http.StatusInternalServerError, ErrCodeInternal, "store failure; see the server log")
 	}
 }
 
