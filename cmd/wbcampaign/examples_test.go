@@ -21,7 +21,8 @@ import (
 // sha256sum's format, one "<digest>  <spec>/report.<json|csv>" line per
 // report. A mismatch logs the computed table, so a change that means to
 // alter what an example computes regenerates the file from that log and
-// says so. Under -short the two slow specs, sweep and fleet, are skipped.
+// says so. Under -short the three slow specs, sweep, fleet and
+// exhaustive-c11, are skipped.
 func TestExampleReportsUnchanged(t *testing.T) {
 	want := readDigests(t, filepath.Join("testdata", "example_reports.sha256"))
 	specs, err := filepath.Glob(filepath.Join("..", "..", "examples", "campaigns", "*.json"))
@@ -33,7 +34,7 @@ func TestExampleReportsUnchanged(t *testing.T) {
 	for _, path := range specs {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		t.Run(name, func(t *testing.T) {
-			if testing.Short() && (name == "sweep" || name == "fleet") {
+			if testing.Short() && (name == "sweep" || name == "fleet" || name == "exhaustive-c11") {
 				t.Skip("slow example; the full test job runs it")
 			}
 			spec, err := campaign.LoadSpec(path)

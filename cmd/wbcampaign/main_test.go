@@ -239,6 +239,7 @@ func TestSDKCLIHTTPEquivalence(t *testing.T) {
 func TestExhaustiveSpecHashesUnchanged(t *testing.T) {
 	for file, want := range map[string]string{
 		"exhaustive-c10.json":  "fa1b4d52707f",
+		"exhaustive-c11.json":  "e44cc622df68",
 		"exhaustive-deep.json": "facc841c577d",
 		"exhaustive.json":      "5504d8966058",
 		"sweep.json":           "839abf369179",

@@ -52,15 +52,46 @@ func registeredInstance(t testing.TB, pname, gname string, n int) (core.Protocol
 	return p, g
 }
 
+// checkMemoMatchesNaive runs the naive and memoized exhaustive walks of p
+// on g under model and reports every way they differ: outputs and their
+// schedule counts, deadlock and failure tallies, and a naive step count
+// that the memoized walk does not account for exactly as Steps +
+// StepsSaved. A walk that fails must fail alike under both. It returns the
+// memoized walk's Spectrum and error.
+func checkMemoMatchesNaive(t *testing.T, coord string, p core.Protocol, g *graph.Graph, model *core.Model) (*Spectrum, error) {
+	t.Helper()
+	naive, errN := treeWalkSpectrum(p, g, Options{Model: model}, 1<<20)
+	memo, errM := OutputSpectrum(p, g, Options{Model: model}, 1<<20)
+	if (errN != nil) != (errM != nil) {
+		t.Errorf("%s: naive err %v, memoized err %v", coord, errN, errM)
+	}
+	if errN != nil || errM != nil {
+		return memo, errM
+	}
+	if naive.Schedules != memo.Schedules {
+		t.Errorf("%s: schedules %d vs %d", coord, naive.Schedules, memo.Schedules)
+	}
+	if naive.Deadlocks != memo.Deadlocks || naive.Failures != memo.Failures {
+		t.Errorf("%s: deadlocks/failures %d/%d vs %d/%d", coord,
+			naive.Deadlocks, naive.Failures, memo.Deadlocks, memo.Failures)
+	}
+	if !reflect.DeepEqual(naive.Outputs, memo.Outputs) {
+		t.Errorf("%s: outputs %v vs %v", coord, naive.Outputs, memo.Outputs)
+	}
+	if naive.Steps != memo.Steps+memo.StepsSaved {
+		t.Errorf("%s: naive %d steps, memoized %d + %d saved", coord,
+			naive.Steps, memo.Steps, memo.StepsSaved)
+	}
+	return memo, nil
+}
+
 // TestMemoizedMatchesNaiveAllRegistered is the differential property test
 // behind the memoized default: for every registered protocol on every
 // path/cycle/complete graph with n ≤ 5, under the protocol's native model
 // and forced under each of the four models, the memoized and naive
-// exhaustive walks must agree byte-for-byte — same outputs with the same
-// schedule counts, same deadlock and failure tallies, and a naive step
-// count that the memoized walk accounts for exactly as Steps + StepsSaved.
-// Model violations (e.g. forcing a SYNC protocol under SIMASYNC
-// activation) must abort both walks alike.
+// exhaustive walks must agree byte-for-byte (checkMemoMatchesNaive). Model
+// violations (e.g. forcing a SYNC protocol under SIMASYNC activation) must
+// abort both walks alike.
 func TestMemoizedMatchesNaiveAllRegistered(t *testing.T) {
 	graphs := []string{"path", "cycle", "complete"}
 	models := []string{"native", "SIMASYNC", "SIMSYNC", "ASYNC", "SYNC"}
@@ -77,31 +108,36 @@ func TestMemoizedMatchesNaiveAllRegistered(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					coord := fmt.Sprintf("%s/%s n=%d %s", spec, gname, n, mname)
-					naive, errN := treeWalkSpectrum(proto, g, Options{Model: model}, 1<<20)
-					memo, errM := OutputSpectrum(proto, g, Options{Model: model}, 1<<20)
-					if (errN != nil) != (errM != nil) {
-						t.Errorf("%s: naive err %v, memoized err %v", coord, errN, errM)
-						continue
-					}
-					if errN != nil {
-						continue
-					}
-					if naive.Schedules != memo.Schedules {
-						t.Errorf("%s: schedules %d vs %d", coord, naive.Schedules, memo.Schedules)
-					}
-					if naive.Deadlocks != memo.Deadlocks || naive.Failures != memo.Failures {
-						t.Errorf("%s: deadlocks/failures %d/%d vs %d/%d", coord,
-							naive.Deadlocks, naive.Failures, memo.Deadlocks, memo.Failures)
-					}
-					if !reflect.DeepEqual(naive.Outputs, memo.Outputs) {
-						t.Errorf("%s: outputs %v vs %v", coord, naive.Outputs, memo.Outputs)
-					}
-					if naive.Steps != memo.Steps+memo.StepsSaved {
-						t.Errorf("%s: naive %d steps, memoized %d + %d saved", coord,
-							naive.Steps, memo.Steps, memo.StepsSaved)
-					}
+					checkMemoMatchesNaive(t, fmt.Sprintf("%s/%s n=%d %s", spec, gname, n, mname), proto, g, model)
 				}
+			}
+		}
+	}
+}
+
+// TestMemoMatchesNaiveOnCrowdedBoards runs the memo == naive oracle where
+// a parent board's successors crowd onto one child board: mis on K7 and K8
+// puts 20 and 35 classes on one child board, where the n ≤ 5 instances
+// above put at most 6, so the memoized walk's lookup within a group meets
+// many keys that share their message. Forced ASYNC also keys the pending
+// messages. The naive walks take 13,699 and 109,600 writes. Tallies stay
+// exact even when a lookup misses a known class, so the DAG's class and
+// step counts are pinned too.
+func TestMemoMatchesNaiveOnCrowdedBoards(t *testing.T) {
+	for _, c := range []struct{ n, classes, steps int }{{7, 320, 928}, {8, 704, 2368}} {
+		p, g := registeredInstance(t, "mis", "complete", c.n)
+		for _, mname := range []string{"native", "ASYNC"} {
+			model, err := registry.ParseModel(mname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord := fmt.Sprintf("mis/complete n=%d %s", c.n, mname)
+			memo, err := checkMemoMatchesNaive(t, coord, p, g, model)
+			if err != nil {
+				t.Fatalf("%s: %v", coord, err)
+			}
+			if memo.Classes != c.classes || memo.Steps != c.steps {
+				t.Errorf("%s: memoized %d classes and %d steps, want %d and %d", coord, memo.Classes, memo.Steps, c.classes, c.steps)
 			}
 		}
 	}

@@ -10,9 +10,9 @@
 //     inputs; it hands each schedule's write order to its callback.
 //   - RunAllMemo: the same exploration as a DAG over canonical
 //     configurations with exact schedule multiplicities. Classes share
-//     board prefixes, a successor is keyed by its parent board's rank, the
-//     appended message and its node states, and only the classes whose
-//     keys are new are kept.
+//     board prefixes, the successors of each parent board are deduped and
+//     sorted as one group, keyed by the appended message and their node
+//     states, and only the classes whose keys are new are kept.
 //
 // Round semantics (see DESIGN.md §1 for the rationale): in each round every
 // awake node evaluates its activation predicate against the current board;

@@ -50,11 +50,30 @@ func BenchmarkRunAll(b *testing.B) {
 // memoized DAG walk on rooted MIS over cycles — a protocol whose message
 // contents coincide across writers, so the configuration space genuinely
 // collapses (the per-op steps metric shows the asymptotic gap; allocs show
-// the memoizer's key/frontier overhead).
+// the memoizer's key/frontier overhead). On complete graphs it times the
+// memoized walk alone: there a parent board's successors crowd onto few
+// child boards (mis on K9 puts 70 classes on one), so the walk's lookup
+// within a group sets its pace.
 func BenchmarkExhaustiveStrategies(b *testing.B) {
+	p := mis.Protocol{Root: 1}
+	memo := func(g *graph.Graph) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			var stats MemoStats
+			for i := 0; i < b.N; i++ {
+				var err error
+				stats, err = RunAllMemo(p, g, Options{}, 1<<26,
+					func(*core.Result, *big.Int) error { return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(stats.Steps), "steps")
+			b.ReportMetric(float64(stats.Classes), "classes")
+		}
+	}
 	for _, n := range []int{5, 6, 7} {
 		g := graph.Cycle(n)
-		p := mis.Protocol{Root: 1}
 		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var steps int
@@ -68,19 +87,9 @@ func BenchmarkExhaustiveStrategies(b *testing.B) {
 			}
 			b.ReportMetric(float64(steps), "steps")
 		})
-		b.Run(fmt.Sprintf("memo/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var stats MemoStats
-			for i := 0; i < b.N; i++ {
-				var err error
-				stats, err = RunAllMemo(p, g, Options{}, 1<<26,
-					func(*core.Result, *big.Int) error { return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(stats.Steps), "steps")
-			b.ReportMetric(float64(stats.Classes), "classes")
-		})
+		b.Run(fmt.Sprintf("memo/n=%d", n), memo(g))
+	}
+	for _, n := range []int{12, 14, 16} {
+		b.Run(fmt.Sprintf("memo/complete/n=%d", n), memo(graph.Complete(n)))
 	}
 }

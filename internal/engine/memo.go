@@ -5,11 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/big"
-	"math/bits"
 	"slices"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -48,19 +47,14 @@ func (s MemoStats) StepsSaved() int {
 	return saved
 }
 
-// appendSuccessorKey appends the memo key of a successor configuration to
-// buf: the rank of its parent's board among the distinct boards of the
-// parent's level, as a width-byte big-endian integer, then the message the
-// write appended, then the node states (appendStates). Within a level every
-// board has the same length, every message encoding is prefix-free and the
-// ranks follow the order of the parents' boards, so these keys sort and
-// collide exactly as the configurations' full encodings (the whole board
-// message by message, then the states) would, at O(n + message) bytes
-// instead of O(board).
-func appendSuccessorKey(buf []byte, rank uint64, width int, msg core.Message, st *state, includePending bool) []byte {
-	for shift := 8 * (width - 1); shift >= 0; shift -= 8 {
-		buf = append(buf, byte(rank>>shift))
-	}
+// appendSuccessorKey appends the key of a successor configuration within
+// its parent board's group to buf: the message the write appended, then
+// the node states (appendStates). Successors of one parent board share
+// every message before the last, and every message encoding is
+// prefix-free, so these keys sort and collide exactly as the
+// configurations' full encodings (the whole board message by message, then
+// the states) would, at O(n + message) bytes instead of O(board).
+func appendSuccessorKey(buf []byte, msg core.Message, st *state, includePending bool) []byte {
 	return appendStates(appendMessage(buf, msg), st, includePending)
 }
 
@@ -90,12 +84,10 @@ func appendMessage(buf []byte, m core.Message) []byte {
 
 // boardNode is one board of the configuration DAG, shared by every class
 // on it: its parent's board plus the message the last write appended. The
-// root (nil parent) is the empty board. rank is the board's place among
-// the distinct boards of its level, set once that level is sorted.
+// root (nil parent) is the empty board.
 type boardNode struct {
 	parent *boardNode
 	msg    core.Message
-	rank   uint64
 }
 
 // build makes b the board nd stands for, using spine (returned for reuse)
@@ -114,13 +106,14 @@ func (nd *boardNode) build(b *core.Board, spine []core.Message) []core.Message {
 }
 
 // memoClass is one node of the configuration DAG: a canonical configuration
-// under its key, its board, and the exact number of schedules reaching it.
-// The node states are held by value; an asynchronous class may share its
+// (its board and node states) and the exact number of schedules reaching
+// it. It carries no key: a class is looked up only among the successors of
+// its parent board, by a key kept in that board's group (memoGroup). The
+// node states are held by value; an asynchronous class may share its
 // pending vector with its parent (see keep), and no class ever writes to
 // one. mult starts out in words, so a multiplicity of up to two words
 // never allocates.
 type memoClass struct {
-	key   string
 	st    state
 	board *boardNode
 	mult  big.Int
@@ -157,28 +150,12 @@ type memoSlabs struct {
 	pending slab[core.Message]
 }
 
-// class returns a new class record holding key, st, board and a copy of
-// mult.
-func (sl *memoSlabs) class(key string, st state, board *boardNode, mult *big.Int) *memoClass {
+// class returns a new class record holding st, board and a copy of mult.
+func (sl *memoSlabs) class(st state, board *boardNode, mult *big.Int) *memoClass {
 	c := &sl.classes.take(1)[0]
-	c.key, c.st, c.board = key, st, board
+	c.st, c.board = st, board
 	c.mult.SetBits(c.words[:0]).Set(mult)
 	return c
-}
-
-// child returns the node of parent's board with msg appended. made lists
-// the nodes made so far on parent; every class on one board is expanded in
-// one run, so this makes exactly one node per distinct board.
-func (sl *memoSlabs) child(parent *boardNode, msg core.Message, made *[]*boardNode) *boardNode {
-	for _, nd := range *made {
-		if nd.msg.Bits == msg.Bits && bytes.Equal(nd.msg.Data, msg.Data) {
-			return nd
-		}
-	}
-	nd := &sl.boards.take(1)[0]
-	nd.parent, nd.msg = parent, msg
-	*made = append(*made, nd)
-	return nd
 }
 
 // load overwrites the scratch state s with parent's node states, and with
@@ -212,21 +189,113 @@ func (sl *memoSlabs) keep(s, parent *state, async bool) state {
 	return kept
 }
 
-// rankBoards numbers the distinct boards of a sorted level densely, in
-// order, and returns the bytes a rank takes in the keys of the level's
-// successors. Classes on one board sit next to each other, since their
-// keys begin alike. It also drops the level's keys, which nothing reads
-// once the level is sorted.
-func rankBoards(level []*memoClass) (width int) {
-	var rank uint64
-	for i, c := range level {
-		if i > 0 && c.board != level[i-1].board {
-			rank++
+// memoGroup holds the new successors of the classes on one parent board.
+// Two successors can be equal only if they share a parent board, so a
+// successor is looked up in its parent's group alone, by its group key
+// (appendSuccessorKey). Sorted by that key, a group's classes are in the
+// order of their full encodings, and every one of them sorts after each
+// class of the groups of earlier boards; appending each group in turn to
+// the next level keeps that level sorted. Keys, records and hash slots live
+// in buffers reused from group to group.
+type memoGroup struct {
+	keys    []byte       // the group keys of classes, back to back
+	classes []groupClass // the group's classes, in the order they were made
+	kids    []*boardNode // the boards the group's classes lie on
+	// slots is an open-addressing hash of the classes by key: a slot of an
+	// earlier group's generation is free.
+	slots []groupSlot
+	gen   uint32
+	seed  maphash.Seed
+}
+
+// groupClass is a class of a group: its record and its key (keys[off:end]).
+type groupClass struct {
+	c        *memoClass
+	off, end int
+}
+
+// groupSlot is a hash slot: the generation of the group that filled it and
+// the index of its class in that group.
+type groupSlot struct {
+	gen   uint32
+	class int32
+}
+
+// child returns parent's board with msg appended, making its node the first
+// time a class lands on it. A group has one child board per distinct
+// message, at most one per writer.
+func (grp *memoGroup) child(sl *memoSlabs, parent *boardNode, msg core.Message) *boardNode {
+	for _, nd := range grp.kids {
+		if nd.msg.Bits == msg.Bits && bytes.Equal(nd.msg.Data, msg.Data) {
+			return nd
 		}
-		c.board.rank = rank
-		c.key = ""
 	}
-	return (bits.Len64(rank) + 7) / 8
+	nd := &sl.boards.take(1)[0]
+	nd.parent, nd.msg = parent, msg
+	grp.kids = append(grp.kids, nd)
+	return nd
+}
+
+// key returns the group key of class i.
+func (grp *memoGroup) key(i int) []byte {
+	return grp.keys[grp.classes[i].off:grp.classes[i].end]
+}
+
+// find returns the group's class whose key is keys[off:], or nil and the
+// free slot that a new class with this key takes (add). It first doubles
+// the slots if one more class would fill more than half of them.
+func (grp *memoGroup) find(off int) (*memoClass, *groupSlot) {
+	if 2*(len(grp.classes)+1) > len(grp.slots) {
+		old := grp.slots
+		grp.slots = make([]groupSlot, max(64, 2*len(old)))
+		for _, s := range old {
+			if s.gen == grp.gen {
+				*grp.slot(grp.key(int(s.class))) = s
+			}
+		}
+	}
+	s := grp.slot(grp.keys[off:])
+	if s.gen == grp.gen {
+		return grp.classes[s.class].c, nil
+	}
+	return nil, s
+}
+
+// slot returns the hash slot that holds the class with key, or the free
+// slot where it belongs.
+func (grp *memoGroup) slot(key []byte) *groupSlot {
+	mask := len(grp.slots) - 1
+	for i := int(maphash.Bytes(grp.seed, key)) & mask; ; i = (i + 1) & mask {
+		if s := &grp.slots[i]; s.gen != grp.gen || bytes.Equal(grp.key(int(s.class)), key) {
+			return s
+		}
+	}
+}
+
+// add files c, a new class whose key is keys[off:], in the free slot s that
+// find returned for it.
+func (grp *memoGroup) add(s *groupSlot, off int, c *memoClass) {
+	*s = groupSlot{gen: grp.gen, class: int32(len(grp.classes))}
+	grp.classes = append(grp.classes, groupClass{c: c, off: off, end: len(grp.keys)})
+}
+
+// flush appends the group's classes to next in key order and empties the
+// group for the next parent board.
+func (grp *memoGroup) flush(next []*memoClass) []*memoClass {
+	slices.SortFunc(grp.classes, func(a, b groupClass) int {
+		return bytes.Compare(grp.keys[a.off:a.end], grp.keys[b.off:b.end])
+	})
+	for _, gc := range grp.classes {
+		next = append(next, gc.c)
+	}
+	grp.keys, grp.classes, grp.kids = grp.keys[:0], grp.classes[:0], grp.kids[:0]
+	// A new generation frees every slot; should the count wrap, clearing
+	// them does.
+	if grp.gen++; grp.gen == 0 {
+		clear(grp.slots)
+		grp.gen = 1
+	}
+	return next
 }
 
 // RunAllMemo explores every adversarial schedule of p on g like RunAll, but
@@ -237,19 +306,21 @@ func rankBoards(level []*memoClass) (width int) {
 // Result and its schedule multiplicity; summing multiplicities reproduces
 // the naive walk's tallies exactly. The maxSteps budget counts unique
 // simulated writes (DAG edges); exceeding it returns ErrBudget with
-// stats.Steps == maxSteps. Classes at each depth are processed in a
-// deterministic (sorted-key) order, so errors and budget cut-offs are
-// reproducible.
+// stats.Steps == maxSteps. Classes at each depth are processed in the order
+// of their full (board, states) encodings, so errors and budget cut-offs
+// are reproducible.
 //
 // Boards are hash-consed: a class holds a board node, its parent's node
 // plus the appended message, and classes on equal boards share one node.
-// A successor is keyed by its parent board's rank, the message and its
-// node states (appendSuccessorKey), in the order its full encoding would
-// sort in. Classes on one board are expanded one after another on a single
-// board rebuilt from the node chain, so they share its derived-state fold
-// and, in synchronous models, each writer's composed message. Each
-// successor is settled in one scratch state and one scratch board, reused
-// for the whole walk; a write that lands in a known class just adds its
+// Classes on one board are expanded one after another on a single board
+// rebuilt from the node chain, so they share its derived-state fold and, in
+// synchronous models, each writer's composed message. Their successors form
+// one group: two successors can be equal only if they share a parent
+// board, so a successor is deduped against its group alone, keyed by the
+// message and its node states (appendSuccessorKey), and each group, sorted
+// by that key, follows the previous board's in the next level. Each successor
+// is settled in one scratch state and one scratch board, reused for the
+// whole walk; a write that lands in a known class just adds its
 // multiplicity, and a new class takes its record, node states and board
 // node from slabs. Only a terminal class's Result gets a board of its own,
 // since visit may keep it.
@@ -279,20 +350,17 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	board, succ := core.NewBoard(), core.NewBoard()
 	// A class is keyed after its activation phase, so classes settle when
 	// they are created rather than when they are expanded.
-	root := sl.class("", *newState(m.n), &sl.boards.take(1)[0], big.NewInt(1))
+	root := sl.class(*newState(m.n), &sl.boards.take(1)[0], big.NewInt(1))
 	if err := m.settle(&root.st, board); err != nil {
 		return stats, err
 	}
 	level, next := []*memoClass{root}, []*memoClass(nil)
-	index := map[string]*memoClass{} // the classes in next, by key
+	grp := memoGroup{gen: 1, seed: maphash.MakeSeed()} // the successors of cur's classes
 	scratch := newState(m.n)
 	var (
-		keyBuf []byte
-		cand   []int
-		spine  []core.Message
-		cur    *boardNode   // the node board was last built from
-		made   []*boardNode // the nodes of cur's successor boards
-		width  int          // bytes of a board rank in the level's successor keys
+		cand  []int
+		spine []core.Message
+		cur   *boardNode // the node board was last built from
 	)
 	// In synchronous models a writer composes its message from the board
 	// at write time, so the classes on one board share it: composed[v] is
@@ -309,7 +377,8 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 		for _, c := range level {
 			stats.Classes++
 			if c.board != cur {
-				cur, made = c.board, made[:0]
+				next = grp.flush(next)
+				cur = c.board
 				spine = cur.build(board, spine)
 			}
 			c.st.cand = cand // the walk's one candidates buffer
@@ -350,22 +419,21 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 				if err := m.settle(scratch, succ); err != nil {
 					return stats, err
 				}
-				keyBuf = appendSuccessorKey(keyBuf[:0], cur.rank, width, msg, scratch, async)
-				if dup, ok := index[string(keyBuf)]; ok {
+				off := len(grp.keys)
+				grp.keys = appendSuccessorKey(grp.keys, msg, scratch, async)
+				dup, free := grp.find(off)
+				if dup != nil {
+					grp.keys = grp.keys[:off]
 					memoHits++
 					multAdds++
 					dup.mult.Add(&dup.mult, &c.mult)
 					continue
 				}
-				kept := sl.class(string(keyBuf), sl.keep(scratch, &c.st, async), sl.child(cur, msg, &made), &c.mult)
-				index[kept.key] = kept
-				next = append(next, kept)
+				grp.add(free, off, sl.class(sl.keep(scratch, &c.st, async), grp.child(&sl, cur, msg), &c.mult))
 			}
 		}
+		next = grp.flush(next)
 		clear(level) // drop the expanded classes
-		clear(index)
-		slices.SortFunc(next, func(a, b *memoClass) int { return strings.Compare(a.key, b.key) })
-		width = rankBoards(next)
 		level, next = next, level[:0]
 	}
 	return stats, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/big"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // memoCutoff is what a budget-stopped RunAllMemo has done when it returns.
@@ -98,23 +100,70 @@ func TestMemoVisitErrorStopsAtPinnedTerminal(t *testing.T) {
 	}
 }
 
+// TestMemoVisitsInLevelOrder checks the order in which terminals reach
+// visit everywhere, not only at the points the two tests above pin: at one
+// depth they arrive in non-decreasing full board encoding (appendConfigKey
+// with no nodes), the order of the level they sit in. The walks are a
+// collapsing one (mis/C7), one that never collapses (build-forest/P6), one
+// with terminals at two depths (the ASYNC first-writer gate on P6) and one
+// whose child boards hold up to 35 classes each (mis/K8).
+func TestMemoVisitsInLevelOrder(t *testing.T) {
+	misC7, c7 := registeredInstance(t, "mis", "cycle", 7)
+	forestP6, p6 := registeredInstance(t, "build-forest", "path", 6)
+	misK8, k8 := registeredInstance(t, "mis", "complete", 8)
+	for _, c := range []struct {
+		name string
+		p    core.Protocol
+		g    *graph.Graph
+	}{
+		{"mis/C7", misC7, c7},
+		{"build-forest/P6", forestP6, p6},
+		{"first-writer-gate/P6", firstWriterGate{}, graph.Path(6)},
+		{"mis/K8", misK8, k8},
+	} {
+		last := map[int][]byte{} // the board last visited at each depth
+		terminals, ascents := 0, 0
+		if _, err := RunAllMemo(c.p, c.g, Options{}, 1<<22, func(res *core.Result, _ *big.Int) error {
+			terminals++
+			depth, enc := res.Board.Len(), appendConfigKey(nil, res.Board, newState(0), false)
+			if prev, ok := last[depth]; ok {
+				switch bytes.Compare(prev, enc) {
+				case 1:
+					t.Errorf("%s: terminal %d at depth %d has a board that sorts before the previous one there", c.name, terminals, depth)
+				case -1:
+					ascents++
+				}
+			}
+			last[depth] = enc
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ascents == 0 {
+			t.Errorf("%s: %d terminals, no two of them on distinct boards at one depth", c.name, terminals)
+		}
+	}
+}
+
 // TestMemoAllocsPerClass bounds the allocations RunAllMemo makes per
 // configuration class, protocol callbacks included, on a collapsing walk
 // (mis on C7, SIMSYNC: 2,511 of its 5,866 edges land in a known class)
 // and on one that never collapses (build-forest on P6, SIMASYNC). A walk
 // that clones each successor's state and board before keying it makes
 // 21.7 and 20.6 allocations per class; building successors in scratch and
-// materializing only new classes cut that to 12.6 and 14.8, and sharing
-// board prefixes, keying by parent rank and taking classes from slabs to
-// 4.2 and 9.5.
+// materializing only new classes cut that to 12.6 and 14.8; sharing board
+// prefixes, keying by parent rank and taking classes from slabs to 4.2 and
+// 9.5; and deduping and sorting each parent board's successors as one
+// group, with keys in reused buffers instead of a string per class, to 3.2
+// and 8.5.
 func TestMemoAllocsPerClass(t *testing.T) {
 	for _, c := range []struct {
 		proto, graph string
 		n            int
 		bound        float64
 	}{
-		{"mis", "cycle", 7, 5},
-		{"build-forest", "path", 6, 11},
+		{"mis", "cycle", 7, 4},
+		{"build-forest", "path", 6, 9},
 	} {
 		p, g := registeredInstance(t, c.proto, c.graph, c.n)
 		var stats MemoStats

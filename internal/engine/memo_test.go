@@ -2,12 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -246,8 +246,9 @@ func TestRunAllMemoPropagatesVisitError(t *testing.T) {
 // length-prefixed, so distinct configurations can never encode alike; the
 // board's human-oriented Key() has no such guarantee (a message whose data
 // embeds the separator can mimic two messages), which is why the memoizer
-// must not use it. It is the reference RunAllMemo's compact successor keys
-// (appendSuccessorKey) must sort and collide like.
+// must not use it. It is the reference RunAllMemo's successor keys
+// (appendSuccessorKey) must sort and collide like within a parent board's
+// group.
 func appendConfigKey(buf []byte, board *core.Board, st *state, includePending bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(st.state)-1))
 	buf = binary.AppendUvarint(buf, uint64(board.Len()))
@@ -428,54 +429,52 @@ func withLen(b *core.Board, k int) *core.Board {
 	return b
 }
 
-// FuzzMemoSuccessorKey checks RunAllMemo's compact successor keys against
-// the full encodings: on two successor configurations whose boards have one
-// length, the compact keys must compare (and so collide) exactly as the
-// full keys do. The parents' boards (all but the last message) are ranked
-// as rankBoards ranks a sorted level, densely in the order of their full
-// encodings, from a fuzzed base so that the ranks' width crosses byte
-// boundaries.
+// FuzzMemoSuccessorKey checks the order RunAllMemo builds a level in
+// against the full encodings. The walk expands a level's parent boards in
+// the order of their full encodings and appends each board's successors to
+// the next level as one group, sorted by group key (appendSuccessorKey: the
+// appended message, then the node states). On two successor configurations
+// whose boards have one length, the full keys must therefore compare as
+// the parent boards' full encodings do, and as the group keys do when the
+// parents are equal; and a full key must end with the group key. That
+// holds only because every message encoding is prefix-free.
 func FuzzMemoSuccessorKey(f *testing.F) {
 	for _, s := range configKeySeeds {
 		f.Add(s.pending, s.data)
 	}
-	// Equal parents under different last messages, then under one last
-	// message with a pending-only difference, then last messages with one
-	// data byte but different bit counts; the last two rank from a base
-	// that takes two and three bytes. Then different parents ranked 0xFF
-	// and 0x100.
+	// One parent under different last messages; under one last message
+	// with a pending-only difference; under last messages with one data
+	// byte but different bit counts; and under one last message with node
+	// states whose encodings differ in length (an active node's pending
+	// message against a written node's none). Then parents whose first
+	// messages' data are one a prefix of the other's, under last messages
+	// that sort the other way.
 	f.Add(false, []byte{0, 2, 8, 1, 0xAA, 8, 1, 0xBB, 1, 0, 0, 2, 8, 1, 0xAA, 8, 1, 0xBC, 1, 0, 0})
-	f.Add(true, []byte{0, 1, 8, 1, 0xAA, 1, 4, 1, 0x10, 1, 8, 1, 0xAA, 1, 4, 1, 0x20, 0, 0xFF, 0xFF})
-	f.Add(false, []byte{1, 2, 8, 1, 0x01, 3, 1, 0xE0, 2, 0, 0, 0, 0, 0, 2, 8, 1, 0x01, 4, 1, 0xE0, 2, 0, 0, 0, 0, 0, 1, 0, 0})
-	f.Add(false, []byte{1, 2, 8, 1, 0x02, 3, 1, 0xE0, 2, 0, 0, 0, 0, 0, 2, 8, 1, 0x01, 3, 1, 0xE0, 2, 0, 0, 0, 0, 0, 0, 0, 0xFF})
+	f.Add(true, []byte{0, 1, 8, 1, 0xAA, 1, 4, 1, 0x10, 1, 8, 1, 0xAA, 1, 4, 1, 0x20})
+	f.Add(false, []byte{1, 2, 8, 1, 0x01, 3, 1, 0xE0, 2, 0, 0, 0, 0, 0, 2, 8, 1, 0x01, 4, 1, 0xE0, 2, 0, 0, 0, 0, 0})
+	f.Add(true, []byte{1, 1, 8, 1, 0xAA, 1, 4, 1, 0x10, 2, 0, 0, 1, 8, 1, 0xAA, 2, 0, 0, 1, 4, 1, 0x20})
+	f.Add(false, []byte{0, 2, 8, 1, 0xAA, 8, 1, 0xFF, 1, 0, 0, 2, 8, 2, 0xAA, 0x00, 8, 1, 0x00, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, pending bool, data []byte) {
 		r := &fuzzReader{data: data}
 		n := int(r.byte())%5 + 1
 		a, b := parseFuzzConfig(r, n), parseFuzzConfig(r, n)
 		k := max(1, min(a.board.Len(), b.board.Len()))
 		a.board, b.board = withLen(a.board, k), withLen(b.board, k)
-		base := uint64(r.byte())<<16 | uint64(r.byte())<<8 | uint64(r.byte())
 
 		// A board's full encoding is a configuration key without nodes.
-		parent := func(c fuzzConfig) string {
-			return string(appendConfigKey(nil, c.board.Truncate(k-1), newState(0), false))
-		}
-		parents := []string{parent(a), parent(b)}
-		slices.Sort(parents)
-		parents = slices.Compact(parents)
-		rank := func(c fuzzConfig) uint64 { return base + uint64(slices.Index(parents, parent(c))) }
-		width := 0
-		for last := base + uint64(len(parents)-1); last>>(8*width) != 0; {
-			width++
-		}
-
+		parentA := appendConfigKey(nil, a.board.Truncate(k-1), newState(0), false)
+		parentB := appendConfigKey(nil, b.board.Truncate(k-1), newState(0), false)
 		fullA := appendConfigKey(nil, a.board, a.st, pending)
 		fullB := appendConfigKey(nil, b.board, b.st, pending)
-		keyA := appendSuccessorKey(nil, rank(a), width, a.board.Last(), a.st, pending)
-		keyB := appendSuccessorKey(nil, rank(b), width, b.board.Last(), b.st, pending)
-		if got, want := bytes.Compare(keyA, keyB), bytes.Compare(fullA, fullB); got != want {
-			t.Fatalf("compact keys compare %d, full keys %d:\ncompact %x\n        %x\nfull    %x\n        %x",
-				got, want, keyA, keyB, fullA, fullB)
+		keyA := appendSuccessorKey(nil, a.board.Last(), a.st, pending)
+		keyB := appendSuccessorKey(nil, b.board.Last(), b.st, pending)
+		if !bytes.HasSuffix(fullA, keyA) || !bytes.HasSuffix(fullB, keyB) {
+			t.Fatalf("a full key does not end with its group key:\ngroup %x\n      %x\nfull  %x\n      %x",
+				keyA, keyB, fullA, fullB)
+		}
+		if got, want := bytes.Compare(fullA, fullB), cmp.Or(bytes.Compare(parentA, parentB), bytes.Compare(keyA, keyB)); got != want {
+			t.Fatalf("full keys compare %d, parents then group keys %d:\nparent %x\n       %x\ngroup  %x\n       %x\nfull   %x\n       %x",
+				got, want, parentA, parentB, keyA, keyB, fullA, fullB)
 		}
 	})
 }
