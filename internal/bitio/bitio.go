@@ -75,8 +75,17 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(uint(v>>uint(i)) & 1)
+	// Each step fills the rest of the current byte, or as much of it as
+	// the field has left.
+	for width > 0 {
+		if w.nbit%8 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		free := 8 - w.nbit%8
+		k := min(free, width)
+		width -= k
+		w.buf[w.nbit/8] |= byte(v>>uint(width)&(1<<uint(k)-1)) << uint(free-k)
+		w.nbit += k
 	}
 }
 
@@ -155,10 +164,15 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 	if r.Remaining() < width {
 		return 0, ErrShortRead
 	}
+	// Each step takes the rest of the current byte, or as much of it as
+	// the field has left.
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v = v<<1 | uint64(b)
+	for width > 0 {
+		off := r.pos % 8
+		k := min(8-off, width)
+		v = v<<uint(k) | uint64(r.buf[r.pos/8]<<uint(off)>>uint(8-k))
+		r.pos += k
+		width -= k
 	}
 	return v, nil
 }

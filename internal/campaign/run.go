@@ -374,13 +374,19 @@ func runExhaustiveJob(ctx context.Context, rng *rand.Rand, spec Spec, job Job, e
 	}
 
 	ss := &schedStats{roundsMin: int(^uint(0) >> 1), bitsMin: int(^uint(0) >> 1)}
+	// Distinct outputs are counted by their rendering, made in one reused
+	// buffer; only an output not seen before becomes a key string.
 	outputs := map[string]struct{}{}
+	var render []byte
 	tally := func(res *core.Result, weight int) {
 		ss.addCount(&ss.schedules, weight)
 		switch res.Status {
 		case core.Success:
 			ss.addCount(&ss.success, weight)
-			outputs[fmt.Sprintf("%v", res.Output)] = struct{}{}
+			render = fmt.Appendf(render[:0], "%v", res.Output)
+			if _, ok := outputs[string(render)]; !ok {
+				outputs[string(render)] = struct{}{}
+			}
 		case core.Deadlock:
 			ss.addCount(&ss.deadlock, weight)
 		default:

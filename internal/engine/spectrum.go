@@ -29,6 +29,12 @@ type Spectrum struct {
 	// StepsSaved is the number of writes the schedule-tree walk (RunAll)
 	// would have simulated beyond Steps.
 	StepsSaved int
+
+	// tally renders each output into render and finds the key Outputs
+	// holds for it in keys, so only an output not seen before becomes a
+	// key string.
+	render []byte
+	keys   map[string]string
 }
 
 // DistinctOutputs returns the rendered outputs sorted lexicographically.
@@ -46,7 +52,16 @@ func (s *Spectrum) DistinctOutputs() []string {
 func (s *Spectrum) tally(res *core.Result, mult int) {
 	switch res.Status {
 	case core.Success:
-		s.Outputs[fmt.Sprintf("%v", res.Output)] += mult
+		s.render = fmt.Appendf(s.render[:0], "%v", res.Output)
+		key, ok := s.keys[string(s.render)]
+		if !ok {
+			if s.keys == nil {
+				s.keys = map[string]string{}
+			}
+			key = string(s.render)
+			s.keys[key] = key
+		}
+		s.Outputs[key] += mult
 	case core.Deadlock:
 		s.Deadlocks += mult
 	default:

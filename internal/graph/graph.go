@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 )
@@ -52,8 +53,29 @@ func New(n int) *Graph {
 func FromEdges(n int, edges [][2]int) *Graph {
 	g := New(n)
 	for _, e := range edges {
-		if !g.HasEdge(e[0], e[1]) {
-			g.AddEdge(e[0], e[1])
+		u, v := e[0], e[1]
+		if g.HasEdge(u, v) {
+			continue
+		}
+		if u == v {
+			panic(fmt.Sprintf("graph: self-loop at %d", u))
+		}
+		g.bits[u][v/64] |= 1 << uint(v%64)
+		g.bits[v][u/64] |= 1 << uint(u%64)
+		g.m++
+	}
+	// Each adjacency list is its bitset row read in order, so the lists
+	// come out sorted and sized, cut from one backing array.
+	backing := make([]int, 0, 2*g.m)
+	for v := 1; v <= n; v++ {
+		start := len(backing)
+		for i, word := range g.bits[v] {
+			for ; word != 0; word &= word - 1 {
+				backing = append(backing, 64*i+bits.TrailingZeros64(word))
+			}
+		}
+		if end := len(backing); end > start {
+			g.adj[v] = backing[start:end:end]
 		}
 	}
 	return g

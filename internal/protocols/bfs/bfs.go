@@ -23,6 +23,14 @@
 // implementation detail the paper leaves implicit (writes are strictly
 // component by component, so the suffix is exactly the active component).
 //
+// A node reads the board through the state folded from it (see Protocol),
+// which answers each question without a scan or a map: a table indexed by
+// identifier finds each node's latest message, three tables indexed by
+// layer hold the active component's edge sums, and a cursor holds the
+// smallest unwritten identifier, which only moves forward as messages
+// arrive. Identifiers and layers travel in ⌈log₂(n+1)⌉-bit fields, so a
+// table of 2^width slots takes any value a message can carry, valid or not.
+//
 // One deliberate fix over the paper's prose (see DESIGN.md): the parent is
 // the minimum-ID written neighbor in the previous layer, not in all of N*v,
 // since at write time N*v can contain same-layer nodes.
@@ -125,27 +133,40 @@ type foldKey struct {
 	n int
 }
 
-// boardState is everything a node derives from the whiteboard.
+// boardState is everything a node derives from the whiteboard. Its tables
+// are indexed by identifiers and layers, which messages carry in w-bit
+// fields (w = bitio.WidthID(n)), so each table has 1<<w slots: every value
+// a message can decode to, valid or not, indexes in range.
 type boardState struct {
 	key        foldKey
-	entries    []entry
-	byID       map[int]entry
+	entries    []entry // one per message, in board order
 	anyInvalid bool
-	writtenN   int // number of messages (= written nodes)
-	// Current component: suffix of BFS entries starting at the latest root.
-	comp      []entry
-	layerPrev map[int]int
-	layerSame map[int]int
-	layerNext map[int]int
+	// at[id] is 1 + the index in entries of id's latest message, 0 while
+	// id has written none.
+	at []int
+	// next is the smallest identifier in 1..n that has written nothing,
+	// n+1 once every one has: addEntry only ever moves it forward.
+	next int
+	// Current component, from the latest root on: last is 1 + the index in
+	// entries of its latest BFS entry (0 before the first), and layerPrev,
+	// layerSame and layerNext sum d−1, d0 and d+1 per layer. Only the first
+	// layers slots of the sums can be nonzero.
+	last                            int
+	layerPrev, layerSame, layerNext []int
+	layers                          int
 }
 
 func newBoardState(k foldKey) boardState {
+	size := 1 << bitio.WidthID(k.n)
+	tables := make([]int, 4*size)
 	return boardState{
 		key:       k,
-		byID:      map[int]entry{},
-		layerPrev: map[int]int{},
-		layerSame: map[int]int{},
-		layerNext: map[int]int{},
+		entries:   make([]entry, 0, max(k.n, 0)),
+		at:        tables[:size:size],
+		next:      1,
+		layerPrev: tables[size : 2*size : 2*size],
+		layerSame: tables[2*size : 3*size : 3*size],
+		layerNext: tables[3*size:],
 	}
 }
 
@@ -153,19 +174,22 @@ func newBoardState(k foldKey) boardState {
 // the current-component view (layer numbers restart per component).
 func (st *boardState) addEntry(e entry) {
 	st.entries = append(st.entries, e)
-	st.byID[e.id] = e
-	st.writtenN++
+	st.at[e.id] = len(st.entries)
+	for st.next <= st.key.n && st.at[st.next] != 0 {
+		st.next++
+	}
 	if e.invalid {
 		st.anyInvalid = true
 		return
 	}
 	if e.parent == 0 {
-		st.comp = st.comp[:0]
-		clear(st.layerPrev)
-		clear(st.layerSame)
-		clear(st.layerNext)
+		clear(st.layerPrev[:st.layers])
+		clear(st.layerSame[:st.layers])
+		clear(st.layerNext[:st.layers])
+		st.layers = 0
 	}
-	st.comp = append(st.comp, e)
+	st.last = len(st.entries)
+	st.layers = max(st.layers, e.layer+1)
 	st.layerPrev[e.layer] += e.dPrev
 	st.layerSame[e.layer] += e.dSame
 	st.layerNext[e.layer] += e.dNext
@@ -187,34 +211,37 @@ func decodeEntry(k foldKey, m core.Message) (entry, error) {
 	w := bitio.WidthID(k.n)
 	r := bitio.NewReader(m.Data, m.Bits)
 	var e entry
+	var err error
 	if k.v == EOB {
-		inv, err := r.ReadBool()
-		if err != nil {
+		if e.invalid, err = r.ReadBool(); err != nil {
 			return e, err
 		}
-		e.invalid = inv
 	}
-	id, err := r.ReadUint(w)
-	if err != nil {
+	if e.id, err = readField(r, w); err != nil || e.invalid {
 		return e, err
 	}
-	e.id = int(id)
-	if e.invalid {
-		return e, nil
+	if e.layer, err = readField(r, w); err != nil {
+		return e, err
 	}
-	fields := []*int{&e.layer, &e.parent, &e.dPrev}
+	if e.parent, err = readField(r, w); err != nil {
+		return e, err
+	}
+	if e.dPrev, err = readField(r, w); err != nil {
+		return e, err
+	}
 	if k.v == General {
-		fields = append(fields, &e.dSame)
-	}
-	fields = append(fields, &e.dNext)
-	for _, f := range fields {
-		x, err := r.ReadUint(w)
-		if err != nil {
+		if e.dSame, err = readField(r, w); err != nil {
 			return e, err
 		}
-		*f = int(x)
 	}
-	return e, nil
+	e.dNext, err = readField(r, w)
+	return e, err
+}
+
+// readField reads one w-bit field of a message.
+func readField(r *bitio.Reader, w int) (int, error) {
+	x, err := r.ReadUint(w)
+	return int(x), err
 }
 
 // parse returns the decoded board state for n nodes, folding in only the
@@ -229,7 +256,7 @@ func (p Protocol) parse(b *core.Board, n int) (*boardState, error) {
 // component has written: the edge-count certificate of Theorems 7/10.
 func (st *boardState) layerComplete(k int) bool {
 	if k == 0 {
-		return len(st.comp) > 0
+		return st.last != 0
 	}
 	return st.layerPrev[k] == st.layerNext[k-1]-2*st.layerSame[k-1]
 }
@@ -240,28 +267,33 @@ func (st *boardState) forwardEdges(k int) int {
 	return st.layerNext[k] - 2*st.layerSame[k]
 }
 
-// minUnwritten returns the smallest identifier with no message on the board.
-func (st *boardState) minUnwritten(n int) int {
-	for v := 1; v <= n; v++ {
-		if _, ok := st.byID[v]; !ok {
-			return v
-		}
+// minUnwritten returns the smallest identifier in 1..n with no message on
+// the board, 0 if every one has written.
+func (st *boardState) minUnwritten() int {
+	if st.next > st.key.n {
+		return 0
 	}
-	return 0
+	return st.next
 }
 
-// writtenNeighbor returns the BFS entry node u wrote, if it wrote one
-// (invalid markers carry no layer information).
-func (st *boardState) writtenNeighbor(u int) (entry, bool) {
-	e, ok := st.byID[u]
-	return e, ok && !e.invalid
+// writtenNeighbor returns the BFS entry node u wrote, or nil if it wrote
+// none (invalid markers carry no layer information). The entry is valid
+// until the next message is folded in.
+func (st *boardState) writtenNeighbor(u int) *entry {
+	if u < 0 || u >= len(st.at) || st.at[u] == 0 {
+		return nil
+	}
+	if e := &st.entries[st.at[u]-1]; !e.invalid {
+		return e
+	}
+	return nil
 }
 
 // minWrittenLayer returns the smallest layer among v's written neighbors;
 // ok is false when none has written.
 func (st *boardState) minWrittenLayer(v core.NodeView) (k int, ok bool) {
 	for _, u := range v.Neighbors {
-		if e, w := st.writtenNeighbor(u); w && (!ok || e.layer < k) {
+		if e := st.writtenNeighbor(u); e != nil && (!ok || e.layer < k) {
 			k, ok = e.layer, true
 		}
 	}
@@ -291,20 +323,20 @@ func (p Protocol) Activate(v core.NodeView, b *core.Board) bool {
 		return st.layerComplete(k)
 	}
 	// No written neighbor: root rules.
-	if st.writtenN == 0 {
+	if len(st.entries) == 0 {
 		return v.ID == 1
 	}
-	if v.ID != st.minUnwritten(v.N) {
+	if v.ID != st.minUnwritten() {
 		return false
 	}
-	if len(st.comp) == 0 {
+	if st.last == 0 {
 		// Board holds only invalid markers (EOB rejection in flight); the
 		// BFS part has not started. Start it at the min unwritten node so
 		// every node still writes exactly once.
 		return true
 	}
-	last := st.comp[len(st.comp)-1]
-	return st.layerComplete(last.layer) && st.forwardEdges(last.layer) == 0
+	k := st.entries[st.last-1].layer
+	return st.layerComplete(k) && st.forwardEdges(k) == 0
 }
 
 // Compose implements core.Protocol.
@@ -332,8 +364,8 @@ func (p Protocol) Compose(v core.NodeView, b *core.Board) core.Message {
 		e.layer = k + 1
 		e.parent = 0
 		for _, u := range v.Neighbors {
-			x, w := st.writtenNeighbor(u)
-			if !w {
+			x := st.writtenNeighbor(u)
+			if x == nil {
 				continue
 			}
 			if x.layer == k {

@@ -62,11 +62,17 @@ func (Protocol) Compose(v core.NodeView, _ *core.Board) core.Message {
 	return core.Message{Data: bw.Bytes(), Bits: bw.Bits()}
 }
 
+// node is what Output knows of one node: its announced degree and
+// neighbor-ID sum, less the leaves pruned from it so far.
+type node struct {
+	deg           int
+	sum           uint64
+	seen, removed bool
+}
+
 // Output implements core.Protocol: leaf pruning per Section 3.1.
 func (Protocol) Output(n int, b *core.Board) (any, error) {
-	deg := make([]int, n+1)
-	sum := make([]uint64, n+1)
-	seen := make([]bool, n+1)
+	nodes := make([]node, n+1)
 	w := bitio.WidthID(n)
 	sumW := bitio.Width(uint64(n) * uint64(n))
 	for i := 0; i < b.Len(); i++ {
@@ -88,26 +94,23 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 		if v < 1 || v > n {
 			return nil, fmt.Errorf("buildforest: message %d: id %d out of range", i, v)
 		}
-		if seen[v] {
+		if nodes[v].seen {
 			return nil, fmt.Errorf("buildforest: duplicate message for node %d", v)
 		}
-		seen[v] = true
-		deg[v] = int(d)
-		sum[v] = s
+		nodes[v] = node{deg: int(d), sum: s, seen: true}
 	}
 	for v := 1; v <= n; v++ {
-		if !seen[v] {
+		if !nodes[v].seen {
 			return nil, fmt.Errorf("buildforest: no message from node %d", v)
 		}
 	}
 
 	// Prune leaves. A forest always has a node of degree ≤ 1 among the
 	// remaining nodes; if none exists, the graph has a cycle.
-	g := graph.New(n)
-	removed := make([]bool, n+1)
+	edges := make([][2]int, 0, max(n-1, 0))
 	queue := make([]int, 0, n)
 	for v := 1; v <= n; v++ {
-		if deg[v] <= 1 {
+		if nodes[v].deg <= 1 {
 			queue = append(queue, v)
 		}
 	}
@@ -115,23 +118,23 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		if removed[v] {
+		if nodes[v].removed {
 			continue
 		}
-		removed[v] = true
+		nodes[v].removed = true
 		left--
-		if deg[v] == 0 {
+		if nodes[v].deg == 0 {
 			continue
 		}
-		// deg[v] == 1: the remaining neighbor is the sum itself.
-		u := int(sum[v])
-		if u < 1 || u > n || u == v || removed[u] || deg[u] < 1 {
+		// deg == 1: the remaining neighbor is the sum itself.
+		u := int(nodes[v].sum)
+		if u < 1 || u > n || u == v || nodes[u].removed || nodes[u].deg < 1 {
 			return nil, fmt.Errorf("buildforest: inconsistent messages: leaf %d names neighbor %d", v, u)
 		}
-		g.AddEdge(v, u)
-		deg[u]--
-		sum[u] -= uint64(v)
-		if deg[u] <= 1 {
+		edges = append(edges, [2]int{v, u})
+		nodes[u].deg--
+		nodes[u].sum -= uint64(v)
+		if nodes[u].deg <= 1 {
 			queue = append(queue, u)
 		}
 	}
@@ -139,7 +142,7 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 		// Remaining nodes all have degree ≥ 2: a cycle.
 		return Decoded{InClass: false}, nil
 	}
-	return Decoded{Forest: g, InClass: true}, nil
+	return Decoded{Forest: graph.FromEdges(n, edges), InClass: true}, nil
 }
 
 var _ core.Protocol = Protocol{}

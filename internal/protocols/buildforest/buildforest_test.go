@@ -176,3 +176,25 @@ func TestConcurrentEngineAgrees(t *testing.T) {
 		}
 	}
 }
+
+// TestOutputAllocs pins the allocations of one Output call on P8: the
+// per-node array, the leaf queue, the edge list, the forest (its graph
+// struct, two row tables, the bitset and one adjacency backing array) and
+// the boxed result. Four per-node arrays and adjacency lists grown edge by
+// edge made 24.
+func TestOutputAllocs(t *testing.T) {
+	g := graph.Path(8)
+	res := engine.Run(Protocol{}, g, adversary.MinID{}, engine.Options{})
+	if res.Status != core.Success {
+		t.Fatalf("%v (%v)", res.Status, res.Err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (Protocol{}).Output(g.N(), res.Board); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 9
+	if allocs > want {
+		t.Errorf("%.1f allocations per Output, want at most %d", allocs, want)
+	}
+}
