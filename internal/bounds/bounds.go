@@ -39,16 +39,6 @@ func Log2BipartiteFixedParts(n int) float64 {
 	return float64(h * (n - h))
 }
 
-// Log2C4FreeSubgraphs returns log₂ of the number of subgraphs of the
-// polarity graph ER_q — a 2^{Θ(n^{3/2})}-sized family of C4-free graphs on
-// n = q²+q+1 nodes, the counting base for the SQUARE lower bound sketched
-// in the paper's introduction (executable Ω(√n) portion; the companion
-// paper [2] pushes it to Ω(n)).
-func Log2C4FreeSubgraphs(q int) (logCount float64, n int) {
-	g := graph.PolarityGraph(q)
-	return float64(g.M()), g.N()
-}
-
 // CountLabeledTrees returns n^(n−2), Cayley's count of labeled trees
 // (1 for n ≤ 1).
 func CountLabeledTrees(n int) *big.Int {

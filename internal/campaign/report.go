@@ -19,31 +19,19 @@ type Dist struct {
 	n    int64
 }
 
-func newDist() Dist { return Dist{Min: int(^uint(0) >> 1)} }
-
-func (d *Dist) add(v int) {
-	if v < d.Min {
-		d.Min = v
-	}
-	if v > d.Max {
-		d.Max = v
-	}
-	d.sum += int64(v)
-	d.n++
-	d.Mean = float64(d.sum) / float64(d.n)
-}
-
-// merge folds a pre-aggregated batch (min, max, sum over n values) into the
-// distribution; exhaustive jobs use it to contribute all their schedules at
-// once. Like add, the mean is recomputed from exact integer accumulators.
+// merge folds a batch of n values with the given min, max and sum into
+// the distribution: a sampled job is a batch of one, an exhaustive job
+// the batch of its schedules. The first batch is taken as-is, so a Dist
+// nothing was merged into stays zero, and the mean is recomputed from
+// exact integer accumulators.
 func (d *Dist) merge(min, max int, sum, n int64) {
 	if n == 0 {
 		return
 	}
-	if min < d.Min {
+	if d.n == 0 || min < d.Min {
 		d.Min = min
 	}
-	if max > d.Max {
+	if d.n == 0 || max > d.Max {
 		d.Max = max
 	}
 	d.sum += sum

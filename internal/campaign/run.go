@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
 )
@@ -62,7 +62,7 @@ type Runner struct {
 // NewRunner returns a Runner with the given options.
 func NewRunner(opts Options) *Runner { return &Runner{opts: opts} }
 
-// jobResult is the per-run record a worker hands to the aggregator. It is
+// jobResult is the per-job record a worker hands to the aggregator. It is
 // deliberately small: the worker copies these few ints out of the runner's
 // reused Result before the next run overwrites it.
 type jobResult struct {
@@ -71,71 +71,15 @@ type jobResult struct {
 	boardBits int
 	maxBits   int
 	err       string
-	sched     *schedStats // exhaustive jobs only
+	// spectrum holds an exhaustive job's schedule tallies, nil if the job
+	// died before its walk; budgetHit says the walk ran out of steps.
+	spectrum  *engine.Spectrum
+	budgetHit bool
 
 	// start/dur time the job on its worker; cell spans and the cell
 	// wall-time histogram are assembled from them after the fact.
 	start time.Time
 	dur   time.Duration
-}
-
-// schedStats aggregates every terminal schedule of one exhaustive job
-// (one graph instance enumerated exhaustively). The min/max/sum
-// accumulators feed the cell's Rounds/BoardBits distributions, so in
-// exhaustive cells those dists range over schedules, not trials. Each
-// terminal configuration class is folded once with its exact schedule
-// multiplicity as the weight, which reproduces a per-schedule accumulation
-// bit for bit.
-type schedStats struct {
-	schedules int
-	steps     int
-	success   int
-	deadlock  int
-	failed    int
-	outputs   int // distinct successful outputs
-	budgetHit bool
-
-	classes    int // configuration classes visited
-	stepsSaved int // writes the schedule-tree walk would have added
-
-	roundsMin, roundsMax int
-	roundsSum            int64
-	bitsMin, bitsMax     int
-	bitsSum              int64
-	maxBitsOnBoard       int // largest single message across all terminal boards
-
-	// overflow records that an integer tally would have wrapped. Memoized
-	// walks reach schedule counts far beyond the step budget (that is
-	// their point), and each per-class multiplicity fitting an int does
-	// not mean their *sum* does; a cell whose exact tallies are not
-	// representable must fail loudly, never report wrapped numbers.
-	overflow bool
-}
-
-// addCount adds weight to an int tally, tripping overflow instead of
-// wrapping.
-func (ss *schedStats) addCount(counter *int, weight int) {
-	if *counter > int(^uint(0)>>1)-weight {
-		ss.overflow = true
-		return
-	}
-	*counter += weight
-}
-
-// addWeighted folds v*weight into an int64 accumulator, tripping
-// overflow instead of wrapping.
-func (ss *schedStats) addWeighted(sum *int64, v, weight int) {
-	const maxInt64 = int64(^uint64(0) >> 1)
-	if v > 0 && int64(weight) > maxInt64/int64(v) {
-		ss.overflow = true
-		return
-	}
-	add := int64(v) * int64(weight)
-	if *sum > maxInt64-add {
-		ss.overflow = true
-		return
-	}
-	*sum += add
 }
 
 // Run expands the spec and executes every job on a sharded worker pool,
@@ -208,11 +152,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 					return
 				}
 				jobStart := time.Now()
-				if spec.Exhaustive() {
-					results[i] = runExhaustiveJob(wctx, rng, spec, jobs[i], em)
-				} else {
-					results[i] = runJob(runner, rng, spec, jobs[i], em)
-				}
+				results[i] = runJob(wctx, runner, rng, spec, jobs[i], em)
 				results[i].start = jobStart
 				results[i].dur = time.Since(jobStart)
 				m.JobDone()
@@ -293,11 +233,12 @@ func recordCell(ctx context.Context, m *telemetry.CampaignMetrics, index int, ce
 	telemetry.RecordSpan(ctx, "cell", start, end, attrs)
 }
 
-// runJob constructs the job's components from the registry and executes one
-// run on the worker's reusable runner. Construction errors (which Validate
-// should have ruled out) and panics surface as Failed results rather than
-// tearing down the pool.
-func runJob(runner *engine.Runner, rng *rand.Rand, spec Spec, job Job, em *telemetry.EngineMetrics) (jr jobResult) {
+// runJob constructs the job's components from the registry and runs it:
+// every schedule of an exhaustive job (runExhaustiveJob), or else one run
+// against the job's adversary on the worker's reusable runner.
+// Construction errors (which Validate should have ruled out) and panics
+// surface as Failed results rather than tearing down the pool.
+func runJob(ctx context.Context, runner *engine.Runner, rng *rand.Rand, spec Spec, job Job, em *telemetry.EngineMetrics) (jr jobResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			jr = jobResult{status: core.Failed, err: fmt.Sprintf("panic: %v", r)}
@@ -321,16 +262,20 @@ func runJob(runner *engine.Runner, rng *rand.Rand, spec Spec, job Job, em *telem
 	if err != nil {
 		return jobResult{status: core.Failed, err: err.Error()}
 	}
+	model, err := registry.ParseModel(job.Model)
+	if err != nil {
+		return jobResult{status: core.Failed, err: err.Error()}
+	}
+	opts := engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: em}
+	if spec.Exhaustive() {
+		return runExhaustiveJob(ctx, proto, g, opts, spec, job)
+	}
 	params.Seed = subSeed(job.Seed, 0x61647665727361) // "adversa"
 	adv, err := registry.NewAdversary(job.Adversary, params)
 	if err != nil {
 		return jobResult{status: core.Failed, err: err.Error()}
 	}
-	model, err := registry.ParseModel(job.Model)
-	if err != nil {
-		return jobResult{status: core.Failed, err: err.Error()}
-	}
-	res := runner.Run(proto, g, adv, engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: em})
+	res := runner.Run(proto, g, adv, opts)
 	jr = jobResult{
 		status:    res.Status,
 		rounds:    res.Rounds,
@@ -344,58 +289,16 @@ func runJob(runner *engine.Runner, rng *rand.Rand, spec Spec, job Job, em *telem
 }
 
 // runExhaustiveJob enumerates every adversarial schedule of one graph
-// instance through the memoized configuration DAG (engine.RunAllMemo) and
-// folds the terminal results, weighted by their exact schedule
-// multiplicities, into schedule statistics. The job-level status renders
-// the ∀-adversary verdict: Success only if *every* schedule succeeded
-// within budget, Deadlock if some schedule deadlocked, Failed on any model
-// violation, livelock, or an exhausted step budget.
-func runExhaustiveJob(ctx context.Context, rng *rand.Rand, spec Spec, job Job, em *telemetry.EngineMetrics) (jr jobResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			jr = jobResult{status: core.Failed, err: fmt.Sprintf("panic: %v", r)}
-		}
-	}()
-	params := registry.Params{N: job.N, K: spec.K, P: spec.P, Seed: job.Seed}
-	rng.Seed(job.Seed)
-	g, err := registry.NewGraph(job.Graph, params, rng)
-	if err != nil {
-		return jobResult{status: core.Failed, err: err.Error()}
-	}
-	params.N = g.N()
-	params.Seed = subSeed(job.Seed, 0x70726F746F636F6C) // "protocol"
-	proto, err := registry.NewProtocol(job.Protocol, params)
-	if err != nil {
-		return jobResult{status: core.Failed, err: err.Error()}
-	}
-	model, err := registry.ParseModel(job.Model)
-	if err != nil {
-		return jobResult{status: core.Failed, err: err.Error()}
-	}
-
-	ss := &schedStats{roundsMin: int(^uint(0) >> 1), bitsMin: int(^uint(0) >> 1)}
-	// Distinct outputs are counted by their rendering, made in one reused
-	// buffer; only an output not seen before becomes a key string.
-	outputs := map[string]struct{}{}
-	var render []byte
-	tally := func(res *core.Result, weight int) {
-		ss.addCount(&ss.schedules, weight)
-		switch res.Status {
-		case core.Success:
-			ss.addCount(&ss.success, weight)
-			render = fmt.Appendf(render[:0], "%v", res.Output)
-			if _, ok := outputs[string(render)]; !ok {
-				outputs[string(render)] = struct{}{}
-			}
-		case core.Deadlock:
-			ss.addCount(&ss.deadlock, weight)
-		default:
-			ss.addCount(&ss.failed, weight)
-		}
-		ss.addSchedule(res, weight)
-	}
+// instance (engine.OutputSpectrum) and keeps the spectrum for the cell.
+// The job-level status renders the ∀-adversary verdict: Success only if
+// *every* schedule succeeded within budget, Deadlock if some schedule
+// deadlocked, Failed on any model violation, livelock, an exhausted step
+// budget, or tallies too large to keep exact.
+func runExhaustiveJob(ctx context.Context, proto core.Protocol, g *graph.Graph, opts engine.Options, spec Spec, job Job) jobResult {
 	// Each exhaustive enumeration is one "engine" span under the worker's
-	// shard span; the attrs mirror the job's traversal stats.
+	// shard span; the attrs mirror the job's traversal stats, zero if the
+	// walk panicked.
+	s := &engine.Spectrum{}
 	engineStart := time.Now()
 	defer func() {
 		telemetry.RecordSpan(ctx, "engine", engineStart, time.Now(), map[string]any{
@@ -403,75 +306,30 @@ func runExhaustiveJob(ctx context.Context, rng *rand.Rand, spec Spec, job Job, e
 			"graph":     job.Graph,
 			"n":         job.N,
 			"memoized":  true,
-			"steps":     ss.steps,
-			"classes":   ss.classes,
-			"schedules": ss.schedules,
+			"steps":     s.Steps,
+			"classes":   s.Classes,
+			"schedules": s.Schedules,
 		})
 	}()
-	mstats, runErr := engine.RunAllMemo(proto, g,
-		engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: em}, spec.MaxSteps,
-		func(res *core.Result, mult *big.Int) error {
-			w, err := engine.IntFromBig(mult)
-			if err != nil {
-				return err
-			}
-			tally(res, w)
-			return nil
-		})
-	ss.steps = mstats.Steps
-	ss.classes = mstats.Classes
-	ss.stepsSaved = mstats.StepsSaved()
-	ss.outputs = len(outputs)
-
-	// The cell's round/bit dists are fed from ss by aggregate; only maxBits
-	// rides the shared jobResult field.
-	jr = jobResult{sched: ss, maxBits: ss.maxBitsOnBoard}
+	s, err := engine.OutputSpectrum(proto, g, opts, spec.MaxSteps)
+	jr := jobResult{spectrum: s, maxBits: s.MaxMessageBits}
 	switch {
-	case ss.overflow:
+	case errors.Is(err, engine.ErrBudget):
+		jr.budgetHit = true
 		jr.status = core.Failed
-		jr.err = "exhaustive tallies exceed integer range (schedule multiplicities too large to aggregate exactly)"
-	case errors.Is(runErr, engine.ErrBudget):
-		ss.budgetHit = true
+		jr.err = fmt.Sprintf("exhaustive budget of %d steps exhausted after %d schedules", spec.MaxSteps, s.Schedules)
+	case err != nil:
 		jr.status = core.Failed
-		jr.err = fmt.Sprintf("exhaustive budget of %d steps exhausted after %d schedules", spec.MaxSteps, ss.schedules)
-	case runErr != nil:
+		jr.err = err.Error()
+	case s.Failures > 0:
 		jr.status = core.Failed
-		jr.err = runErr.Error()
-	case ss.failed > 0:
-		jr.status = core.Failed
-		jr.err = fmt.Sprintf("%d of %d schedules violated a model constraint", ss.failed, ss.schedules)
-	case ss.deadlock > 0:
+		jr.err = fmt.Sprintf("%d of %d schedules violated a model constraint", s.Failures, s.Schedules)
+	case s.Deadlocks > 0:
 		jr.status = core.Deadlock
 	default:
 		jr.status = core.Success
 	}
 	return jr
-}
-
-// addSchedule folds one terminal result, standing for weight identical
-// schedules, into the accumulators.
-func (ss *schedStats) addSchedule(res *core.Result, weight int) {
-	r := res.Rounds
-	if r < ss.roundsMin {
-		ss.roundsMin = r
-	}
-	if r > ss.roundsMax {
-		ss.roundsMax = r
-	}
-	ss.addWeighted(&ss.roundsSum, r, weight)
-	bits := res.Board.TotalBits()
-	if bits < ss.bitsMin {
-		ss.bitsMin = bits
-	}
-	if bits > ss.bitsMax {
-		ss.bitsMax = bits
-	}
-	ss.addWeighted(&ss.bitsSum, bits, weight)
-	for i := 0; i < res.Board.Len(); i++ {
-		if b := res.Board.At(i).Bits; b > ss.maxBitsOnBoard {
-			ss.maxBitsOnBoard = b
-		}
-	}
 }
 
 // aggregateCell folds the job results of one cell — a contiguous slice of
@@ -484,8 +342,6 @@ func aggregateCell(spec Spec, jobs []Job, results []jobResult) Cell {
 		if c.Runs == 0 {
 			c.Protocol, c.Graph, c.Adversary = job.Protocol, job.Graph, job.Adversary
 			c.Model, c.N = job.Model, job.N
-			c.Rounds = newDist()
-			c.BoardBits = newDist()
 			if spec.Exhaustive() {
 				// Every exhaustive cell carries its block, even if all its
 				// trials died before enumerating a single schedule.
@@ -506,40 +362,31 @@ func aggregateCell(spec Spec, jobs []Job, results []jobResult) Cell {
 			}
 		}
 		switch {
-		case r.sched != nil:
+		case r.spectrum != nil:
 			// Exhaustive job: the cell dists range over terminal schedules.
-			e := c.Exhaustive
-			e.Schedules += r.sched.schedules
-			e.Steps += r.sched.steps
-			e.Success += r.sched.success
-			e.Deadlock += r.sched.deadlock
-			e.Failed += r.sched.failed
-			e.DistinctOutputs += r.sched.outputs
-			e.BudgetExhausted = e.BudgetExhausted || r.sched.budgetHit
-			e.Classes += r.sched.classes
-			e.StepsSaved += r.sched.stepsSaved
-			c.Rounds.merge(r.sched.roundsMin, r.sched.roundsMax, r.sched.roundsSum, int64(r.sched.schedules))
-			c.BoardBits.merge(r.sched.bitsMin, r.sched.bitsMax, r.sched.bitsSum, int64(r.sched.schedules))
+			s, e := r.spectrum, c.Exhaustive
+			e.Schedules += s.Schedules
+			e.Steps += s.Steps
+			e.Success += s.Success
+			e.Deadlock += s.Deadlocks
+			e.Failed += s.Failures
+			e.DistinctOutputs += len(s.Outputs)
+			e.BudgetExhausted = e.BudgetExhausted || r.budgetHit
+			e.Classes += s.Classes
+			e.StepsSaved += s.StepsSaved
+			c.Rounds.merge(s.Rounds.Min, s.Rounds.Max, s.Rounds.Sum, int64(s.Schedules))
+			c.BoardBits.merge(s.BoardBits.Min, s.BoardBits.Max, s.BoardBits.Sum, int64(s.Schedules))
 		case spec.Exhaustive():
 			// An exhaustive trial that died before enumeration (construction
 			// error, panic) has no schedules; a synthetic 0-round sample
 			// would corrupt the over-schedules distribution, so add nothing.
 		default:
-			c.Rounds.add(r.rounds)
-			c.BoardBits.add(r.boardBits)
+			c.Rounds.merge(r.rounds, r.rounds, int64(r.rounds), 1)
+			c.BoardBits.merge(r.boardBits, r.boardBits, int64(r.boardBits), 1)
 		}
 		if r.maxBits > c.MaxMessageBits {
 			c.MaxMessageBits = r.maxBits
 		}
-	}
-	// An exhaustive cell whose budget died before the first terminal
-	// schedule has empty dists; zero them so the sentinel min (maxint)
-	// never reaches a report.
-	if cell.Rounds.n == 0 {
-		cell.Rounds = Dist{}
-	}
-	if cell.BoardBits.n == 0 {
-		cell.BoardBits = Dist{}
 	}
 	return cell
 }

@@ -16,10 +16,9 @@ import (
 func treeWalkSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int) (*Spectrum, error) {
 	s := &Spectrum{Outputs: map[string]int{}}
 	stats, err := RunAll(p, g, opts, maxSteps, func(res *core.Result, _ []int) error {
-		s.tally(res, 1)
-		return nil
+		return s.tally(res, 1)
 	})
-	s.Schedules, s.Steps = stats.Schedules, stats.Steps
+	s.Steps = stats.Steps
 	return s, err
 }
 
@@ -54,10 +53,11 @@ func registeredInstance(t testing.TB, pname, gname string, n int) (core.Protocol
 
 // checkMemoMatchesNaive runs the naive and memoized exhaustive walks of p
 // on g under model and reports every way they differ: outputs and their
-// schedule counts, deadlock and failure tallies, and a naive step count
-// that the memoized walk does not account for exactly as Steps +
-// StepsSaved. A walk that fails must fail alike under both. It returns the
-// memoized walk's Spectrum and error.
+// schedule counts, success, deadlock and failure tallies, the
+// multiplicity-weighted round and board-bit ranges, the largest message,
+// and a naive step count that the memoized walk does not account for
+// exactly as Steps + StepsSaved. A walk that fails must fail alike under
+// both. It returns the memoized walk's Spectrum and error.
 func checkMemoMatchesNaive(t *testing.T, coord string, p core.Protocol, g *graph.Graph, model *core.Model) (*Spectrum, error) {
 	t.Helper()
 	naive, errN := treeWalkSpectrum(p, g, Options{Model: model}, 1<<20)
@@ -71,9 +71,13 @@ func checkMemoMatchesNaive(t *testing.T, coord string, p core.Protocol, g *graph
 	if naive.Schedules != memo.Schedules {
 		t.Errorf("%s: schedules %d vs %d", coord, naive.Schedules, memo.Schedules)
 	}
-	if naive.Deadlocks != memo.Deadlocks || naive.Failures != memo.Failures {
-		t.Errorf("%s: deadlocks/failures %d/%d vs %d/%d", coord,
-			naive.Deadlocks, naive.Failures, memo.Deadlocks, memo.Failures)
+	if naive.Success != memo.Success || naive.Deadlocks != memo.Deadlocks || naive.Failures != memo.Failures {
+		t.Errorf("%s: success/deadlocks/failures %d/%d/%d vs %d/%d/%d", coord,
+			naive.Success, naive.Deadlocks, naive.Failures, memo.Success, memo.Deadlocks, memo.Failures)
+	}
+	if naive.Rounds != memo.Rounds || naive.BoardBits != memo.BoardBits || naive.MaxMessageBits != memo.MaxMessageBits {
+		t.Errorf("%s: rounds %+v, board bits %+v, largest message %d vs %+v, %+v, %d", coord,
+			naive.Rounds, naive.BoardBits, naive.MaxMessageBits, memo.Rounds, memo.BoardBits, memo.MaxMessageBits)
 	}
 	if !reflect.DeepEqual(naive.Outputs, memo.Outputs) {
 		t.Errorf("%s: outputs %v vs %v", coord, naive.Outputs, memo.Outputs)

@@ -14,9 +14,10 @@ import (
 	"repro/internal/graph"
 )
 
-// ErrMultiplicityOverflow is returned when an exact schedule multiplicity
-// does not fit the int tallies of a Spectrum or campaign cell. The memoized
-// walk stays exact-or-error: it never saturates a tally silently.
+// ErrMultiplicityOverflow is returned when an exact schedule multiplicity,
+// or a Spectrum count or sum it feeds, does not fit its integer tally.
+// Spectra, and the campaign cells built from them, stay exact-or-error:
+// no tally saturates or wraps silently.
 var ErrMultiplicityOverflow = errors.New("engine: schedule multiplicity overflows int tally")
 
 // MemoStats summarizes a memoized exhaustive exploration.
@@ -439,8 +440,8 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	return stats, nil
 }
 
-// IntFromBig converts an exact multiplicity to the int tallies used by
-// Spectrum and campaign cells, or fails with ErrMultiplicityOverflow.
+// IntFromBig converts an exact multiplicity to the int a Spectrum tallies
+// it as, or fails with ErrMultiplicityOverflow.
 func IntFromBig(v *big.Int) (int, error) {
 	if !v.IsInt64() {
 		return 0, fmt.Errorf("%w: %s", ErrMultiplicityOverflow, v.String())

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"sort"
 
@@ -10,16 +11,26 @@ import (
 )
 
 // Spectrum summarizes what a protocol can be forced to produce across all
-// adversarial schedules of one input.
+// adversarial schedules of one input. Every count and range is over
+// terminal schedules: a configuration class reached by k schedules counts k
+// times.
 type Spectrum struct {
 	Schedules int
 	// Outputs maps a rendered output value to the number of schedules
 	// producing it (only successful runs contribute).
 	Outputs map[string]int
+	// Success counts schedules that ended successfully.
+	Success int
 	// Deadlocks counts schedules that ended in a corrupted configuration.
 	Deadlocks int
 	// Failures counts schedules that violated a model constraint.
 	Failures int
+	// Rounds and BoardBits range over the schedules' round counts and
+	// final board sizes: Min is the best any schedule achieves, Max the
+	// worst the adversary can force.
+	Rounds, BoardBits Range
+	// MaxMessageBits is the largest single message on any final board.
+	MaxMessageBits int
 	// Steps counts the simulated writes the exploration performed. Identical
 	// configurations are simulated once, so Steps can be far below the
 	// schedule tree's edge count.
@@ -37,6 +48,29 @@ type Spectrum struct {
 	keys   map[string]string
 }
 
+// Range is the least and greatest value of one figure over a spectrum's
+// schedules, and its exact sum over them.
+type Range struct {
+	Min, Max int
+	Sum      int64
+}
+
+// add folds v, reached by mult schedules, into r; first marks r's first
+// value. A sum that would exceed int64 fails with ErrMultiplicityOverflow.
+func (r *Range) add(v, mult int, first bool) error {
+	if first || v < r.Min {
+		r.Min = v
+	}
+	if first || v > r.Max {
+		r.Max = v
+	}
+	if v > 0 && int64(mult) > (math.MaxInt64-r.Sum)/int64(v) {
+		return ErrMultiplicityOverflow
+	}
+	r.Sum += int64(v) * int64(mult)
+	return nil
+}
+
 // DistinctOutputs returns the rendered outputs sorted lexicographically.
 func (s *Spectrum) DistinctOutputs() []string {
 	out := make([]string, 0, len(s.Outputs))
@@ -48,10 +82,32 @@ func (s *Spectrum) DistinctOutputs() []string {
 }
 
 // tally folds one terminal outcome, reached by mult schedules, into the
-// spectrum.
-func (s *Spectrum) tally(res *core.Result, mult int) {
+// spectrum. The tallies stay exact or fail: a count or sum that would
+// leave its integer range returns ErrMultiplicityOverflow, and the walk
+// stops there.
+func (s *Spectrum) tally(res *core.Result, mult int) error {
+	if s.Schedules > math.MaxInt-mult {
+		return ErrMultiplicityOverflow
+	}
+	bits := 0
+	for i := 0; i < res.Board.Len(); i++ {
+		m := res.Board.At(i).Bits
+		bits += m
+		s.MaxMessageBits = max(s.MaxMessageBits, m)
+	}
+	first := s.Schedules == 0
+	if err := s.Rounds.add(res.Rounds, mult, first); err != nil {
+		return err
+	}
+	if err := s.BoardBits.add(bits, mult, first); err != nil {
+		return err
+	}
+	// Success, Deadlocks, Failures and each output's count sum parts of
+	// Schedules, so none can overflow where Schedules does not.
+	s.Schedules += mult
 	switch res.Status {
 	case core.Success:
+		s.Success += mult
 		s.render = fmt.Appendf(s.render[:0], "%v", res.Output)
 		key, ok := s.keys[string(s.render)]
 		if !ok {
@@ -67,13 +123,15 @@ func (s *Spectrum) tally(res *core.Result, mult int) {
 	default:
 		s.Failures += mult
 	}
+	return nil
 }
 
 // OutputSpectrum explores every adversarial schedule of p on g (within a
 // budget of maxSteps simulated writes) and tallies the outcomes. It
 // answers, for small inputs, the question behind the model's ∀-adversary
 // quantifier: which answers can the adversary force, and can it force a
-// deadlock?
+// deadlock? When the step budget runs out, the tallies cover the
+// schedules visited before it did.
 //
 // The exploration is memoized (RunAllMemo): write orders that reach
 // identical configurations are simulated once and their exact schedule
@@ -83,20 +141,12 @@ func (s *Spectrum) tally(res *core.Result, mult int) {
 func OutputSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int) (*Spectrum, error) {
 	s := &Spectrum{Outputs: map[string]int{}}
 	stats, err := RunAllMemo(p, g, opts, maxSteps, func(res *core.Result, mult *big.Int) error {
-		w, convErr := IntFromBig(mult)
-		if convErr != nil {
-			return convErr
+		w, err := IntFromBig(mult)
+		if err != nil {
+			return err
 		}
-		s.tally(res, w)
-		return nil
+		return s.tally(res, w)
 	})
-	s.Steps = stats.Steps
-	s.Classes = stats.Classes
-	if sched, convErr := IntFromBig(stats.Schedules); convErr == nil {
-		s.Schedules = sched
-	} else if err == nil {
-		err = convErr
-	}
-	s.StepsSaved = stats.StepsSaved()
+	s.Steps, s.Classes, s.StepsSaved = stats.Steps, stats.Classes, stats.StepsSaved()
 	return s, err
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -56,6 +58,38 @@ func TestOutputSpectrumDistinctSorted(t *testing.T) {
 	got := s.DistinctOutputs()
 	if strings.Join(got, ",") != "a,b,c" {
 		t.Errorf("DistinctOutputs = %v", got)
+	}
+}
+
+// TestSpectrumTallyOverflows pins the exact-or-error rule: a schedule
+// count or a multiplicity-weighted sum that would leave its integer range
+// fails the tally with ErrMultiplicityOverflow instead of wrapping. Each
+// case overflows one tally alone; every weight but the last must fit.
+func TestSpectrumTallyOverflows(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		rounds, bits int
+		weights      []int
+	}{
+		{"schedules", 0, 0, []int{math.MaxInt/2 + 1, math.MaxInt/2 + 1}},
+		{"round sum", 100, 0, []int{math.MaxInt64 / 50}},
+		{"board-bit sum", 0, 100, []int{math.MaxInt64 / 50}},
+	} {
+		board := core.NewBoard()
+		if c.bits > 0 {
+			board.Append(core.Message{Data: make([]byte, (c.bits+7)/8), Bits: c.bits})
+		}
+		res := &core.Result{Status: core.Success, Output: 1, Rounds: c.rounds, Board: board}
+		s := &Spectrum{Outputs: map[string]int{}}
+		last := len(c.weights) - 1
+		for _, w := range c.weights[:last] {
+			if err := s.tally(res, w); err != nil {
+				t.Fatalf("%s: weight %d: %v", c.name, w, err)
+			}
+		}
+		if err := s.tally(res, c.weights[last]); !errors.Is(err, ErrMultiplicityOverflow) {
+			t.Errorf("%s: weight %d after %d schedules: err %v, want ErrMultiplicityOverflow", c.name, c.weights[last], s.Schedules, err)
+		}
 	}
 }
 

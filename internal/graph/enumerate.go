@@ -86,18 +86,3 @@ func isForest(g *Graph) bool {
 
 // IsForest reports whether g is acyclic.
 func IsForest(g *Graph) bool { return isForest(g) }
-
-// AllGraphsWithDegeneracyAtMost enumerates labeled graphs of degeneracy ≤ k.
-func AllGraphsWithDegeneracyAtMost(n, k int, fn func(*Graph) bool) {
-	AllGraphs(n, func(g *Graph) bool {
-		if Degeneracy(g) <= k {
-			return fn(g)
-		}
-		return true
-	})
-}
-
-// CountGraphs returns the number of graphs AllGraphs would visit for n.
-func CountGraphs(n int) uint64 {
-	return 1 << uint(n*(n-1)/2)
-}

@@ -320,7 +320,9 @@ func (p Protocol) Activate(v core.NodeView, b *core.Board) bool {
 		return true
 	}
 	if k, ok := st.minWrittenLayer(v); ok {
-		return st.layerComplete(k)
+		// v would write layer k+1, which its w-bit field holds only below
+		// 1<<w, the size of every table.
+		return k+1 < len(st.at) && st.layerComplete(k)
 	}
 	// No written neighbor: root rules.
 	if len(st.entries) == 0 {
@@ -360,6 +362,11 @@ func (p Protocol) Compose(v core.NodeView, b *core.Board) core.Message {
 	if k, ok := st.minWrittenLayer(v); !ok {
 		e.layer, e.parent, e.dPrev, e.dSame = 0, 0, 0, 0
 		e.dNext = v.Degree()
+	} else if k+1 >= len(st.at) {
+		// Layer k+1 does not fit its field (see Activate); only a
+		// malformed board gets here, e.g. under SYNC, where v may have
+		// activated as a root before the bad layer was written.
+		return core.Message{}
 	} else {
 		e.layer = k + 1
 		e.parent = 0
