@@ -42,7 +42,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -58,7 +57,7 @@ import (
 	"repro/campaign"
 	"repro/client"
 	"repro/fabric"
-	"repro/internal/scenario"
+	"repro/internal/jsonindent"
 	"repro/internal/telemetry"
 	"repro/registry"
 	"repro/store"
@@ -260,7 +259,6 @@ func runCmd(args []string) {
 	}
 
 	set := telemetry.NewSet()
-	scenario.SetMetrics(set.Scenario)
 	runStart := time.Now()
 	var rep *campaign.Report
 	if len(workerURLs) > 0 {
@@ -274,7 +272,7 @@ func runCmd(args []string) {
 			fail(err)
 		}
 	} else {
-		opts := campaign.Options{Workers: workerN, OnCellDone: cellProgress(*quiet, logger)}
+		opts := campaign.Options{Workers: workerN, Metrics: set.Campaign, OnCellDone: cellProgress(*quiet, logger)}
 		// A local -trace runs the sweep under an in-process tracer and dumps
 		// the same span-tree document the server's trace route serves.
 		ctx := context.Background()
@@ -655,13 +653,13 @@ func cancelRemoteJob(c *client.Client, id string, cause error) error {
 // writeTrace dumps a local run's span tree in the same shape the server's
 // trace route serves, so downstream tooling reads both alike.
 func writeTrace(path, traceID string, dropped int64, spans []telemetry.SpanRecord) error {
-	data, err := json.MarshalIndent(map[string]any{
+	data, err := jsonindent.Marshal(map[string]any{
 		"trace": traceID, "dropped": dropped, "spans": spans,
-	}, "", "  ")
+	})
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
 }
 
 // fetchRendered downloads one rendered report representation to a file.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -54,6 +55,29 @@ func BenchmarkCampaignSequentialBaseline(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(spec, Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteJSON renders a fleet-sized report: the 108 cells of the
+// benchmark's fleet workload (4 protocols, 3 graph families, 3 sizes and
+// 3 adversaries, one of them a script).
+func BenchmarkWriteJSON(b *testing.B) {
+	rep, err := Run(Spec{
+		Protocols:   []string{"build-forest", "bfs", "mis", "connectivity"},
+		Graphs:      []string{"tree", "gnp", "path"},
+		Adversaries: []string{"min", "rotor", "script:def stride(r) = mod(r * 7, len(candidates)); candidates[stride(round)]"},
+		Sizes:       []int{32, 48, 64},
+		Seeds:       5,
+		P:           0.02,
+	}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := rep.WriteJSON(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,11 +2,12 @@ package campaign
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
+
+	"repro/internal/jsonindent"
 )
 
 // Dist summarizes an integer distribution. Mean is sum/count computed from
@@ -107,11 +108,10 @@ type Report struct {
 
 // WriteJSON emits the report as indented JSON with a trailing newline.
 func (r *Report) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r, "", "  ")
+	data, err := jsonindent.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
-	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
 }

@@ -143,7 +143,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 			ran := 0
 			defer func() { shard.SetAttr("jobs", ran) }()
 			m := r.opts.Metrics
-			em := m.EngineMetrics()
 			runner := engine.NewRunner()
 			rng := rand.New(rand.NewSource(1)) // reseeded per job
 			for ctx.Err() == nil {
@@ -152,7 +151,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 					return
 				}
 				jobStart := time.Now()
-				results[i] = runJob(wctx, runner, rng, spec, jobs[i], em)
+				results[i] = runJob(wctx, runner, rng, spec, jobs[i], m)
 				results[i].start = jobStart
 				results[i].dur = time.Since(jobStart)
 				m.JobDone()
@@ -235,10 +234,12 @@ func recordCell(ctx context.Context, m *telemetry.CampaignMetrics, index int, ce
 
 // runJob constructs the job's components from the registry and runs it:
 // every schedule of an exhaustive job (runExhaustiveJob), or else one run
-// against the job's adversary on the worker's reusable runner.
-// Construction errors (which Validate should have ruled out) and panics
-// surface as Failed results rather than tearing down the pool.
-func runJob(ctx context.Context, runner *engine.Runner, rng *rand.Rand, spec Spec, job Job, em *telemetry.EngineMetrics) (jr jobResult) {
+// against the job's adversary on the worker's reusable runner. The run
+// records into m's engine group, and the scripts the job compiles into
+// its scenario group. Construction errors (which Validate should have
+// ruled out) and panics surface as Failed results rather than tearing
+// down the pool.
+func runJob(ctx context.Context, runner *engine.Runner, rng *rand.Rand, spec Spec, job Job, m *telemetry.CampaignMetrics) (jr jobResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			jr = jobResult{status: core.Failed, err: fmt.Sprintf("panic: %v", r)}
@@ -248,7 +249,7 @@ func runJob(ctx context.Context, runner *engine.Runner, rng *rand.Rand, spec Spe
 	// a "random" adversary seeded with the graph's seed would replay the
 	// very PRNG stream that drew the graph's edges, correlating schedule
 	// with structure.
-	params := registry.Params{N: job.N, K: spec.K, P: spec.P, Seed: job.Seed, Script: spec.Script}
+	params := registry.Params{N: job.N, K: spec.K, P: spec.P, Seed: job.Seed, Script: spec.Script, Scenario: m.ScenarioMetrics()}
 	rng.Seed(job.Seed)
 	g, err := registry.NewGraph(job.Graph, params, rng)
 	if err != nil {
@@ -266,7 +267,7 @@ func runJob(ctx context.Context, runner *engine.Runner, rng *rand.Rand, spec Spe
 	if err != nil {
 		return jobResult{status: core.Failed, err: err.Error()}
 	}
-	opts := engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: em}
+	opts := engine.Options{Model: model, MaxRounds: spec.MaxRounds, Metrics: m.EngineMetrics()}
 	if spec.Exhaustive() {
 		return runExhaustiveJob(ctx, proto, g, opts, spec, job)
 	}

@@ -33,6 +33,7 @@ import (
 	"repro/internal/reductions"
 	"repro/internal/scenario"
 	"repro/internal/suggest"
+	"repro/internal/telemetry"
 )
 
 // Params carries the shared construction parameters. Every builder reads
@@ -50,6 +51,9 @@ type Params struct {
 	// "script" adversary compiles it when its name carries no
 	// colon-argument of its own.
 	Script string
+	// Scenario, when non-nil, counts the compiles and evaluator steps of
+	// the scripts the builders compile: the run's wb_scenario_* group.
+	Scenario *telemetry.ScenarioMetrics
 }
 
 // Defaults substitutes N=10 when N is unset; every other field is
@@ -275,7 +279,7 @@ func init() {
 			if p.Arg == "" {
 				return nil, fmt.Errorf("registry: scripted wants a comma-separated order, e.g. scripted:3,1,2")
 			}
-			prog, err := scenario.CompileChoose("prefer(" + p.Arg + ")")
+			prog, err := scenario.Compile("prefer("+p.Arg+")", scenario.ModeChoose, p.Scenario)
 			if err != nil {
 				return nil, fmt.Errorf("registry: scripted order %q: %w", p.Arg, err)
 			}
@@ -290,7 +294,7 @@ func init() {
 			if src == "" {
 				return nil, fmt.Errorf(`registry: script wants an expression (script:<expr>) or a spec-level "script" field`)
 			}
-			prog, err := scenario.CompileChoose(src)
+			prog, err := scenario.Compile(src, scenario.ModeChoose, p.Scenario)
 			if err != nil {
 				return nil, fmt.Errorf("registry: adversary script: %w", err)
 			}
@@ -307,7 +311,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			prog, err := scenario.CompileActivate(pred)
+			prog, err := scenario.Compile(pred, scenario.ModeActivate, p.Scenario)
 			if err != nil {
 				return nil, fmt.Errorf("registry: gate predicate: %w", err)
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/testutil"
 )
 
 // goldenReports loads the campaign package's pinned report fixtures — the
@@ -156,6 +157,29 @@ func TestStoredEnvelopeUsesColumnarFormat(t *testing.T) {
 	if bytes.Contains(raw, []byte(`"cells": [`)) {
 		t.Error("stored envelope still carries the inline cell array")
 	}
+}
+
+// TestEnvelopeGolden pins the bytes Save writes: the envelope of the
+// sampled golden report under a fixed label, as the first run of a fresh
+// store.
+func TestEnvelopeGolden(t *testing.T) {
+	var rep campaign.Report
+	if err := json.Unmarshal(goldenReports(t)["report_sampled.json"], &rep); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.Save(&rep, "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(st.Dir(), e.SpecHash, e.Label+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGolden(t, "envelope_sampled.json", raw)
 }
 
 // TestLegacyEnvelopeStillLoads pins backward compatibility: an envelope

@@ -1,12 +1,12 @@
 package resultstore
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 
 	"repro/internal/campaign"
+	"repro/internal/jsonindent"
 )
 
 // FieldDelta is one changed statistic of one cell. Values are pre-rendered
@@ -215,11 +215,10 @@ func (d *Diff) Render(w io.Writer, format string) error {
 
 // WriteJSON emits the diff as indented JSON with a trailing newline.
 func (d *Diff) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(d, "", "  ")
+	data, err := jsonindent.Marshal(d)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
 }

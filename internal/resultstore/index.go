@@ -24,10 +24,13 @@ package resultstore
 //
 // Persistence is transactional in the crash-safe sense: Save appends one
 // journal line after its envelope landed, and snapshot rewrites go
-// through a temp file + rename. A crash between envelope and journal
-// leaves the index stale, which the mtime walk detects; a torn journal
-// tail is ignored. Persist failures are deliberately non-fatal — a store
-// on a read-only mirror still lists fine, just without the warm-start.
+// through a temp file + rename. A save whose line makes the journal
+// outgrow the snapshot walks the store and rewrites the snapshot, which
+// drops the journal (see noteSavedLocked). A crash between envelope and
+// journal leaves the index stale, which the mtime walk detects; a torn
+// journal tail is ignored. Persist failures are deliberately non-fatal —
+// a store on a read-only mirror still lists fine, just without the
+// warm-start.
 
 import (
 	"bufio"
@@ -60,6 +63,10 @@ const (
 	// for its last line, which takes a few hundred; a longer line sends the
 	// save down the full walk instead.
 	journalTail = 8 << 10
+	// journalFloor is the journal size below which a save never compacts
+	// it, so a young store with a small snapshot does not rewrite the
+	// snapshot on every save.
+	journalFloor = 64 << 10
 )
 
 // zeroTime marks a group for dirent re-verification on the next walk.
@@ -126,6 +133,9 @@ type storeIndex struct {
 	// sorted caches the List ordering; nil after any mutation that is not
 	// an append at its end.
 	sorted []Entry
+	// snapshotSize is the size of the snapshot this handle last read or
+	// wrote; the journal is compacted once it outgrows it.
+	snapshotSize int64
 }
 
 // indexSnapshot is the persisted form.
@@ -153,6 +163,7 @@ func (s *Store) loadIndexLocked() {
 	if err == nil {
 		var snap indexSnapshot
 		if json.Unmarshal(data, &snap) == nil && snap.Version == indexVersion {
+			s.idx.snapshotSize = int64(len(data))
 			for hash, g := range snap.Groups {
 				if g == nil || !plausibleGroup(hash, g) {
 					continue
@@ -497,14 +508,33 @@ func lastJournalSeq(path string) (seq int, ok bool) {
 
 // noteSavedLocked records a just-written envelope in the index and its
 // journal — the transactional half-step that keeps warm restarts exact.
+//
+// Once the journal outgrows both the snapshot it would fold into and
+// journalFloor, the save compacts it: a cold Open then replays at most
+// about a snapshot's worth of lines, and each compaction costs O(index)
+// once per Θ(index) saves. The freshness walk first folds in every other
+// handle's saves, since the rewrite drops their journal lines too. A line
+// another handle appends between the snapshot rename and the journal
+// removal is lost with the journal; its envelope is on disk, and the walk
+// lists it again.
 func (s *Store) noteSavedLocked(ie indexEntry, a axes) {
 	s.applyEntryLocked(ie, a)
-	if data, err := json.Marshal(journalLine{ie, a}); err == nil {
-		if jf, err := os.OpenFile(filepath.Join(s.dir, indexJournal),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-			jf.Write(append(data, '\n'))
-			jf.Close()
-		}
+	data, err := json.Marshal(journalLine{ie, a})
+	if err != nil {
+		return
+	}
+	jf, err := os.OpenFile(filepath.Join(s.dir, indexJournal), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return
+	}
+	jf.Write(append(data, '\n'))
+	st, err := jf.Stat()
+	jf.Close()
+	if err != nil || st.Size() <= max(s.idx.snapshotSize, journalFloor) {
+		return
+	}
+	if s.refreshLocked() == nil {
+		s.persistIndexLocked()
 	}
 }
 
@@ -533,5 +563,6 @@ func (s *Store) persistIndexLocked() {
 		os.Remove(tmp)
 		return
 	}
+	s.idx.snapshotSize = int64(len(data))
 	os.Remove(filepath.Join(s.dir, indexJournal))
 }

@@ -277,3 +277,106 @@ func TestConcurrentSaves(t *testing.T) {
 		refs[e.Ref()] = true
 	}
 }
+
+// checkJournalBounded fails t if the journal outgrew what a save leaves
+// behind: the larger of the snapshot and journalFloor.
+func checkJournalBounded(t *testing.T, dir string) {
+	t.Helper()
+	var journal, snapshot int64
+	if st, err := os.Stat(filepath.Join(dir, indexJournal)); err == nil {
+		journal = st.Size()
+	}
+	if st, err := os.Stat(filepath.Join(dir, indexFile)); err == nil {
+		snapshot = st.Size()
+	}
+	if journal > max(snapshot, journalFloor) {
+		t.Errorf("journal is %d bytes beside a %d-byte snapshot (floor %d)", journal, snapshot, journalFloor)
+	}
+}
+
+// checkColdListing opens a fresh handle on dir and requires it to list n
+// runs under n distinct sequence numbers.
+func checkColdListing(t *testing.T, dir string, n int) {
+	t.Helper()
+	cold, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := cold.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := map[int]bool{}
+	for _, e := range entries {
+		if seqs[e.Seq] {
+			t.Errorf("seq %d taken twice", e.Seq)
+		}
+		seqs[e.Seq] = true
+	}
+	if len(entries) != n {
+		t.Errorf("a cold handle lists %d runs, want %d", len(entries), n)
+	}
+}
+
+// TestJournalCompacts saves 2,000 runs into 20 spec groups through one
+// handle that lists after every tenth save. Its walks never find a group
+// changed under it, so only the save path can compact the journal; a cold
+// handle still lists every run.
+func TestJournalCompacts(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := 1; i <= n; i++ {
+		if _, err := st.Save(syntheticReport(4+i%20), ""); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			if _, err := st.List(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkJournalBounded(t, dir)
+	checkColdListing(t, dir, n)
+}
+
+// TestJournalCompactsAcrossHandles alternates saves between two handles
+// past the compaction bound: each compaction folds in the other handle's
+// saves, so a cold handle lists every run under a unique seq. A journal
+// line lost to a compaction (the journal removed right after the save
+// appended it) leaves its run listed through its envelope, and the next
+// save still takes a higher seq.
+func TestJournalCompactsAcrossHandles(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := Open(dir)
+	b, _ := Open(dir)
+	const n = 800
+	for i := 0; i < n; i++ {
+		st := a
+		if i%2 == 1 {
+			st = b
+		}
+		if _, err := st.Save(syntheticReport(4+i%50), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkJournalBounded(t, dir)
+	lost, err := b.Save(syntheticReport(9), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, indexJournal)); err != nil {
+		t.Fatal(err)
+	}
+	next, err := a.Save(syntheticReport(4), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Seq <= lost.Seq {
+		t.Errorf("save after a lost journal line took seq %d, not above %d", next.Seq, lost.Seq)
+	}
+	checkColdListing(t, dir, n+2)
+}

@@ -23,7 +23,6 @@
 package resultstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,6 +37,7 @@ import (
 	"syscall"
 
 	"repro/internal/campaign"
+	"repro/internal/jsonindent"
 	"repro/internal/telemetry"
 )
 
@@ -360,10 +360,8 @@ func (s *Store) write(dir string, env envelope) (Entry, int64, error) {
 		Report:      reportHeader{Spec: env.Report.Spec, Jobs: env.Report.Jobs, Totals: env.Report.Totals},
 		CellsPacked: packed,
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	data, err := jsonindent.Marshal(doc)
+	if err != nil {
 		return Entry{}, 0, errStore(err)
 	}
 	tf, err := os.CreateTemp(dir, env.Label+".*.tmp")
@@ -372,7 +370,7 @@ func (s *Store) write(dir string, env envelope) (Entry, int64, error) {
 	}
 	tmp := tf.Name()
 	defer os.Remove(tmp)
-	if _, err := tf.Write(buf.Bytes()); err != nil {
+	if _, err := tf.Write(data); err != nil {
 		tf.Close()
 		return Entry{}, 0, errStore(err)
 	}
@@ -401,7 +399,7 @@ func (s *Store) write(dir string, env envelope) (Entry, int64, error) {
 		}
 	}
 	s.metrics.CodecEncoded(len(packed))
-	return env.Entry, int64(buf.Len()), nil
+	return env.Entry, int64(len(data)), nil
 }
 
 // List returns every stored entry, oldest first (by sequence, then by

@@ -52,7 +52,7 @@ func (p *Program) EvalChoose(round int, candidates []int, boardLen, lastWriter i
 		candidates: candidates,
 	}
 	v, err := ctx.eval(p.root)
-	metricsEvalSteps(ctx.steps)
+	p.metrics.EvalSteps(int64(ctx.steps))
 	if err != nil {
 		return 0, err
 	}
@@ -76,7 +76,7 @@ func (p *Program) EvalActivate(id, n, degree, boardLen int) (bool, error) {
 		},
 	}
 	v, err := ctx.eval(p.root)
-	metricsEvalSteps(ctx.steps)
+	p.metrics.EvalSteps(int64(ctx.steps))
 	if err != nil {
 		return false, err
 	}

@@ -47,7 +47,7 @@ func FuzzParseScript(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		for _, mode := range []Mode{ModeChoose, ModeActivate} {
-			prog, err := Compile(src, mode)
+			prog, err := Compile(src, mode, nil)
 			if err != nil {
 				if err.Error() == "" {
 					t.Error("Compile returned an empty error")
@@ -55,7 +55,7 @@ func FuzzParseScript(f *testing.F) {
 				continue
 			}
 			printed := prog.String()
-			again, err := Compile(printed, mode)
+			again, err := Compile(printed, mode, nil)
 			if err != nil {
 				t.Fatalf("canonical form %q (from %q) does not reparse: %v", printed, src, err)
 			}
@@ -75,7 +75,7 @@ func FuzzEvalScript(f *testing.F) {
 		f.Add(s, 3, 7)
 	}
 	f.Fuzz(func(t *testing.T, src string, round, boardLen int) {
-		if prog, err := Compile(src, ModeChoose); err == nil {
+		if prog, err := Compile(src, ModeChoose, nil); err == nil {
 			candidates := []int{1, 3, 4}
 			if _, err := prog.EvalChoose(round, candidates, boardLen, -1); err != nil && err.Error() == "" {
 				t.Error("EvalChoose returned an empty error")
@@ -86,7 +86,7 @@ func FuzzEvalScript(f *testing.F) {
 				t.Error("EvalChoose(empty candidates) returned an empty error")
 			}
 		}
-		if prog, err := Compile(src, ModeActivate); err == nil {
+		if prog, err := Compile(src, ModeActivate, nil); err == nil {
 			if _, err := prog.EvalActivate(round, 5, 2, boardLen); err != nil && err.Error() == "" {
 				t.Error("EvalActivate returned an empty error")
 			}

@@ -32,7 +32,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -102,6 +101,8 @@ type Program struct {
 	mode Mode
 	defs []*defNode
 	root node
+	// metrics counts the program's evaluator steps; nil records nothing.
+	metrics *telemetry.ScenarioMetrics
 }
 
 // Source returns the original script text — the string that participates
@@ -136,9 +137,10 @@ func (p *Program) String() string {
 
 // Compile runs the full pipeline — lex, parse, type check — for the
 // given mode. The returned error is a *Error with a position for any
-// script defect.
-func Compile(src string, mode Mode) (*Program, error) {
-	metricsCompile()
+// script defect. m, when non-nil, counts the attempt and the program's
+// evaluator steps: the wb_scenario_* group of the run that compiles it.
+func Compile(src string, mode Mode, m *telemetry.ScenarioMetrics) (*Program, error) {
+	m.CompileDone()
 	if len(src) > MaxSourceBytes {
 		return nil, errAt(src, MaxSourceBytes, "script is %d bytes; the limit is %d", len(src), MaxSourceBytes)
 	}
@@ -154,7 +156,7 @@ func Compile(src string, mode Mode) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{src: src, mode: mode, defs: defs, root: root}
+	prog := &Program{src: src, mode: mode, defs: defs, root: root, metrics: m}
 	if err := check(prog); err != nil {
 		return nil, err
 	}
@@ -162,24 +164,9 @@ func Compile(src string, mode Mode) (*Program, error) {
 }
 
 // CompileChoose compiles a writer-choice script (the "script:<expr>"
-// adversary): the result type must be int.
-func CompileChoose(src string) (*Program, error) { return Compile(src, ModeChoose) }
+// adversary): the result type must be int. Nothing is counted.
+func CompileChoose(src string) (*Program, error) { return Compile(src, ModeChoose, nil) }
 
 // CompileActivate compiles an activation predicate (the "gate:"
-// protocol wrapper): the result type must be bool.
-func CompileActivate(src string) (*Program, error) { return Compile(src, ModeActivate) }
-
-// --- metrics ---
-
-// metrics is the process-global scenario instrument group, installed by
-// whichever binary owns a telemetry registry (wbserve, wbcampaign).
-// Atomic because compiles and evals race server request handlers.
-var metrics atomic.Pointer[telemetry.ScenarioMetrics]
-
-// SetMetrics installs the wb_scenario_* instrument group; nil disables
-// recording (the default).
-func SetMetrics(m *telemetry.ScenarioMetrics) { metrics.Store(m) }
-
-func metricsCompile() { metrics.Load().CompileDone() }
-
-func metricsEvalSteps(n int) { metrics.Load().EvalSteps(int64(n)) }
+// protocol wrapper): the result type must be bool. Nothing is counted.
+func CompileActivate(src string) (*Program, error) { return Compile(src, ModeActivate, nil) }

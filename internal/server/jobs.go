@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/jsonindent"
 	"repro/internal/resultstore"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -472,8 +473,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/api/v1/campaigns/"+st.ID)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	data, _ := json.MarshalIndent(st, "", "  ")
-	w.Write(append(data, '\n'))
+	data, _ := jsonindent.Marshal(st)
+	w.Write(data)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -524,6 +525,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	// current snapshot and let the poller observe "canceled".
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	data, _ := json.MarshalIndent(j.status(), "", "  ")
-	w.Write(append(data, '\n'))
+	data, _ := jsonindent.Marshal(j.status())
+	w.Write(data)
 }

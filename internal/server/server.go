@@ -61,8 +61,8 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/jsonindent"
 	"repro/internal/resultstore"
-	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
 
@@ -108,10 +108,6 @@ func New(opts Options) (*Server, error) {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	tel := telemetry.NewSet()
-	// Script compiles and evaluator steps record into this server's
-	// registry; the hook is process-global, matching the one-registry-
-	// per-process shape of every binary here.
-	scenario.SetMetrics(tel.Scenario)
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
 	hits, misses := tel.HTTP.CacheCounters()
 	s := &Server{
@@ -246,12 +242,12 @@ func (s *Server) storeError(w http.ResponseWriter, err error) {
 // writeJSON emits a 200 JSON body.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := jsonindent.Marshal(v)
 	if err != nil {
 		s.error(w, http.StatusInternalServerError, ErrCodeInternal, err.Error())
 		return
 	}
-	w.Write(append(data, '\n'))
+	w.Write(data)
 }
 
 // immutable marks a response as permanently cacheable — correct precisely
@@ -614,8 +610,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
-	data, _ := json.MarshalIndent(listItem{Entry: entry, RefStr: entry.Ref()}, "", "  ")
-	w.Write(append(data, '\n'))
+	data, _ := jsonindent.Marshal(listItem{Entry: entry, RefStr: entry.Ref()})
+	w.Write(data)
 }
 
 // --- health ---

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -39,6 +40,37 @@ func TestPrometheusEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestScenarioMetricsStayWithTheirServer builds two servers in one
+// process, A and then B, and runs a scripted job on A: A's /metrics counts
+// the job's script compiles and evaluator steps, and B's reads zero.
+func TestScenarioMetricsStayWithTheirServer(t *testing.T) {
+	a := newFixture(t, Options{})
+	b := newFixture(t, Options{})
+	spec := smokeSpec()
+	spec.Adversaries = []string{"script:candidates[0]"}
+	if final := a.pollJob(t, a.submitJob(t, spec).ID); final.State != jobDone {
+		t.Fatalf("scripted job ended %q (%s)", final.State, final.Error)
+	}
+	for _, srv := range []struct {
+		name    string
+		f       *fixture
+		counted bool
+	}{{"A", a, true}, {"B", b, false}} {
+		body := srv.f.do(t, "GET", "/metrics", nil, nil).Body.String()
+		for _, family := range []string{"wb_scenario_compiles_total", "wb_scenario_eval_steps_total"} {
+			var v int64 = -1
+			for _, line := range strings.Split(body, "\n") {
+				if rest, ok := strings.CutPrefix(line, family+" "); ok {
+					v, _ = strconv.ParseInt(rest, 10, 64)
+				}
+			}
+			if (v > 0) != srv.counted || v < 0 {
+				t.Errorf("server %s: %s = %d, want it counted: %v", srv.name, family, v, srv.counted)
+			}
 		}
 	}
 }

@@ -18,7 +18,6 @@ type Set struct {
 	Jobs     *JobMetrics
 	SSE      *SSEMetrics
 	Fabric   *FabricMetrics
-	Scenario *ScenarioMetrics
 }
 
 // Nop is the disabled sensor grid: every group is nil and every recording
@@ -56,7 +55,11 @@ func NewSet() *Set {
 		},
 		Engine: engine,
 		Campaign: &CampaignMetrics{
-			Engine:      engine,
+			Engine: engine,
+			Scenario: &ScenarioMetrics{
+				compiles:  r.Counter("wb_scenario_compiles_total", "Scenario-DSL compilation attempts while constructing campaign jobs (spec validation probes are not counted)."),
+				evalSteps: r.Counter("wb_scenario_eval_steps_total", "Scenario-DSL evaluator steps spent across all script evaluations."),
+			},
 			jobs:        r.Counter("wb_campaign_jobs_total", "Campaign jobs (trials) completed."),
 			cellSeconds: r.Histogram("wb_campaign_cell_seconds", "Per-cell wall time in seconds (sum of the cell's job durations).", DefCellBounds),
 		},
@@ -86,10 +89,6 @@ func NewSet() *Set {
 			resubmissions:  r.Counter("wb_fabric_resubmissions_total", "Fabric shard submissions beyond the first attempt: failure retries and work-stealing duplicates."),
 			workers:        r.GaugeVec("wb_fabric_workers", "Fabric worker endpoints by health state.", "state"),
 			cellsDeduped:   r.Counter("wb_fabric_cells_deduped_total", "Duplicate cells discarded by the fabric merger (overlapping shard attempts)."),
-		},
-		Scenario: &ScenarioMetrics{
-			compiles:  r.Counter("wb_scenario_compiles_total", "Scenario-DSL compilation attempts (spec validation and run construction)."),
-			evalSteps: r.Counter("wb_scenario_eval_steps_total", "Scenario-DSL evaluator steps spent across all script evaluations."),
 		},
 	}
 }
@@ -165,10 +164,13 @@ func (m *EngineMetrics) ExhaustiveDone(steps, classes, memoHits, multAdds int) {
 	m.multAdds.Add(int64(multAdds))
 }
 
-// CampaignMetrics instruments campaign sweeps. Engine points at the
-// engine group so one Options field carries the whole chain downward.
+// CampaignMetrics instruments campaign sweeps. Engine and Scenario point
+// at the engine and scenario-DSL groups so one Options field carries the
+// whole chain downward: each job's run and the scripts it compiles record
+// into the registry of the sweep that ran it.
 type CampaignMetrics struct {
 	Engine      *EngineMetrics
+	Scenario    *ScenarioMetrics
 	jobs        *Counter
 	cellSeconds *Histogram
 }
@@ -179,6 +181,14 @@ func (m *CampaignMetrics) EngineMetrics() *EngineMetrics {
 		return nil
 	}
 	return m.Engine
+}
+
+// ScenarioMetrics returns the scenario-DSL group, nil-safely.
+func (m *CampaignMetrics) ScenarioMetrics() *ScenarioMetrics {
+	if m == nil {
+		return nil
+	}
+	return m.Scenario
 }
 
 // JobDone records one completed job (trial).
