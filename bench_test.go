@@ -1,5 +1,6 @@
-// Benchmark harness: one target per table/figure of the paper, per the
-// experiment index in DESIGN.md. Run with
+// Benchmark harness: one target per table/figure of the paper, named after
+// the result it regenerates (BenchmarkTable2_MIS, BenchmarkLemma3_Counting,
+// BenchmarkOpenProblem2_Connectivity, ...). Run with
 //
 //	go test -bench=. -benchmem
 //

@@ -14,7 +14,7 @@
 //     sorted as one group, keyed by the appended message and their node
 //     states, and only the classes whose keys are new are kept.
 //
-// Round semantics (see DESIGN.md §1 for the rationale): in each round every
+// Round semantics, as the paper's models define them: in each round every
 // awake node evaluates its activation predicate against the current board;
 // newly active nodes in asynchronous models freeze their message
 // immediately; then the adversary appends the pending message of any active

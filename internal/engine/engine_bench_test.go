@@ -93,3 +93,31 @@ func BenchmarkExhaustiveStrategies(b *testing.B) {
 		b.Run(fmt.Sprintf("memo/complete/n=%d", n), memo(graph.Complete(n)))
 	}
 }
+
+// BenchmarkOutputSpectrum times the spectrum layer: the memoized walk, each
+// terminal's Output, and the tally that renders and counts it. Build-forest
+// on P8 never collapses, so each of its 40,320 schedules is a terminal
+// class that decodes the same forest; mis on C8 collapses, so terminals
+// are few and the walk sets the pace.
+func BenchmarkOutputSpectrum(b *testing.B) {
+	for _, c := range []struct {
+		proto, graph string
+		n            int
+	}{
+		{"build-forest", "path", 8},
+		{"mis", "cycle", 8},
+	} {
+		p, g := registeredInstance(b, c.proto, c.graph, c.n)
+		b.Run(fmt.Sprintf("%s/%s/n=%d", c.proto, c.graph, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			var s *Spectrum
+			for i := 0; i < b.N; i++ {
+				var err error
+				if s, err = OutputSpectrum(p, g, Options{}, 1<<26); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.Classes), "classes")
+		})
+	}
+}

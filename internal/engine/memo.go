@@ -323,7 +323,7 @@ func (grp *memoGroup) flush(next []*memoClass) []*memoClass {
 // is settled in one scratch state and one scratch board, reused for the
 // whole walk; a write that lands in a known class just adds its
 // multiplicity, and a new class takes its record, node states and board
-// node from slabs. Only a terminal class's Result gets a board of its own,
+// node from slabs. Each terminal class's Result gets a board of its own,
 // since visit may keep it.
 //
 // The collapse is sound because protocols are deterministic in (view,
@@ -333,6 +333,21 @@ func (grp *memoGroup) flush(next []*memoClass) []*memoClass {
 // only protocols whose message contents coincide across writers ever
 // collapse, and for the rest the DAG degenerates to the naive tree.
 func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
+	visit func(res *core.Result, mult *big.Int) error) (MemoStats, error) {
+
+	return walkMemo(p, g, opts, maxSteps, func(res *core.Result, mult *big.Int) error {
+		kept := *res
+		kept.Board = res.Board.Clone()
+		return visit(&kept, mult)
+	})
+}
+
+// walkMemo is RunAllMemo's walk. It lends visit the Result of each
+// terminal class: one Result reused for every terminal, whose Board is the
+// board the walk rebuilds for later classes. Both are valid only during
+// the call. The multiplicity lives in the class's slab record and stays
+// valid after the walk.
+func walkMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	visit func(res *core.Result, mult *big.Int) error) (MemoStats, error) {
 
 	m := newMachine(p, Views(g), opts)
@@ -361,7 +376,8 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	var (
 		cand  []int
 		spine []core.Message
-		cur   *boardNode // the node board was last built from
+		cur   *boardNode  // the node board was last built from
+		res   core.Result // lent to visit for each terminal class
 	)
 	// In synchronous models a writer composes its message from the board
 	// at write time, so the classes on one board share it: composed[v] is
@@ -385,11 +401,11 @@ func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 			c.st.cand = cand // the walk's one candidates buffer
 			cand = c.st.candidates()
 			if len(cand) == 0 {
-				res := &core.Result{Board: board.Clone(), Rounds: round}
-				m.outcome(&c.st, res)
+				res = core.Result{Board: board, Rounds: round}
+				m.outcome(&c.st, &res)
 				multAdds++
 				stats.Schedules.Add(stats.Schedules, &c.mult)
-				if err := visit(res, &c.mult); err != nil {
+				if err := visit(&res, &c.mult); err != nil {
 					return stats, err
 				}
 			}

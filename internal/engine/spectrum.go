@@ -41,9 +41,10 @@ type Spectrum struct {
 	// would have simulated beyond Steps.
 	StepsSaved int
 
-	// tally renders each output into render and finds the key Outputs
-	// holds for it in keys, so only an output not seen before becomes a
-	// key string.
+	// tally renders each output into render, through the output's own
+	// AppendString when it has one (it must append the output's %v text)
+	// and through fmt otherwise, and finds the key Outputs holds for it in
+	// keys, so only an output not seen before becomes a key string.
 	render []byte
 	keys   map[string]string
 }
@@ -108,7 +109,11 @@ func (s *Spectrum) tally(res *core.Result, mult int) error {
 	switch res.Status {
 	case core.Success:
 		s.Success += mult
-		s.render = fmt.Appendf(s.render[:0], "%v", res.Output)
+		if a, ok := res.Output.(interface{ AppendString([]byte) []byte }); ok {
+			s.render = a.AppendString(s.render[:0])
+		} else {
+			s.render = fmt.Appendf(s.render[:0], "%v", res.Output)
+		}
 		key, ok := s.keys[string(s.render)]
 		if !ok {
 			if s.keys == nil {
@@ -137,10 +142,12 @@ func (s *Spectrum) tally(res *core.Result, mult int) error {
 // identical configurations are simulated once and their exact schedule
 // multiplicities propagated, so the tallies are bit-for-bit what the tree
 // walk (RunAll) produces while the step budget stretches orders of
-// magnitude further on collapsing protocols.
+// magnitude further on collapsing protocols. The tally keeps only counts
+// and rendered keys, so it reads each terminal on the walk's own board,
+// without RunAllMemo's copy.
 func OutputSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int) (*Spectrum, error) {
 	s := &Spectrum{Outputs: map[string]int{}}
-	stats, err := RunAllMemo(p, g, opts, maxSteps, func(res *core.Result, mult *big.Int) error {
+	stats, err := walkMemo(p, g, opts, maxSteps, func(res *core.Result, mult *big.Int) error {
 		w, err := IntFromBig(mult)
 		if err != nil {
 			return err

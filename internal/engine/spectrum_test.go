@@ -2,12 +2,16 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/big"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/registry"
 )
 
 func TestOutputSpectrumSimAsyncIsSingleton(t *testing.T) {
@@ -149,5 +153,59 @@ func sortInts(s []int) {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
+	}
+}
+
+// TestSpectrumKeysRenderLikeFmt checks that each output's key is its %v
+// text, whether tally renders it through the output's AppendString (the
+// graphs the BUILD reductions output, build-forest's Decoded) or through
+// fmt (every other output type): for every registered protocol on the
+// 5-node path and cycle, the keys are exactly fmt.Sprint of the outputs
+// RunAllMemo hands visit for its successful terminals.
+func TestSpectrumKeysRenderLikeFmt(t *testing.T) {
+	for _, pname := range registry.Protocols() {
+		for _, gname := range []string{"path", "cycle"} {
+			p, g := registeredInstance(t, registeredSpec(pname), gname, 5)
+			coord := fmt.Sprintf("%s/%s", pname, gname)
+			s, err := OutputSpectrum(p, g, Options{}, 1<<20)
+			if err != nil {
+				t.Fatalf("%s: %v", coord, err)
+			}
+			var want []string
+			if _, err := RunAllMemo(p, g, Options{}, 1<<20, func(res *core.Result, _ *big.Int) error {
+				if res.Status == core.Success {
+					want = append(want, fmt.Sprint(res.Output))
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("%s: %v", coord, err)
+			}
+			slices.Sort(want)
+			if got := s.DistinctOutputs(); !slices.Equal(got, slices.Compact(want)) {
+				t.Errorf("%s: keys %q, want %q", coord, got, want)
+			}
+		}
+	}
+}
+
+// TestSpectrumAllocsPerClass bounds the allocations OutputSpectrum makes
+// per configuration class on build-forest P6 (SIMASYNC, 1,957 classes,
+// 720 terminals that all decode to P6). Cloning each terminal's board and
+// Result and rendering its output through fmt made 5.2; lending the
+// tally the walk's board and rendering through AppendString makes 2.6.
+func TestSpectrumAllocsPerClass(t *testing.T) {
+	p, g := registeredInstance(t, "build-forest", "path", 6)
+	var s *Spectrum
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if s, err = OutputSpectrum(p, g, Options{}, 1<<22); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perClass := allocs / float64(s.Classes)
+	t.Logf("%.2f allocations per class over %d classes", perClass, s.Classes)
+	const bound = 3
+	if perClass > bound {
+		t.Errorf("%.2f allocations per class, want at most %d", perClass, bound)
 	}
 }

@@ -22,10 +22,14 @@ import (
 // Neighbor lists are kept sorted by identifier. A bitset mirror of the
 // adjacency provides O(1) edge queries without hashing.
 type Graph struct {
-	n    int
-	adj  [][]int // adj[v] sorted, 1-based; adj[0] unused
-	bits [][]uint64
-	m    int // edge count
+	n   int
+	adj [][]int // adj[v] sorted, 1-based; adj[0] unused
+	// bits holds the bitset rows back to back, stride words each: row v
+	// (1..n) starts at (v-1)*stride, and bit u of it, at word u/64, is set
+	// iff {u,v} is an edge.
+	bits   []uint64
+	stride int
+	m      int // edge count
 }
 
 // New returns an empty graph on n nodes (n ≥ 0).
@@ -33,19 +37,32 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	words := (n + 64) / 64 // bit v stored at row[v/64], v in 1..n
-	g := &Graph{
-		n:    n,
-		adj:  make([][]int, n+1),
-		bits: make([][]uint64, n+1),
+	stride := (n + 64) / 64 // bit v stored at word v/64 of a row, v in 1..n
+	return &Graph{
+		n:      n,
+		adj:    make([][]int, n+1),
+		bits:   make([]uint64, n*stride),
+		stride: stride,
 	}
-	// Rows are only indexed and copied, never appended to, so they can
-	// share one backing array.
-	backing := make([]uint64, n*words)
-	for v := 1; v <= n; v++ {
-		g.bits[v] = backing[(v-1)*words : v*words : v*words]
+}
+
+// word returns the index in bits of the word of row v that holds bit u,
+// and u's mask within it.
+func (g *Graph) word(v, u int) (int, uint64) {
+	return (v-1)*g.stride + u/64, 1 << uint(u%64)
+}
+
+// link sets or, with on false, clears the bits of {u,v} in both rows.
+func (g *Graph) link(u, v int, on bool) {
+	i, vm := g.word(u, v)
+	j, um := g.word(v, u)
+	if on {
+		g.bits[i] |= vm
+		g.bits[j] |= um
+	} else {
+		g.bits[i] &^= vm
+		g.bits[j] &^= um
 	}
-	return g
 }
 
 // FromEdges builds a graph on n nodes from an edge list. Duplicate edges are
@@ -60,8 +77,7 @@ func FromEdges(n int, edges [][2]int) *Graph {
 		if u == v {
 			panic(fmt.Sprintf("graph: self-loop at %d", u))
 		}
-		g.bits[u][v/64] |= 1 << uint(v%64)
-		g.bits[v][u/64] |= 1 << uint(u%64)
+		g.link(u, v, true)
 		g.m++
 	}
 	// Each adjacency list is its bitset row read in order, so the lists
@@ -69,7 +85,7 @@ func FromEdges(n int, edges [][2]int) *Graph {
 	backing := make([]int, 0, 2*g.m)
 	for v := 1; v <= n; v++ {
 		start := len(backing)
-		for i, word := range g.bits[v] {
+		for i, word := range g.bits[(v-1)*g.stride : v*g.stride] {
 			for ; word != 0; word &= word - 1 {
 				backing = append(backing, 64*i+bits.TrailingZeros64(word))
 			}
@@ -106,8 +122,7 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
-	g.bits[u][v/64] |= 1 << uint(v%64)
-	g.bits[v][u/64] |= 1 << uint(u%64)
+	g.link(u, v, true)
 	g.m++
 }
 
@@ -120,8 +135,7 @@ func (g *Graph) RemoveEdge(u, v int) {
 	}
 	g.adj[u] = removeSorted(g.adj[u], v)
 	g.adj[v] = removeSorted(g.adj[v], u)
-	g.bits[u][v/64] &^= 1 << uint(v%64)
-	g.bits[v][u/64] &^= 1 << uint(u%64)
+	g.link(u, v, false)
 	g.m--
 }
 
@@ -142,7 +156,8 @@ func removeSorted(s []int, v int) []int {
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	return g.bits[u][v/64]&(1<<uint(v%64)) != 0
+	i, mask := g.word(u, v)
+	return g.bits[i]&mask != 0
 }
 
 // Neighbors returns the sorted neighbor identifiers of v. The returned slice
@@ -176,8 +191,8 @@ func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	for u := 1; u <= g.n; u++ {
 		c.adj[u] = append([]int(nil), g.adj[u]...)
-		copy(c.bits[u], g.bits[u])
 	}
+	copy(c.bits, g.bits)
 	c.m = g.m
 	return c
 }
@@ -221,7 +236,15 @@ func (g *Graph) Key() string {
 
 // String renders the graph compactly, e.g. "G(n=4, m=3: 1-2 2-3 3-4)".
 func (g *Graph) String() string {
-	buf := make([]byte, 0, 16+8*g.m)
+	return string(g.AppendString(make([]byte, 0, 16+8*g.m)))
+}
+
+// AppendString appends String's text to buf and returns the extended
+// buffer. A nil graph appends "<nil>", as fmt prints it.
+func (g *Graph) AppendString(buf []byte) []byte {
+	if g == nil {
+		return append(buf, "<nil>"...)
+	}
 	buf = append(buf, "G(n="...)
 	buf = strconv.AppendInt(buf, int64(g.n), 10)
 	buf = append(buf, ", m="...)
@@ -237,7 +260,7 @@ func (g *Graph) String() string {
 			}
 		}
 	}
-	return string(append(buf, ')'))
+	return append(buf, ')')
 }
 
 // AdjacencyMatrix returns the n×n boolean adjacency matrix with rows and

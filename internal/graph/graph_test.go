@@ -155,6 +155,22 @@ func TestStringGolden(t *testing.T) {
 	}
 }
 
+// TestAppendStringExtendsBuffer checks that AppendString appends exactly
+// String's text after what the buffer already holds, and that a nil graph
+// renders as fmt prints it.
+func TestAppendStringExtendsBuffer(t *testing.T) {
+	for _, g := range []*Graph{New(0), Path(4), Star(5), Cycle(130)} {
+		buf := []byte("prefix ")
+		if got, want := string(g.AppendString(buf)), "prefix "+g.String(); got != want {
+			t.Errorf("AppendString = %q, want %q", got, want)
+		}
+	}
+	var nilGraph *Graph
+	if got := string(nilGraph.AppendString([]byte("x"))); got != "x<nil>" {
+		t.Errorf("nil AppendString = %q, want %q", got, "x<nil>")
+	}
+}
+
 func TestKeyDistinguishesGraphs(t *testing.T) {
 	seen := map[string]bool{}
 	count := 0

@@ -31,9 +31,9 @@
 // arrive. Identifiers and layers travel in ⌈log₂(n+1)⌉-bit fields, so a
 // table of 2^width slots takes any value a message can carry, valid or not.
 //
-// One deliberate fix over the paper's prose (see DESIGN.md): the parent is
-// the minimum-ID written neighbor in the previous layer, not in all of N*v,
-// since at write time N*v can contain same-layer nodes.
+// One deliberate fix over the paper's prose: the parent is the minimum-ID
+// written neighbor in the previous layer, not in all of N*v, since at write
+// time N*v can contain same-layer nodes.
 package bfs
 
 import (

@@ -15,6 +15,7 @@ package buildforest
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -27,6 +28,18 @@ type Decoded struct {
 	Forest  *graph.Graph // nil iff !InClass
 	InClass bool
 }
+
+// AppendString appends String's text to buf and returns the extended
+// buffer.
+func (d Decoded) AppendString(buf []byte) []byte {
+	buf = d.Forest.AppendString(append(buf, '{'))
+	buf = strconv.AppendBool(append(buf, ' '), d.InClass)
+	return append(buf, '}')
+}
+
+// String renders d as fmt's %v renders its fields, e.g.
+// "{G(n=3, m=2: 1-2 2-3) true}", or "{<nil> false}" for a rejected input.
+func (d Decoded) String() string { return string(d.AppendString(nil)) }
 
 // Protocol is the SIMASYNC[log n] BUILD protocol for forests.
 type Protocol struct{}
@@ -62,17 +75,21 @@ func (Protocol) Compose(v core.NodeView, _ *core.Board) core.Message {
 	return core.Message{Data: bw.Bytes(), Bits: bw.Bits()}
 }
 
-// node is what Output knows of one node: its announced degree and
-// neighbor-ID sum, less the leaves pruned from it so far.
-type node struct {
-	deg           int
-	sum           uint64
-	seen, removed bool
-}
+// Flags of a node in Output's scratch array.
+const (
+	seen    = 1 << iota // the node's message has been read
+	removed             // the node has been pruned
+)
 
 // Output implements core.Protocol: leaf pruning per Section 3.1.
 func (Protocol) Output(n int, b *core.Board) (any, error) {
-	nodes := make([]node, n+1)
+	// One scratch array holds, per node, the announced degree and
+	// neighbor-ID sum, less the leaves pruned from it so far, and its
+	// flags; then the stack of leaves to prune. The stack takes at most 2n
+	// pushes: up to n at the start, and at most one per pruned leaf.
+	scratch := make([]int, 5*n+3)
+	deg, sum, flags := scratch[:n+1], scratch[n+1:2*n+2], scratch[2*n+2:3*n+3]
+	stack := scratch[3*n+3 : 3*n+3]
 	w := bitio.WidthID(n)
 	sumW := bitio.Width(uint64(n) * uint64(n))
 	for i := 0; i < b.Len(); i++ {
@@ -94,13 +111,15 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 		if v < 1 || v > n {
 			return nil, fmt.Errorf("buildforest: message %d: id %d out of range", i, v)
 		}
-		if nodes[v].seen {
+		if flags[v]&seen != 0 {
 			return nil, fmt.Errorf("buildforest: duplicate message for node %d", v)
 		}
-		nodes[v] = node{deg: int(d), sum: s, seen: true}
+		// The sum is kept as an int: it wraps, and converts back to the
+		// node it names, exactly as a uint64 would.
+		deg[v], sum[v], flags[v] = int(d), int(s), seen
 	}
 	for v := 1; v <= n; v++ {
-		if !nodes[v].seen {
+		if flags[v]&seen == 0 {
 			return nil, fmt.Errorf("buildforest: no message from node %d", v)
 		}
 	}
@@ -108,34 +127,33 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 	// Prune leaves. A forest always has a node of degree ≤ 1 among the
 	// remaining nodes; if none exists, the graph has a cycle.
 	edges := make([][2]int, 0, max(n-1, 0))
-	queue := make([]int, 0, n)
 	for v := 1; v <= n; v++ {
-		if nodes[v].deg <= 1 {
-			queue = append(queue, v)
+		if deg[v] <= 1 {
+			stack = append(stack, v)
 		}
 	}
 	left := n
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if nodes[v].removed {
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if flags[v]&removed != 0 {
 			continue
 		}
-		nodes[v].removed = true
+		flags[v] |= removed
 		left--
-		if nodes[v].deg == 0 {
+		if deg[v] == 0 {
 			continue
 		}
 		// deg == 1: the remaining neighbor is the sum itself.
-		u := int(nodes[v].sum)
-		if u < 1 || u > n || u == v || nodes[u].removed || nodes[u].deg < 1 {
+		u := sum[v]
+		if u < 1 || u > n || u == v || flags[u]&removed != 0 || deg[u] < 1 {
 			return nil, fmt.Errorf("buildforest: inconsistent messages: leaf %d names neighbor %d", v, u)
 		}
 		edges = append(edges, [2]int{v, u})
-		nodes[u].deg--
-		nodes[u].sum -= uint64(v)
-		if nodes[u].deg <= 1 {
-			queue = append(queue, u)
+		deg[u]--
+		sum[u] -= v
+		if deg[u] <= 1 {
+			stack = append(stack, u)
 		}
 	}
 	if left > 0 {

@@ -3,6 +3,7 @@ package buildforest
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -178,10 +179,11 @@ func TestConcurrentEngineAgrees(t *testing.T) {
 }
 
 // TestOutputAllocs pins the allocations of one Output call on P8: the
-// per-node array, the leaf queue, the edge list, the forest (its graph
-// struct, two row tables, the bitset and one adjacency backing array) and
-// the boxed result. Four per-node arrays and adjacency lists grown edge by
-// edge made 24.
+// scratch array (per-node fields and the leaf stack), the edge list, the
+// forest (its graph struct, its adjacency row table, the bitset and one
+// adjacency backing array) and the boxed result. Four per-node arrays and
+// adjacency lists grown edge by edge made 24; a per-node array, a separate
+// leaf queue and a table of bitset rows made 9.
 func TestOutputAllocs(t *testing.T) {
 	g := graph.Path(8)
 	res := engine.Run(Protocol{}, g, adversary.MinID{}, engine.Options{})
@@ -193,8 +195,56 @@ func TestOutputAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const want = 9
+	const want = 7
 	if allocs > want {
 		t.Errorf("%.1f allocations per Output, want at most %d", allocs, want)
+	}
+}
+
+// plainDecoded has Decoded's fields and no methods, so fmt's %v renders
+// it field by field, as it rendered Decoded before Decoded had a String
+// method.
+type plainDecoded struct {
+	Forest  *graph.Graph
+	InClass bool
+}
+
+// TestStringMatchesFmt checks Decoded's renderer against fmt's %v of its
+// fields, over every output of build-forest's exhaustive spectra on paths,
+// cycles, stars and complete graphs of up to 5 nodes: String returns that
+// text, and AppendString appends it to what the buffer holds.
+func TestStringMatchesFmt(t *testing.T) {
+	seen := map[string]bool{}
+	for n := 1; n <= 5; n++ {
+		graphs := []*graph.Graph{graph.Path(n), graph.Star(n), graph.Complete(n)}
+		if n >= 3 {
+			graphs = append(graphs, graph.Cycle(n))
+		}
+		for _, g := range graphs {
+			_, err := engine.RunAllMemo(Protocol{}, g, engine.Options{}, 1<<20,
+				func(res *core.Result, _ *big.Int) error {
+					if res.Status != core.Success {
+						return fmt.Errorf("%v: %v (%v)", g, res.Status, res.Err)
+					}
+					d := res.Output.(Decoded)
+					want := fmt.Sprintf("%v", plainDecoded{d.Forest, d.InClass})
+					if got := d.String(); got != want {
+						return fmt.Errorf("%v: String() = %q, want %q", g, got, want)
+					}
+					if got := string(d.AppendString([]byte("key:"))); got != "key:"+want {
+						return fmt.Errorf("%v: AppendString = %q, want %q", g, got, "key:"+want)
+					}
+					seen[want] = true
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, want := range []string{"{<nil> false}", "{G(n=5, m=4: 1-2 2-3 3-4 4-5) true}", "{G(n=1, m=0:) true}"} {
+		if !seen[want] {
+			t.Errorf("no output rendered %q among %d distinct outputs", want, len(seen))
+		}
 	}
 }

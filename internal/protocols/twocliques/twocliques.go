@@ -7,8 +7,8 @@
 // (ID, 1); if all of S_v announced the same clique c it writes (ID, c); and
 // otherwise it writes "no".
 //
-// One fix over the paper's prose (documented in DESIGN.md): the output
-// cannot be "two cliques iff no 'no' appears". Under an adversarial
+// One fix over the paper's prose: the output cannot be "two cliques iff no
+// 'no' appears". Under an adversarial
 // schedule a no-instance can avoid every "no" — e.g. rewire one edge of
 // each clique into a cross matching and schedule writes along the rewired
 // edges, which floods both sides with class 0. What the absence of "no"
@@ -16,7 +16,8 @@
 // 1-class; combined with the (n−1)-regularity promise, *balanced* classes
 // (n and n) force both classes to be cliques. The output function therefore
 // answers yes iff no "no" appeared and the classes have exactly n nodes
-// each. The exhaustive tests check this against every schedule.
+// each. TestAdversaryCanSuppressAllNoMessages builds such a schedule, and
+// TestExhaustiveSchedulesYesAndNo checks the output against every one.
 package twocliques
 
 import (

@@ -16,7 +16,7 @@ import (
 // SIMASYNC SQUARE decider into a BUILD protocol for C4-free graphs —
 // against the 2^{Θ(n^{3/2})} family of polarity-graph subgraphs, giving the
 // executable Ω(√n) portion of the bound (the full Ω(n) argument lives in
-// [2], whose text is not part of this reproduction; see DESIGN.md).
+// [2], whose text is not part of this reproduction).
 
 // SquareGadget builds G”_{s,t}: the input plus two nodes x = n+1 and
 // y = n+2 with edges {s,x}, {x,y}, {y,t}. For a C4-free input, G”_{s,t}
