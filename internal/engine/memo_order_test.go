@@ -156,8 +156,9 @@ func TestMemoVisitsInLevelOrder(t *testing.T) {
 // 9.5; and deduping and sorting each parent board's successors as one
 // group, with keys in reused buffers instead of a string per class, to 3.2
 // and 8.5. build-forest's Output, with one per-node array and its forest's
-// adjacency lists cut from one backing array, then took P6 to 4.5, and
-// with one scratch array and a flat bitset to 3.7.
+// adjacency lists cut from one backing array, then took P6 to 4.5, with
+// one scratch array and a flat bitset to 3.7, and with that array and its
+// edge list on the stack to 3.0.
 func TestMemoAllocsPerClass(t *testing.T) {
 	for _, c := range []struct {
 		proto, graph string

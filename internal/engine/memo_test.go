@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -588,5 +589,106 @@ func TestMemoComposesOncePerBoard(t *testing.T) {
 	t.Logf("%d composes for %d steps over %d classes", total, stats.Steps, stats.Classes)
 	if total >= stats.Steps {
 		t.Errorf("%d composes for %d steps: classes on one board do not share them", total, stats.Steps)
+	}
+}
+
+// pairsAsync is an ASYNC protocol whose schedules outnumber a uint64: nodes
+// 2i−1 and 2i activate once the board holds 2(i−1) messages, and both
+// write the same 1-bit message, so each pair doubles the schedules while
+// the walk makes three classes for it. Output is the board length.
+type pairsAsync struct{}
+
+func (pairsAsync) Name() string             { return "pairs" }
+func (pairsAsync) Model() core.Model        { return core.Async }
+func (pairsAsync) MaxMessageBits(n int) int { return 1 }
+func (pairsAsync) Activate(v core.NodeView, b *core.Board) bool {
+	return b.Len() >= 2*((v.ID+1)/2-1)
+}
+func (pairsAsync) Compose(core.NodeView, *core.Board) core.Message {
+	return core.Message{Data: []byte{0x80}, Bits: 1}
+}
+func (pairsAsync) Output(n int, b *core.Board) (any, error) { return b.Len(), nil }
+
+// TestMemoMultiplicitiesPastUint64 walks 70 pairs (n = 140), whose one
+// terminal is reached by 2^70 schedules. Multiplicities from 2^63 on leave
+// their uint64 words for the big.Int side table, so the stats and the
+// multiplicity visit sees must still be exact, and OutputSpectrum, whose
+// tallies are ints, must fail rather than wrap.
+func TestMemoMultiplicitiesPastUint64(t *testing.T) {
+	const pairs = 70
+	g := graph.Path(2 * pairs)
+	schedules := new(big.Int).Lsh(big.NewInt(1), pairs)
+	var terminals []string
+	stats, err := RunAllMemo(pairsAsync{}, g, Options{}, 1<<20, func(res *core.Result, mult *big.Int) error {
+		terminals = append(terminals, fmt.Sprintf("%v %v ×%s", res.Status, res.Output, mult))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := new(big.Int).Lsh(new(big.Int).Sub(schedules, big.NewInt(1)), 2) // 4·(2^70−1)
+	if stats.Classes != 3*pairs+1 || stats.Steps != 4*pairs ||
+		stats.Schedules.Cmp(schedules) != 0 || stats.NaiveSteps.Cmp(naive) != 0 {
+		t.Errorf("classes %d, steps %d, schedules %s, naive steps %s; want %d, %d, %s, %s",
+			stats.Classes, stats.Steps, stats.Schedules, stats.NaiveSteps, 3*pairs+1, 4*pairs, schedules, naive)
+	}
+	if want := fmt.Sprintf("success %d ×%s", 2*pairs, schedules); len(terminals) != 1 || terminals[0] != want {
+		t.Errorf("terminals %q, want [%q]", terminals, want)
+	}
+	if _, err := OutputSpectrum(pairsAsync{}, g, Options{}, 1<<20); !errors.Is(err, ErrMultiplicityOverflow) {
+		t.Errorf("OutputSpectrum: err %v, want ErrMultiplicityOverflow", err)
+	}
+}
+
+// lengthOutput is p with an Output that returns the board length, which
+// boxes without allocating on the boards these tests use.
+type lengthOutput struct{ core.Protocol }
+
+func (lengthOutput) Output(n int, b *core.Board) (any, error) { return b.Len(), nil }
+
+// TestMemoBytesPerClass bounds the bytes walkMemo itself allocates per
+// class, measured as TotalAlloc over a second walk whose callbacks
+// allocate next to nothing: an ID-writing SIMASYNC protocol on P8, which
+// composes only at the root and never collapses (109,601 classes), and
+// lastWriterSees on P14, all of whose classes at one depth share one
+// board, so it composes once per writer on each of 15 boards (16,384
+// classes). Classes
+// kept as pointer-rich records, with board nodes, node states and big.Int
+// multiplicities from slabs, took 217.5 and 211.9 bytes per class;
+// pointer-free records in level chunks reused from level to level, with
+// boards in a table of message ids, take 17.6 and 73.7. On P14 a whole
+// level is one group, so most of its figure is the group's buffers
+// growing to hold it.
+func TestMemoBytesPerClass(t *testing.T) {
+	const memoBytesBound = 100
+	for _, c := range []struct {
+		name    string
+		p       core.Protocol
+		g       *graph.Graph
+		classes int
+	}{
+		{"id-echo/P8", lengthOutput{idEcho{}}, graph.Path(8), 109_601},
+		{"sees-board/P14", lengthOutput{lastWriterSees{}}, graph.Path(14), 16_384},
+	} {
+		walk := func() MemoStats {
+			stats, err := walkMemo(c.p, c.g, Options{}, 1<<22, func(*core.Result, *big.Int) error { return nil })
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return stats
+		}
+		walk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stats := walk()
+		runtime.ReadMemStats(&after)
+		if stats.Classes != c.classes {
+			t.Fatalf("%s: %d classes, want %d", c.name, stats.Classes, c.classes)
+		}
+		perClass := float64(after.TotalAlloc-before.TotalAlloc) / float64(stats.Classes)
+		t.Logf("%s: %.1f bytes per class over %d classes", c.name, perClass, stats.Classes)
+		if perClass > memoBytesBound {
+			t.Errorf("%s: %.1f bytes per class, want at most %d", c.name, perClass, memoBytesBound)
+		}
 	}
 }

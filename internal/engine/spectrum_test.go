@@ -192,7 +192,9 @@ func TestSpectrumKeysRenderLikeFmt(t *testing.T) {
 // per configuration class on build-forest P6 (SIMASYNC, 1,957 classes,
 // 720 terminals that all decode to P6). Cloning each terminal's board and
 // Result and rendering its output through fmt made 5.2; lending the
-// tally the walk's board and rendering through AppendString makes 2.6.
+// tally the walk's board and rendering through AppendString made 2.6; and
+// decoding each forest with its scratch array and edge list on the stack
+// makes 1.9.
 func TestSpectrumAllocsPerClass(t *testing.T) {
 	p, g := registeredInstance(t, "build-forest", "path", 6)
 	var s *Spectrum

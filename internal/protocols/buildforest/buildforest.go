@@ -75,6 +75,10 @@ func (Protocol) Compose(v core.NodeView, _ *core.Board) core.Message {
 	return core.Message{Data: bw.Bytes(), Bits: bw.Bits()}
 }
 
+// stackNodes is the largest n whose Output decodes without allocating its
+// scratch array and edge list.
+const stackNodes = 16
+
 // Flags of a node in Output's scratch array.
 const (
 	seen    = 1 << iota // the node's message has been read
@@ -86,8 +90,15 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 	// One scratch array holds, per node, the announced degree and
 	// neighbor-ID sum, less the leaves pruned from it so far, and its
 	// flags; then the stack of leaves to prune. The stack takes at most 2n
-	// pushes: up to n at the start, and at most one per pruned leaf.
-	scratch := make([]int, 5*n+3)
+	// pushes: up to n at the start, and at most one per pruned leaf. Up to
+	// stackNodes nodes, the scratch and the edge list live on the stack.
+	var scratchArr [5*stackNodes + 3]int
+	var edgeArr [stackNodes][2]int
+	scratch, edges := scratchArr[:], edgeArr[:0]
+	if n > stackNodes {
+		scratch, edges = make([]int, 5*n+3), make([][2]int, 0, n-1)
+	}
+	scratch = scratch[:5*n+3]
 	deg, sum, flags := scratch[:n+1], scratch[n+1:2*n+2], scratch[2*n+2:3*n+3]
 	stack := scratch[3*n+3 : 3*n+3]
 	w := bitio.WidthID(n)
@@ -126,7 +137,6 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 
 	// Prune leaves. A forest always has a node of degree ≤ 1 among the
 	// remaining nodes; if none exists, the graph has a cycle.
-	edges := make([][2]int, 0, max(n-1, 0))
 	for v := 1; v <= n; v++ {
 		if deg[v] <= 1 {
 			stack = append(stack, v)
