@@ -37,3 +37,18 @@ func TestSpectrumGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTooSmallGraphIsAnError pins that a size the graph family rejects
+// comes back from run as an error, which main prints as
+// "wbrun: graph: cycle needs n ≥ 3, got 1" before exiting 1, and that
+// nothing is printed before it.
+func TestTooSmallGraphIsAnError(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-protocol", "mis", "-graph", "cycle", "-n", "1"}, &out)
+	if want := "graph: cycle needs n ≥ 3, got 1"; err == nil || err.Error() != want {
+		t.Fatalf("run = %v, want %q", err, want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed %q before failing", out.Bytes())
+	}
+}

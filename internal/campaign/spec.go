@@ -261,8 +261,9 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// probe runs one dry construction, converting both errors and generator
-// panics (e.g. "cycle needs n ≥ 3") into errors naming the spec field.
+// probe runs one dry construction, converting both its error (a graph
+// generator's rejected size among them, e.g. "cycle needs n ≥ 3") and any
+// panic into an error naming the spec field.
 func probe(field string, build func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

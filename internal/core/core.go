@@ -114,8 +114,12 @@ func (m Message) String() string {
 // A board also carries one derived-state slot (see Fold), where a protocol
 // keeps what it has decoded from the messages so far.
 type Board struct {
-	msgs    []Message
-	derived any // the *slot of the last Fold, nil until the first
+	msgs []Message
+	// derived is the *slot of the last Fold, nil until the first; stale
+	// says Reset has emptied the board since, so the slot's state must
+	// start over.
+	derived any
+	stale   bool
 }
 
 // slot is a board's derived-state slot as Fold keeps it: the state st
@@ -151,13 +155,14 @@ func (b *Board) Last() Message {
 // Append writes a message. Only the engine should call this.
 func (b *Board) Append(m Message) { b.msgs = append(b.msgs, m) }
 
-// Reset empties the board in place, keeping the spine's capacity, and
-// clears its derived-state slot. Only the engine's reusable Runner should
-// call this; boards handed out in Results must not be reset while still
-// referenced.
+// Reset empties the board in place, keeping the spine's capacity and the
+// storage of its derived-state slot: the next Fold starts the state over
+// in that storage (see Fold). Only the engine's reusable Runner and its
+// walks should call this; boards handed out in Results must not be reset
+// while still referenced.
 func (b *Board) Reset() {
 	b.msgs = b.msgs[:0]
-	b.derived = nil
+	b.stale = true
 }
 
 // TotalBits returns the total number of bits on the board — the quantity
@@ -188,20 +193,31 @@ func (b *Board) Truncate(k int) *Board {
 // slot and folds in only the messages appended since the previous call
 // under key. key names what the decode depends on (say the protocol variant
 // and n); give it a type of the reader's own package, so that two readers
-// never share a slot by accident. When the slot is empty or holds another
-// key, fresh(key) starts the state over and every message is folded again.
-// step folds message i into st; once it fails, the slot keeps its error and
-// every later Fold under key returns that error, whatever is appended after.
+// never share a slot by accident. When the slot is empty, holds another
+// key or was emptied by Reset, fresh(st, key) starts the state over in
+// place and every message is folded again: fresh must leave st as a new
+// state would be, and may keep the storage st already holds (a slice's
+// capacity, say), so a board reset and refilled run after run decodes
+// without allocating. step folds message i into st; once it fails, the
+// slot keeps its error and every later Fold under key returns that error,
+// whatever is appended after.
 //
-// The slot belongs to the board: Reset clears it, Clone and Truncate return
-// boards without one, and Append keeps it. It takes no lock, since a run
-// reads its board from one goroutine. The returned state is shared with
-// every later reader of b: callers must not change it outside step.
-func Fold[K comparable, S any](b *Board, key K, fresh func(K) S, step func(st *S, i int, m Message) error) (*S, error) {
+// The slot belongs to the board: Reset starts it over, Clone and Truncate
+// return boards without one, and Append keeps it. It takes no lock, since a
+// run reads its board from one goroutine. The returned state is shared
+// with every later reader of b: callers must not change it outside step.
+// It is valid until the next Reset of b, or the next Fold of b under
+// another key, which reuse its storage; a reader that hands out what it
+// decoded copies it out first.
+func Fold[K comparable, S any](b *Board, key K, fresh func(st *S, key K), step func(st *S, i int, m Message) error) (*S, error) {
 	d, ok := b.derived.(*slot[K, S])
-	if !ok || d.key != key {
-		d = &slot[K, S]{key: key, st: fresh(key)}
+	if !ok {
+		d = new(slot[K, S])
 		b.derived = d
+	}
+	if !ok || b.stale || d.key != key {
+		d.key, d.covered, d.err, b.stale = key, 0, nil, false
+		fresh(&d.st, key)
 	}
 	for d.err == nil && d.covered < len(b.msgs) {
 		if d.err = step(&d.st, d.covered, b.msgs[d.covered]); d.err == nil {
@@ -298,6 +314,17 @@ type Protocol interface {
 	// Output decodes the final board. It is only called on successful runs
 	// (all n messages written).
 	Output(n int, b *Board) (any, error)
+}
+
+// OutputAppender is an optional Protocol method for callers that keep only
+// an output's text, such as exhaustive spectra, which count each distinct
+// output under its key.
+type OutputAppender interface {
+	// AppendOutput appends to buf the text of the value Output(n, b)
+	// returns, without building that value: the text its AppendString
+	// method appends when it has one, its fmt %v text otherwise. When
+	// Output fails, AppendOutput returns buf unchanged and Output's error.
+	AppendOutput(buf []byte, n int, b *Board) ([]byte, error)
 }
 
 // Status classifies how a run ended.

@@ -116,11 +116,11 @@ func TestBoardOrderAndContentKeys(t *testing.T) {
 // TestFoldSlotLifecycle pins the derived-state slot's lifecycle: a read
 // folds only the messages appended since the previous read under its key;
 // Append keeps the slot, Clone and Truncate start without it, another key
-// takes it over, and Reset clears it.
+// takes it over, and Reset starts it over.
 func TestFoldSlotLifecycle(t *testing.T) {
 	type tally struct{ msgs int }
 	starts, steps := 0, 0
-	fresh := func(string) tally { starts++; return tally{} }
+	fresh := func(st *tally, _ string) { starts++; *st = tally{} }
 	step := func(st *tally, i int, _ Message) error {
 		if i != st.msgs {
 			t.Errorf("folded message %d after %d messages", i, st.msgs)
@@ -163,11 +163,11 @@ func TestFoldSlotLifecycle(t *testing.T) {
 
 // TestFoldErrorIsSticky pins that a fold stops at a message its step
 // rejects: every later read returns that error, however many messages are
-// appended, until Reset clears the slot.
+// appended, until Reset starts the slot over.
 func TestFoldErrorIsSticky(t *testing.T) {
 	errEmpty := errors.New("empty message")
 	steps := 0
-	fresh := func(int) int { return 0 }
+	fresh := func(st *int, _ int) { *st = 0 }
 	step := func(st *int, i int, m Message) error {
 		steps++
 		if m.Bits == 0 {
@@ -194,6 +194,34 @@ func TestFoldErrorIsSticky(t *testing.T) {
 	b.Append(good)
 	if st, err := Fold(b, 8, fresh, step); err != nil || *st != 1 {
 		t.Fatalf("after Reset: Fold = %v, %v; want 1 message", st, err)
+	}
+}
+
+// TestFoldReusesSlotAcrossReset pins what keeping the slot across Reset
+// is for: once a board has folded under a key, Reset, refilling it and
+// folding again under that key allocates nothing, since fresh starts the
+// state over in the storage the slot already holds.
+func TestFoldReusesSlotAcrossReset(t *testing.T) {
+	type seen struct{ lens []int }
+	fresh := func(st *seen, _ string) { st.lens = st.lens[:0] }
+	step := func(st *seen, _ int, m Message) error {
+		st.lens = append(st.lens, m.Bits)
+		return nil
+	}
+	b, data := NewBoard(), []byte{0xff, 0xff}
+	refill := func() {
+		b.Reset()
+		for bits := 1; bits <= 16; bits++ {
+			b.Append(Message{Data: data, Bits: bits})
+		}
+		st, err := Fold(b, "a", fresh, step)
+		if err != nil || len(st.lens) != 16 || st.lens[15] != 16 {
+			t.Fatalf("Fold = %v, %v; want the 16 messages' bit counts", st, err)
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Errorf("Reset, Append and Fold make %.1f allocations, want 0", allocs)
 	}
 }
 

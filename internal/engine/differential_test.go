@@ -12,11 +12,19 @@ import (
 )
 
 // treeWalkSpectrum is OutputSpectrum over the plain schedule-tree walk
-// (RunAll): the reference every memoized tally is checked against.
+// (RunAll): the reference every memoized tally is checked against. It
+// keys each output by rendering the value Output returned, so where
+// OutputSpectrum keys by AppendOutput, the two are compared schedule by
+// schedule.
 func treeWalkSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int) (*Spectrum, error) {
 	s := &Spectrum{Outputs: map[string]int{}}
+	var key []byte
 	stats, err := RunAll(p, g, opts, maxSteps, func(res *core.Result, _ []int) error {
-		return s.tally(res, 1)
+		key = key[:0]
+		if res.Status == core.Success {
+			key = appendOutputKey(key, res.Output)
+		}
+		return s.tally(res.Status, key, res.Rounds, res.Board, 1)
 	})
 	s.Steps = stats.Steps
 	return s, err

@@ -94,11 +94,13 @@ func BenchmarkExhaustiveStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkOutputSpectrum times the spectrum layer: the memoized walk, each
-// terminal's Output, and the tally that renders and counts it. Build-forest
-// on P8 never collapses, so each of its 40,320 schedules is a terminal
-// class that decodes the same forest; mis on C8 collapses, so terminals
-// are few and the walk sets the pace.
+// BenchmarkOutputSpectrum times the spectrum layer: the memoized walk, the
+// key of each terminal's output, and the tally that counts it.
+// Build-forest on P8 never collapses, so each of its 40,320 schedules is a
+// terminal class that decodes the same forest; it is the slowest cell of
+// the distinct pass of perfbench's exhaustive op. mis on C8 and C9
+// collapses, so terminals are few and the walk sets the pace; C9 is the
+// slowest cell, and so the critical path, of the deep pass.
 func BenchmarkOutputSpectrum(b *testing.B) {
 	for _, c := range []struct {
 		proto, graph string
@@ -106,6 +108,7 @@ func BenchmarkOutputSpectrum(b *testing.B) {
 	}{
 		{"build-forest", "path", 8},
 		{"mis", "cycle", 8},
+		{"mis", "cycle", 9},
 	} {
 		p, g := registeredInstance(b, c.proto, c.graph, c.n)
 		b.Run(fmt.Sprintf("%s/%s/n=%d", c.proto, c.graph, c.n), func(b *testing.B) {

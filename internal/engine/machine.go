@@ -79,23 +79,55 @@ func (m *machine) compose(v int, board *core.Board) (core.Message, error) {
 	return msg, nil
 }
 
-// outcome classifies a configuration with no candidates into res, whose
-// Board is the final board: Success with the decoded output once every
-// node has written, Deadlock while some node never activated, Failed when
-// the output decoder rejects the board.
-func (m *machine) outcome(st *state, res *core.Result) {
+// classify is the rule for a configuration with no candidates: Deadlock
+// while some node never activated, otherwise Success once decode accepts
+// the final board and Failed, with decode's error, when it rejects it.
+// decode is Output for callers that keep the output's value (outcome), and
+// renders only its key for those that keep the key (outcomeKey).
+func (m *machine) classify(st *state, decode func() error) (core.Status, error) {
 	if st.written < m.n {
-		res.Status = core.Deadlock
-		return
+		return core.Deadlock, nil
 	}
-	out, err := m.p.Output(m.n, res.Board)
+	if err := decode(); err != nil {
+		return core.Failed, err
+	}
+	return core.Success, nil
+}
+
+// outcome classifies a configuration with no candidates into res, whose
+// Board is the final board, with the decoded output on Success.
+func (m *machine) outcome(st *state, res *core.Result) {
+	status, err := m.classify(st, func() error {
+		out, err := m.p.Output(m.n, res.Board)
+		if err == nil {
+			res.Output = out
+		}
+		return err
+	})
+	res.Status = status
 	if err != nil {
-		res.Status = core.Failed
 		res.Err = fmt.Errorf("engine: output: %w", err)
-		return
 	}
-	res.Status = core.Success
-	res.Output = out
+}
+
+// outcomeKey classifies a configuration with no candidates on its final
+// board b as outcome does, and on Success appends to key the text of the
+// output: through the protocol's AppendOutput when it has one, which
+// builds no output value, and through Output and appendOutputKey
+// otherwise.
+func (m *machine) outcomeKey(st *state, b *core.Board, key []byte) (core.Status, []byte) {
+	status, _ := m.classify(st, func() (err error) {
+		if a, ok := m.p.(core.OutputAppender); ok {
+			key, err = a.AppendOutput(key, m.n, b)
+			return err
+		}
+		out, err := m.p.Output(m.n, b)
+		if err == nil {
+			key = appendOutputKey(key, out)
+		}
+		return err
+	})
+	return status, key
 }
 
 type nodeState uint8

@@ -314,9 +314,9 @@ func newMemoWalk(n int, async bool) *memoWalk {
 	return w
 }
 
-// build makes w.board the board at index b. Reset also empties the
+// build makes w.board the board at index b. Reset also starts over the
 // board's derived-state slot, which holds what the previous board folded
-// to.
+// to, in the storage it already holds.
 func (w *memoWalk) build(b uint32) {
 	w.spine = w.spine[:0]
 	for b != 0 {
@@ -572,8 +572,10 @@ func (grp *memoGroup) flush(w *memoWalk, next *level) {
 // by that key, follows the previous board's in the next level. Each
 // successor is settled in one scratch state, and on one scratch board when
 // some node is still awake to read it; a write that lands in a known class
-// just adds its multiplicity. RunAllMemo hands visit a copy of each
-// terminal's Result, board and multiplicity, since visit may keep them.
+// just adds its multiplicity. Both boards keep their derived-state storage
+// from one rebuild to the next (core.Board.Reset). RunAllMemo classifies
+// each terminal on the walk's board (Output included) and hands visit a
+// copy of its Result, board and multiplicity, since visit may keep them.
 //
 // The collapse is sound because protocols are deterministic in (view,
 // board) and the engine's future behaviour is a function of the
@@ -584,9 +586,10 @@ func (grp *memoGroup) flush(w *memoWalk, next *level) {
 func RunAllMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	visit func(res *core.Result, mult *big.Int) error) (MemoStats, error) {
 
-	return walkMemo(p, g, opts, maxSteps, func(res *core.Result, mult *big.Int) error {
-		k := &keptTerminal{res: *res}
-		k.res.Board = res.Board.Clone()
+	return walkMemo(p, g, opts, maxSteps, func(t *terminal, mult *big.Int) error {
+		k := &keptTerminal{res: core.Result{Board: t.board, Rounds: t.round}}
+		t.m.outcome(t.st, &k.res)
+		k.res.Board = t.board.Clone()
 		k.mult.SetBits(k.words[:0]).Set(mult)
 		return visit(&k.res, &k.mult)
 	})
@@ -601,14 +604,25 @@ type keptTerminal struct {
 	words [2]big.Word
 }
 
-// walkMemo is RunAllMemo's walk. It lends visit the Result of each
-// terminal class and its multiplicity: one Result reused for every
-// terminal, whose Board is the board the walk rebuilds for later classes,
-// and a big.Int the walk reuses or a level's side table holds. All are
-// valid only during the call; the Data of the board's messages stays valid
-// for good.
+// terminal is a terminal class as walkMemo lends it to visit, not yet
+// classified: the walk's machine, the class's node states, its final board
+// and the round its schedules end in. The caller classifies it by
+// machine.outcome for the output's value or machine.outcomeKey for its key
+// alone.
+type terminal struct {
+	m     *machine
+	st    *state
+	board *core.Board
+	round int
+}
+
+// walkMemo is RunAllMemo's walk. It lends visit each terminal class and its
+// multiplicity: one terminal reused for every class, whose state and board
+// the walk rebuilds for later classes, and a big.Int the walk reuses or a
+// level's side table holds. All are valid only during the call; the Data
+// of the board's messages stays valid for good.
 func walkMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
-	visit func(res *core.Result, mult *big.Int) error) (MemoStats, error) {
+	visit func(t *terminal, mult *big.Int) error) (MemoStats, error) {
 
 	m := newMachine(p, Views(g), opts)
 	async := m.model.Asynchronous()
@@ -640,11 +654,11 @@ func walkMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 	}
 	w.push(&cur, root)
 	// grp gathers the successors of the classes on board curBoard, the
-	// board w.board was last built from; res is lent to visit for each
+	// board w.board was last built from; term is lent to visit for each
 	// terminal class.
 	grp := memoGroup{stride: w.stride, gen: 1, seed: maphash.MakeSeed()}
 	curBoard := uint32(noBoard)
-	var res core.Result
+	term := terminal{m: &m, st: parent, board: w.board}
 	// In synchronous models a writer composes its message from the board
 	// at write time, so the classes on one board share it: composed[v] is
 	// the id of what v writes on board composedOn[v]. An asynchronous
@@ -673,11 +687,10 @@ func walkMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 				awakeLeft := w.unpack(parent, r)
 				cand := parent.candidates()
 				if len(cand) == 0 {
-					res = core.Result{Board: w.board, Rounds: round}
-					m.outcome(parent, &res)
+					term.round = round
 					multAdds++
 					schedules.add(mult, &w.mults)
-					if err := visit(&res, w.mults.value(mult)); err != nil {
+					if err := visit(&term, w.mults.value(mult)); err != nil {
 						return stats, err
 					}
 				}
@@ -705,9 +718,9 @@ func walkMemo(p core.Protocol, g *graph.Graph, opts Options, maxSteps int,
 					scratch.load(parent, async)
 					scratch.markWritten(chosen)
 					if awakeLeft {
-						// Reset also empties the derived-state slot, which
-						// still holds what the previous successor's board
-						// folded to.
+						// Reset also starts over the derived-state slot,
+						// which still holds what the previous successor's
+						// board folded to.
 						w.succ.Reset()
 						for j := 0; j < w.board.Len(); j++ {
 							w.succ.Append(w.board.At(j))

@@ -158,14 +158,16 @@ func TestMemoVisitsInLevelOrder(t *testing.T) {
 // and 8.5. build-forest's Output, with one per-node array and its forest's
 // adjacency lists cut from one backing array, then took P6 to 4.5, with
 // one scratch array and a flat bitset to 3.7, and with that array and its
-// edge list on the stack to 3.0.
+// edge list on the stack to 3.0. Keeping mis's fold storage across Reset,
+// instead of making it afresh on each rebuilt board, took C7 from 3.2 to
+// 1.7.
 func TestMemoAllocsPerClass(t *testing.T) {
 	for _, c := range []struct {
 		proto, graph string
 		n            int
 		bound        float64
 	}{
-		{"mis", "cycle", 7, 4},
+		{"mis", "cycle", 7, 2.5},
 		{"build-forest", "path", 6, 4},
 	} {
 		p, g := registeredInstance(t, c.proto, c.graph, c.n)

@@ -640,15 +640,10 @@ func TestMemoMultiplicitiesPastUint64(t *testing.T) {
 	}
 }
 
-// lengthOutput is p with an Output that returns the board length, which
-// boxes without allocating on the boards these tests use.
-type lengthOutput struct{ core.Protocol }
-
-func (lengthOutput) Output(n int, b *core.Board) (any, error) { return b.Len(), nil }
-
 // TestMemoBytesPerClass bounds the bytes walkMemo itself allocates per
 // class, measured as TotalAlloc over a second walk whose callbacks
-// allocate next to nothing: an ID-writing SIMASYNC protocol on P8, which
+// allocate next to nothing (walkMemo lends its terminals unclassified, so
+// no output is decoded): an ID-writing SIMASYNC protocol on P8, which
 // composes only at the root and never collapses (109,601 classes), and
 // lastWriterSees on P14, all of whose classes at one depth share one
 // board, so it composes once per writer on each of 15 boards (16,384
@@ -667,11 +662,11 @@ func TestMemoBytesPerClass(t *testing.T) {
 		g       *graph.Graph
 		classes int
 	}{
-		{"id-echo/P8", lengthOutput{idEcho{}}, graph.Path(8), 109_601},
-		{"sees-board/P14", lengthOutput{lastWriterSees{}}, graph.Path(14), 16_384},
+		{"id-echo/P8", idEcho{}, graph.Path(8), 109_601},
+		{"sees-board/P14", lastWriterSees{}, graph.Path(14), 16_384},
 	} {
 		walk := func() MemoStats {
-			stats, err := walkMemo(c.p, c.g, Options{}, 1<<22, func(*core.Result, *big.Int) error { return nil })
+			stats, err := walkMemo(c.p, c.g, Options{}, 1<<22, func(*terminal, *big.Int) error { return nil })
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}

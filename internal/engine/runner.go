@@ -8,7 +8,8 @@ import (
 
 // Runner executes many runs while reusing every per-run allocation: the
 // node-state and pending-message arrays, the candidate buffer, the board
-// spine, the NodeView slice, and the Writes slice. It is the hot-loop entry
+// spine and the storage of what protocols fold from the board (core.Fold),
+// the NodeView slice, and the Writes slice. It is the hot-loop entry
 // point for batch drivers (internal/campaign): a sequential Run allocates
 // afresh per execution, while a long-lived Runner amortizes that cost to
 // near zero once its buffers reach the high-water mark of the workload.

@@ -41,12 +41,10 @@ type Spectrum struct {
 	// would have simulated beyond Steps.
 	StepsSaved int
 
-	// tally renders each output into render, through the output's own
-	// AppendString when it has one (it must append the output's %v text)
-	// and through fmt otherwise, and finds the key Outputs holds for it in
-	// keys, so only an output not seen before becomes a key string.
-	render []byte
-	keys   map[string]string
+	// keys holds each key of Outputs under itself, so tally finds the
+	// string for a rendered key and only an output not seen before
+	// becomes a new string.
+	keys map[string]string
 }
 
 // Range is the least and greatest value of one figure over a spectrum's
@@ -82,22 +80,33 @@ func (s *Spectrum) DistinctOutputs() []string {
 	return out
 }
 
-// tally folds one terminal outcome, reached by mult schedules, into the
-// spectrum. The tallies stay exact or fail: a count or sum that would
-// leave its integer range returns ErrMultiplicityOverflow, and the walk
-// stops there.
-func (s *Spectrum) tally(res *core.Result, mult int) error {
+// appendOutputKey appends the key Outputs counts the output value out
+// under, its %v text: through its own AppendString when it has one (which
+// must append that text), through fmt otherwise.
+func appendOutputKey(key []byte, out any) []byte {
+	if a, ok := out.(interface{ AppendString([]byte) []byte }); ok {
+		return a.AppendString(key)
+	}
+	return fmt.Appendf(key, "%v", out)
+}
+
+// tally folds one terminal schedule, reached by mult schedules, into the
+// spectrum: its status, the key of its output (read on Success only), its
+// round count and its final board. The tallies stay exact or fail: a count
+// or sum that would leave its integer range returns
+// ErrMultiplicityOverflow, and the walk stops there.
+func (s *Spectrum) tally(status core.Status, key []byte, rounds int, board *core.Board, mult int) error {
 	if s.Schedules > math.MaxInt-mult {
 		return ErrMultiplicityOverflow
 	}
 	bits := 0
-	for i := 0; i < res.Board.Len(); i++ {
-		m := res.Board.At(i).Bits
+	for i := 0; i < board.Len(); i++ {
+		m := board.At(i).Bits
 		bits += m
 		s.MaxMessageBits = max(s.MaxMessageBits, m)
 	}
 	first := s.Schedules == 0
-	if err := s.Rounds.add(res.Rounds, mult, first); err != nil {
+	if err := s.Rounds.add(rounds, mult, first); err != nil {
 		return err
 	}
 	if err := s.BoardBits.add(bits, mult, first); err != nil {
@@ -106,23 +115,18 @@ func (s *Spectrum) tally(res *core.Result, mult int) error {
 	// Success, Deadlocks, Failures and each output's count sum parts of
 	// Schedules, so none can overflow where Schedules does not.
 	s.Schedules += mult
-	switch res.Status {
+	switch status {
 	case core.Success:
 		s.Success += mult
-		if a, ok := res.Output.(interface{ AppendString([]byte) []byte }); ok {
-			s.render = a.AppendString(s.render[:0])
-		} else {
-			s.render = fmt.Appendf(s.render[:0], "%v", res.Output)
-		}
-		key, ok := s.keys[string(s.render)]
+		k, ok := s.keys[string(key)]
 		if !ok {
 			if s.keys == nil {
 				s.keys = map[string]string{}
 			}
-			key = string(s.render)
-			s.keys[key] = key
+			k = string(key)
+			s.keys[k] = k
 		}
-		s.Outputs[key] += mult
+		s.Outputs[k] += mult
 	case core.Deadlock:
 		s.Deadlocks += mult
 	default:
@@ -143,16 +147,22 @@ func (s *Spectrum) tally(res *core.Result, mult int) error {
 // multiplicities propagated, so the tallies are bit-for-bit what the tree
 // walk (RunAll) produces while the step budget stretches orders of
 // magnitude further on collapsing protocols. The tally keeps only counts
-// and rendered keys, so it reads each terminal on the walk's own board,
-// without RunAllMemo's copy.
+// and output keys, so it reads each terminal on the walk's own board,
+// without RunAllMemo's copy, and classifies it by the rule RunAllMemo
+// applies, asking only for its output's key (machine.outcomeKey): a
+// protocol with AppendOutput renders the key without building the output
+// value, and any other renders the value Output returns.
 func OutputSpectrum(p core.Protocol, g *graph.Graph, opts Options, maxSteps int) (*Spectrum, error) {
 	s := &Spectrum{Outputs: map[string]int{}}
-	stats, err := walkMemo(p, g, opts, maxSteps, func(res *core.Result, mult *big.Int) error {
+	var key []byte
+	stats, err := walkMemo(p, g, opts, maxSteps, func(t *terminal, mult *big.Int) error {
 		w, err := IntFromBig(mult)
 		if err != nil {
 			return err
 		}
-		return s.tally(res, w)
+		var status core.Status
+		status, key = t.m.outcomeKey(t.st, t.board, key[:0])
+		return s.tally(status, key, t.round, t.board, w)
 	})
 	s.Steps, s.Classes, s.StepsSaved = stats.Steps, stats.Classes, stats.StepsSaved()
 	return s, err

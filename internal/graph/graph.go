@@ -245,22 +245,41 @@ func (g *Graph) AppendString(buf []byte) []byte {
 	if g == nil {
 		return append(buf, "<nil>"...)
 	}
-	buf = append(buf, "G(n="...)
-	buf = strconv.AppendInt(buf, int64(g.n), 10)
-	buf = append(buf, ", m="...)
-	buf = strconv.AppendInt(buf, int64(g.m), 10)
-	buf = append(buf, ':')
+	buf = appendHead(buf, g.n, g.m)
 	for u := 1; u <= g.n; u++ {
 		for _, v := range g.adj[u] {
 			if u < v {
-				buf = append(buf, ' ')
-				buf = strconv.AppendInt(buf, int64(u), 10)
-				buf = append(buf, '-')
-				buf = strconv.AppendInt(buf, int64(v), 10)
+				buf = appendEdge(buf, u, v)
 			}
 		}
 	}
 	return append(buf, ')')
+}
+
+// AppendEdgeList appends the String text of the graph on n nodes with the
+// given edges, without building it. The edges must be as Edges returns
+// them: each edge once, as (u, v) with u < v, sorted lexicographically.
+func AppendEdgeList(buf []byte, n int, edges [][2]int) []byte {
+	buf = appendHead(buf, n, len(edges))
+	for _, e := range edges {
+		buf = appendEdge(buf, e[0], e[1])
+	}
+	return append(buf, ')')
+}
+
+// appendHead appends the text that opens String's: "G(n=4, m=3:".
+func appendHead(buf []byte, n, m int) []byte {
+	buf = append(buf, "G(n="...)
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = append(buf, ", m="...)
+	buf = strconv.AppendInt(buf, int64(m), 10)
+	return append(buf, ':')
+}
+
+// appendEdge appends one edge of String's text: " 1-2".
+func appendEdge(buf []byte, u, v int) []byte {
+	buf = strconv.AppendInt(append(buf, ' '), int64(u), 10)
+	return strconv.AppendInt(append(buf, '-'), int64(v), 10)
 }
 
 // AdjacencyMatrix returns the n×n boolean adjacency matrix with rows and

@@ -171,6 +171,18 @@ func TestAppendStringExtendsBuffer(t *testing.T) {
 	}
 }
 
+// TestAppendEdgeListMatchesString checks that AppendEdgeList renders a
+// graph's Edges exactly as AppendString renders the graph.
+func TestAppendEdgeListMatchesString(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, g := range []*Graph{New(0), New(1), Path(4), Star(5), Cycle(130), RandomGNP(40, 0.2, rng), RandomForest(70, 0.5, rng)} {
+		want := string(g.AppendString([]byte("prefix ")))
+		if got := string(AppendEdgeList([]byte("prefix "), g.N(), g.Edges())); got != want {
+			t.Errorf("AppendEdgeList = %q, want %q", got, want)
+		}
+	}
+}
+
 func TestKeyDistinguishesGraphs(t *testing.T) {
 	seen := map[string]bool{}
 	count := 0

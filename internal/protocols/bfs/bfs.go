@@ -38,6 +38,7 @@ package bfs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -141,6 +142,8 @@ type boardState struct {
 	key        foldKey
 	entries    []entry // one per message, in board order
 	anyInvalid bool
+	// tables holds at and the three layer sums, back to back.
+	tables []int
 	// at[id] is 1 + the index in entries of id's latest message, 0 while
 	// id has written none.
 	at []int
@@ -156,12 +159,21 @@ type boardState struct {
 	layers                          int
 }
 
-func newBoardState(k foldKey) boardState {
+// reset starts st over for key k, reusing its entries and tables when they
+// are large enough (the fresh of core.Fold).
+func (st *boardState) reset(k foldKey) {
 	size := 1 << bitio.WidthID(k.n)
-	tables := make([]int, 4*size)
-	return boardState{
+	tables := st.tables
+	if cap(tables) < 4*size {
+		tables = make([]int, 4*size)
+	} else {
+		tables = tables[:4*size]
+		clear(tables)
+	}
+	*st = boardState{
 		key:       k,
-		entries:   make([]entry, 0, max(k.n, 0)),
+		entries:   slices.Grow(st.entries[:0], max(k.n, 0)),
+		tables:    tables,
 		at:        tables[:size:size],
 		next:      1,
 		layerPrev: tables[size : 2*size : 2*size],
@@ -246,10 +258,11 @@ func readField(r *bitio.Reader, w int) (int, error) {
 
 // parse returns the decoded board state for n nodes, folding in only the
 // messages appended since the board was last read under the same variant
-// and n. The state is shared by every reader of b: read it, never change
-// it. A malformed message fails this and every later call on b.
+// and n. The state is shared by every reader of b and valid until b's
+// next Reset or its next read under another variant or n: read it, never
+// change it. A malformed message fails this and every later call on b.
 func (p Protocol) parse(b *core.Board, n int) (*boardState, error) {
-	return core.Fold(b, foldKey{p.V, n}, newBoardState, (*boardState).add)
+	return core.Fold(b, foldKey{p.V, n}, (*boardState).reset, (*boardState).add)
 }
 
 // layerComplete reports whether every node of layer k in the current

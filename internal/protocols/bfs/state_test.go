@@ -331,17 +331,24 @@ func newFuzzInstance(n int) fuzzInstance {
 // duplicate identifiers, EOB invalid markers, several roots, messages cut
 // short) and, after every append, requires every node's Activate and
 // Compose and the Output, or its error, to match the map-based reference,
-// for all three variants. No call may panic, on either state.
+// for all three variants. No call may panic, on either state. Unless renew
+// is 0, the board first folds the whole run at size renew−1 (modulo the
+// sizes) and is Reset, and the state its fold renews in place must equal
+// a fresh one.
 func FuzzStateMatchesMaps(f *testing.F) {
 	instances := map[int]fuzzInstance{}
 	for _, n := range fuzzSizes {
 		instances[n] = newFuzzInstance(n)
 	}
-	f.Add(uint8(0), uint8(255), []byte{})
-	f.Add(uint8(3), uint8(255), []byte{})
-	f.Add(uint8(2), uint8(10), []byte{})
+	f.Add(uint8(0), uint8(0), uint8(255), []byte{})
+	f.Add(uint8(3), uint8(0), uint8(255), []byte{})
+	f.Add(uint8(2), uint8(0), uint8(10), []byte{})
+	// Renewed from a larger and a smaller size's tables, and from its own.
+	f.Add(uint8(0), uint8(4), uint8(255), []byte{})
+	f.Add(uint8(3), uint8(1), uint8(255), []byte{})
+	f.Add(uint8(2), uint8(3), uint8(10), []byte{})
 	// Roots at 1, 2 and 3; 2 written twice; an out-of-range identifier.
-	f.Add(uint8(1), uint8(0), []byte{
+	f.Add(uint8(1), uint8(0), uint8(0), []byte{
 		0, 1, 0, 0, 0, 0, 1,
 		0, 2, 0, 0, 0, 0, 0,
 		0, 2, 1, 1, 1, 0, 0,
@@ -350,15 +357,15 @@ func FuzzStateMatchesMaps(f *testing.F) {
 	})
 	// EOB invalid markers between BFS entries; at n = 64, a layer of 127,
 	// the largest a 7-bit field holds, which no neighbour may write past.
-	f.Add(uint8(3), uint8(5), []byte{
+	f.Add(uint8(3), uint8(0), uint8(5), []byte{
 		1, 9, 0, 0, 0, 0, 0,
 		0, 6, 0xff, 1, 1, 0, 3,
 		1, 7, 0, 0, 0, 0, 0,
 		0, 127, 0, 0, 0, 0, 0,
 	})
 	// A message cut short after a real prefix.
-	f.Add(uint8(2), uint8(20), []byte{0xf5, 1, 2, 3, 4, 5, 6, 0, 4, 0, 0, 0, 0, 1})
-	f.Fuzz(func(t *testing.T, size, prefix uint8, data []byte) {
+	f.Add(uint8(2), uint8(0), uint8(20), []byte{0xf5, 1, 2, 3, 4, 5, 6, 0, 4, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, size, renew, prefix uint8, data []byte) {
 		n := fuzzSizes[int(size)%len(fuzzSizes)]
 		in := instances[n]
 		w := bitio.WidthID(n)
@@ -372,6 +379,22 @@ func FuzzStateMatchesMaps(f *testing.F) {
 				msgs = append(msgs, fuzzMessage(variant, w, b))
 			}
 			p, ref, board := New(variant), newMapProtocol(variant, n), core.NewBoard()
+			if renew > 0 {
+				before := fuzzSizes[int(renew-1)%len(fuzzSizes)]
+				old := instances[before].runs[variant]
+				for i := 0; i < old.Len(); i++ {
+					board.Append(old.At(i))
+				}
+				if _, err := p.parse(board, before); err != nil {
+					t.Fatalf("%v n=%d: folding the run: %v", variant, before, err)
+				}
+				board.Reset()
+				var fresh boardState
+				fresh.reset(foldKey{variant, n})
+				if st, err := p.parse(board, n); err != nil || !reflect.DeepEqual(*st, fresh) {
+					t.Fatalf("%v: state renewed from n=%d to n=%d is %+v (%v), want %+v", variant, before, n, st, err, fresh)
+				}
+			}
 			for i := 0; ; i++ {
 				for _, v := range in.views[1:] {
 					if got, want := p.Activate(v, board), ref.activate(v); got != want {
@@ -399,9 +422,10 @@ func FuzzStateMatchesMaps(f *testing.F) {
 
 // TestRunnerRunAllocs pins the allocations of one reused-runner run of bfs
 // on a sparse G(n,p) at n = 64, as a campaign worker makes them: one per
-// composed message, the folded state's slot, entries and tables, and the
-// Output's forest. The map-based state, and a decode that moved each entry
-// to the heap, made 231.
+// composed message and the Output's forest. The folded state's slot,
+// entries and tables outlive the runner's Reset, which made them afresh
+// (74); the map-based state, and a decode that moved each entry to the
+// heap, made 231.
 func TestRunnerRunAllocs(t *testing.T) {
 	g := graph.RandomGNP(64, 0.05, rand.New(rand.NewSource(64)))
 	r, p := engine.NewRunner(), New(General)
@@ -412,7 +436,7 @@ func TestRunnerRunAllocs(t *testing.T) {
 	}
 	run()
 	allocs := testing.AllocsPerRun(20, run)
-	const want = 74
+	const want = 71
 	if allocs > want {
 		t.Errorf("%.1f allocations per run, want at most %d", allocs, want)
 	}

@@ -14,7 +14,9 @@
 package buildforest
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/bitio"
@@ -75,11 +77,11 @@ func (Protocol) Compose(v core.NodeView, _ *core.Board) core.Message {
 	return core.Message{Data: bw.Bytes(), Bits: bw.Bits()}
 }
 
-// stackNodes is the largest n whose Output decodes without allocating its
-// scratch array and edge list.
+// stackNodes is the largest n whose Output and AppendOutput decode without
+// allocating their scratch array and edge list.
 const stackNodes = 16
 
-// Flags of a node in Output's scratch array.
+// Flags of a node in decode's scratch array.
 const (
 	seen    = 1 << iota // the node's message has been read
 	removed             // the node has been pruned
@@ -87,14 +89,56 @@ const (
 
 // Output implements core.Protocol: leaf pruning per Section 3.1.
 func (Protocol) Output(n int, b *core.Board) (any, error) {
+	var edgeArr [stackNodes][2]int
+	edges, inClass, err := decode(n, b, edgeArr[:0])
+	if err != nil {
+		return nil, err
+	}
+	if !inClass {
+		return Decoded{InClass: false}, nil
+	}
+	return Decoded{Forest: graph.FromEdges(n, edges), InClass: true}, nil
+}
+
+// AppendOutput implements core.OutputAppender: it appends the text of
+// Output's Decoded, "{G(n=…, m=…: u-v …) true}" or "{<nil> false}",
+// rendering the forest from its sorted edge list instead of building it.
+func (Protocol) AppendOutput(buf []byte, n int, b *core.Board) ([]byte, error) {
+	var edgeArr [stackNodes][2]int
+	edges, inClass, err := decode(n, b, edgeArr[:0])
+	if err != nil {
+		return buf, err
+	}
+	if !inClass {
+		return Decoded{InClass: false}.AppendString(buf), nil
+	}
+	// Pruning finds each edge once, leaf first; the forest's text lists
+	// its edges as Graph.Edges does.
+	for i, e := range edges {
+		edges[i] = [2]int{min(e[0], e[1]), max(e[0], e[1])}
+	}
+	slices.SortFunc(edges, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	buf = graph.AppendEdgeList(append(buf, '{'), n, edges)
+	return append(buf, " true}"...), nil
+}
+
+// decode prunes leaves per Section 3.1: it appends the forest's edges, each
+// once as (leaf, neighbor) in pruning order, to edges and returns them, or
+// reports inClass false when pruning stalls on a cycle. It fails on a
+// message that does not decode, a node without a message or with two, and
+// a leaf whose sum names no remaining neighbor. edges has room for
+// stackNodes edges, on the caller's stack; past stackNodes nodes, decode
+// allocates its scratch array and edge list.
+func decode(n int, b *core.Board, edges [][2]int) (_ [][2]int, inClass bool, _ error) {
 	// One scratch array holds, per node, the announced degree and
 	// neighbor-ID sum, less the leaves pruned from it so far, and its
 	// flags; then the stack of leaves to prune. The stack takes at most 2n
 	// pushes: up to n at the start, and at most one per pruned leaf. Up to
-	// stackNodes nodes, the scratch and the edge list live on the stack.
+	// stackNodes nodes, the scratch lives on the stack.
 	var scratchArr [5*stackNodes + 3]int
-	var edgeArr [stackNodes][2]int
-	scratch, edges := scratchArr[:], edgeArr[:0]
+	scratch := scratchArr[:]
 	if n > stackNodes {
 		scratch, edges = make([]int, 5*n+3), make([][2]int, 0, n-1)
 	}
@@ -108,22 +152,22 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 		r := bitio.NewReader(m.Data, m.Bits)
 		id, err := r.ReadUint(w)
 		if err != nil {
-			return nil, fmt.Errorf("buildforest: message %d: %w", i, err)
+			return nil, false, fmt.Errorf("buildforest: message %d: %w", i, err)
 		}
 		d, err := r.ReadUint(w)
 		if err != nil {
-			return nil, fmt.Errorf("buildforest: message %d: %w", i, err)
+			return nil, false, fmt.Errorf("buildforest: message %d: %w", i, err)
 		}
 		s, err := r.ReadUint(sumW)
 		if err != nil {
-			return nil, fmt.Errorf("buildforest: message %d: %w", i, err)
+			return nil, false, fmt.Errorf("buildforest: message %d: %w", i, err)
 		}
 		v := int(id)
 		if v < 1 || v > n {
-			return nil, fmt.Errorf("buildforest: message %d: id %d out of range", i, v)
+			return nil, false, fmt.Errorf("buildforest: message %d: id %d out of range", i, v)
 		}
 		if flags[v]&seen != 0 {
-			return nil, fmt.Errorf("buildforest: duplicate message for node %d", v)
+			return nil, false, fmt.Errorf("buildforest: duplicate message for node %d", v)
 		}
 		// The sum is kept as an int: it wraps, and converts back to the
 		// node it names, exactly as a uint64 would.
@@ -131,7 +175,7 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 	}
 	for v := 1; v <= n; v++ {
 		if flags[v]&seen == 0 {
-			return nil, fmt.Errorf("buildforest: no message from node %d", v)
+			return nil, false, fmt.Errorf("buildforest: no message from node %d", v)
 		}
 	}
 
@@ -157,7 +201,7 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 		// deg == 1: the remaining neighbor is the sum itself.
 		u := sum[v]
 		if u < 1 || u > n || u == v || flags[u]&removed != 0 || deg[u] < 1 {
-			return nil, fmt.Errorf("buildforest: inconsistent messages: leaf %d names neighbor %d", v, u)
+			return nil, false, fmt.Errorf("buildforest: inconsistent messages: leaf %d names neighbor %d", v, u)
 		}
 		edges = append(edges, [2]int{v, u})
 		deg[u]--
@@ -166,11 +210,11 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 			stack = append(stack, u)
 		}
 	}
-	if left > 0 {
-		// Remaining nodes all have degree ≥ 2: a cycle.
-		return Decoded{InClass: false}, nil
-	}
-	return Decoded{Forest: graph.FromEdges(n, edges), InClass: true}, nil
+	// Any node left unpruned has degree ≥ 2: the graph has a cycle.
+	return edges, left == 0, nil
 }
 
-var _ core.Protocol = Protocol{}
+var (
+	_ core.Protocol       = Protocol{}
+	_ core.OutputAppender = Protocol{}
+)

@@ -201,6 +201,30 @@ func TestOutputAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendOutputAllocatesNothing pins the point of AppendOutput: on the
+// final board of a run on P8, where Output builds a graph (5 allocations),
+// appending its text to a buffer with room allocates nothing.
+func TestAppendOutputAllocatesNothing(t *testing.T) {
+	g := graph.Path(8)
+	res := engine.Run(Protocol{}, g, adversary.MinID{}, engine.Options{})
+	if res.Status != core.Success {
+		t.Fatalf("%v (%v)", res.Status, res.Err)
+	}
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if buf, err = (Protocol{}).AppendOutput(buf[:0], g.N(), res.Board); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := res.Output.(Decoded).String(); string(buf) != want {
+		t.Fatalf("AppendOutput = %q, want %q", buf, want)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per AppendOutput, want 0", allocs)
+	}
+}
+
 // plainDecoded has Decoded's fields and no methods, so fmt's %v renders
 // it field by field, as it rendered Decoded before Decoded had a String
 // method.

@@ -137,7 +137,9 @@ func fuzzSeed(g *graph.Graph, perm []int) []byte {
 // so cycles and leaves that name removed or absent neighbors, and
 // messages cut short of their fields) with Output and with
 // referenceOutput, and requires the same error text or the same InClass,
-// an Equal forest and the same rendering.
+// an Equal forest and the same rendering. AppendOutput must append that
+// rendering after what its buffer holds, or fail with Output's error text
+// and leave the buffer as it was.
 func FuzzOutputMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i, n := range fuzzSizes {
@@ -163,9 +165,13 @@ func FuzzOutputMatchesReference(f *testing.F) {
 		}
 		got, gotErr := (Protocol{}).Output(n, b)
 		want, wantErr := referenceOutput(n, b)
+		text, textErr := (Protocol{}).AppendOutput([]byte("key:"), n, b)
 		if gotErr != nil || wantErr != nil {
 			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 				t.Fatalf("n=%d: error %v, want %v", n, gotErr, wantErr)
+			}
+			if textErr == nil || textErr.Error() != gotErr.Error() || string(text) != "key:" {
+				t.Fatalf("n=%d: AppendOutput %q, %v; want %q, %v", n, text, textErr, "key:", gotErr)
 			}
 			return
 		}
@@ -173,6 +179,9 @@ func FuzzOutputMatchesReference(f *testing.F) {
 		if g.InClass != w.InClass || (g.Forest == nil) != (w.Forest == nil) ||
 			g.Forest != nil && !g.Forest.Equal(w.Forest) || g.String() != w.String() {
 			t.Fatalf("n=%d: output %v, want %v", n, g, w)
+		}
+		if textErr != nil || string(text) != "key:"+g.String() {
+			t.Fatalf("n=%d: AppendOutput %q, %v; want %q", n, text, textErr, "key:"+g.String())
 		}
 	})
 }

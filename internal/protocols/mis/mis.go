@@ -14,6 +14,7 @@ package mis
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -74,7 +75,11 @@ type members struct {
 	ids   []int
 }
 
-func newMembers(k foldKey) members { return members{width: bitio.WidthID(k.n)} }
+// reset starts ms over for key k, keeping the storage of its identifiers
+// (the fresh of core.Fold).
+func (ms *members) reset(k foldKey) {
+	ms.width, ms.ids = bitio.WidthID(k.n), ms.ids[:0]
+}
 
 // add folds one message in (the step of core.Fold); a message that does
 // not decode as an announcement adds nothing.
@@ -92,16 +97,17 @@ func (ms *members) add(_ int, m core.Message) error {
 
 // membersOn returns the identifiers that have announced membership, folding
 // in only the messages appended since the board was last read for n. The
-// slice is the board's derived state, shared by every reader: never change
-// it.
+// slice is the board's derived state, shared by every reader and valid
+// until the board's next Reset: never change it.
 func membersOn(b *core.Board, n int) []int {
-	ms, _ := core.Fold(b, foldKey{n}, newMembers, (*members).add) // add never fails
+	ms, _ := core.Fold(b, foldKey{n}, (*members).reset, (*members).add) // add never fails
 	return ms.ids
 }
 
-// Output implements core.Protocol: the sorted member identifiers.
-func (Protocol) Output(n int, b *core.Board) (any, error) {
-	ids := slices.Clone(membersOn(b, n))
+// sortedMembers copies the identifiers that have announced membership into
+// the storage of ids and sorts them, or fails if a node announced twice.
+func sortedMembers(ids []int, b *core.Board, n int) ([]int, error) {
+	ids = append(ids[:0], membersOn(b, n)...)
 	slices.Sort(ids)
 	for i := 1; i < len(ids); i++ {
 		if ids[i] == ids[i-1] {
@@ -111,4 +117,39 @@ func (Protocol) Output(n int, b *core.Board) (any, error) {
 	return ids, nil
 }
 
-var _ core.Protocol = Protocol{}
+// Output implements core.Protocol: the sorted member identifiers, in a
+// slice of their own.
+func (Protocol) Output(n int, b *core.Board) (any, error) {
+	ids, err := sortedMembers(nil, b, n)
+	if err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// stackMembers is the most members AppendOutput sorts without allocating.
+const stackMembers = 64
+
+// AppendOutput implements core.OutputAppender: it appends Output's sorted
+// identifiers as fmt prints an []int, e.g. "[1 4 7]", sorting a copy of
+// the folded identifiers on the stack.
+func (Protocol) AppendOutput(buf []byte, n int, b *core.Board) ([]byte, error) {
+	var arr [stackMembers]int
+	ids, err := sortedMembers(arr[:0], b, n)
+	if err != nil {
+		return buf, err
+	}
+	buf = append(buf, '[')
+	for i, id := range ids {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendInt(buf, int64(id), 10)
+	}
+	return append(buf, ']'), nil
+}
+
+var (
+	_ core.Protocol       = Protocol{}
+	_ core.OutputAppender = Protocol{}
+)

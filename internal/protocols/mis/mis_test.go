@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -199,4 +200,106 @@ func TestUnderSimAsyncFreezingMISBreaks(t *testing.T) {
 	if graph.IsIndependentSet(g, set) {
 		t.Errorf("expected broken independence under SIMASYNC, got %v", set)
 	}
+}
+
+// TestAppendOutputAllocatesNothing pins the point of AppendOutput: on the
+// folded final board of a run on C9, appending the sorted members' text
+// to a buffer with room allocates nothing, where Output allocates the
+// sorted copy it hands out.
+func TestAppendOutputAllocatesNothing(t *testing.T) {
+	g := graph.Cycle(9)
+	p := Protocol{Root: 4}
+	res := engine.Run(p, g, adversary.MaxID{}, engine.Options{})
+	if res.Status != core.Success {
+		t.Fatal(res.Err)
+	}
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if buf, err = p.AppendOutput(buf[:0], g.N(), res.Board); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := fmt.Sprint(res.Output); string(buf) != want {
+		t.Fatalf("AppendOutput = %q, want %q", buf, want)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per AppendOutput, want 0", allocs)
+	}
+}
+
+// fuzzSizes sit on both sides of identifier-width steps (3 to 4 bits at
+// 7 and 8, 6 to 7 at 63 and 64), and at 100 a board can hold more members
+// than AppendOutput sorts on the stack.
+var fuzzSizes = []int{1, 2, 7, 8, 9, 63, 64, 100}
+
+// fuzzMessageBytes is how many fuzz bytes make one message.
+const fuzzMessageBytes = 3
+
+// fuzzMessage builds one message at n from fuzzMessageBytes bytes: the low
+// bit of the control byte is the membership flag, the next two bytes the
+// identifier (anywhere in 0..2^w−1), and a control byte from 0xf0 up cuts
+// the message short.
+func fuzzMessage(n int, b []byte) core.Message {
+	w := bitio.WidthID(n)
+	var bw bitio.Writer
+	bw.WriteBool(b[0]&1 == 1)
+	bw.WriteUint((uint64(b[1])<<8|uint64(b[2]))&(1<<w-1), w)
+	m := core.Message{Data: bw.Bytes(), Bits: bw.Bits()}
+	if b[0] >= 0xf0 {
+		m.Bits = int(b[0]&0x0f) % m.Bits
+	}
+	return m
+}
+
+// FuzzAppendOutputMatchesOutput builds a board from fuzzed messages
+// (members and non-members, duplicate and out-of-range identifiers,
+// messages cut short) one message at a time, on a board whose fold of the
+// same bytes at the next size was Reset, and after every append requires
+// AppendOutput to append exactly fmt's %v of Output's value after what its
+// buffer holds, or to fail with Output's error text and leave the buffer
+// as it was.
+func FuzzAppendOutputMatchesOutput(f *testing.F) {
+	seed := func(members ...int) []byte {
+		var data []byte
+		for _, id := range members {
+			data = append(data, 1, byte(id>>8), byte(id))
+		}
+		return data
+	}
+	f.Add(uint8(4), seed(4, 2, 7))
+	f.Add(uint8(4), append(seed(4, 2, 7, 2), 0, 0, 5))
+	f.Add(uint8(2), []byte{0xf3, 0, 5, 1, 0, 9, 0, 0, 3})
+	many := make([]int, 70)
+	for i := range many {
+		many[i] = 100 - i
+	}
+	f.Add(uint8(7), seed(many...))
+	f.Add(uint8(7), seed(append(many, 31)...))
+	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
+		n := fuzzSizes[int(size)%len(fuzzSizes)]
+		other := fuzzSizes[(int(size)+1)%len(fuzzSizes)]
+		p, b := Protocol{Root: 1}, core.NewBoard()
+		for d := data; len(d) >= fuzzMessageBytes; d = d[fuzzMessageBytes:] {
+			b.Append(fuzzMessage(other, d))
+		}
+		membersOn(b, other)
+		b.Reset()
+		for i := 0; ; i++ {
+			out, err := p.Output(n, b)
+			text, textErr := p.AppendOutput([]byte("key:"), n, b)
+			if err != nil {
+				if textErr == nil || textErr.Error() != err.Error() || string(text) != "key:" {
+					t.Fatalf("n=%d after %d messages: AppendOutput %q, %v; want %q, %v", n, i, text, textErr, "key:", err)
+				}
+			} else if want := fmt.Sprintf("key:%v", out); textErr != nil || string(text) != want {
+				t.Fatalf("n=%d after %d messages: AppendOutput %q, %v; want %q", n, i, text, textErr, want)
+			}
+			if len(data) < fuzzMessageBytes {
+				break
+			}
+			b.Append(fuzzMessage(n, data))
+			data = data[fuzzMessageBytes:]
+		}
+	})
 }

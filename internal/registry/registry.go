@@ -339,8 +339,10 @@ func NewProtocol(spec string, p Params) (core.Protocol, error) {
 }
 
 // NewGraph constructs the graph registered under spec, drawing randomness
-// from rng (which may be nil for deterministic families).
-func NewGraph(spec string, p Params, rng *rand.Rand) (*graph.Graph, error) {
+// from rng (which may be nil for deterministic families). A generator that
+// rejects its parameters by panicking (graph.Cycle below 3 nodes, say)
+// fails with the panic's text as the error.
+func NewGraph(spec string, p Params, rng *rand.Rand) (g *graph.Graph, err error) {
 	name, arg := splitName(spec)
 	e, ok := graphs[name]
 	if !ok {
@@ -351,6 +353,11 @@ func NewGraph(spec string, p Params, rng *rand.Rand) (*graph.Graph, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(p.Seed))
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			g, err = nil, fmt.Errorf("%v", r)
+		}
+	}()
 	return e.Build(p, rng)
 }
 

@@ -45,6 +45,27 @@ func outputNoPanic(t *testing.T, p core.Protocol, n int, b *core.Board, label st
 	_, _ = p.Output(n, b)
 }
 
+// appendOutputMatches checks a protocol that has AppendOutput against its
+// Output on b: AppendOutput must append the %v text of Output's value
+// after what its buffer holds, or fail with Output's error text and leave
+// the buffer as it was.
+func appendOutputMatches(t *testing.T, p core.Protocol, n int, b *core.Board, label string) {
+	t.Helper()
+	a, ok := p.(core.OutputAppender)
+	if !ok {
+		return
+	}
+	out, err := p.Output(n, b)
+	text, textErr := a.AppendOutput([]byte("key:"), n, b)
+	want := "key:" + fmt.Sprint(out)
+	if err != nil {
+		want = "key:"
+	}
+	if string(text) != want || fmt.Sprint(textErr) != fmt.Sprint(err) {
+		t.Errorf("%s: AppendOutput on %s board: %q, %v; Output gives %q, %v", p.Name(), label, text, textErr, want, err)
+	}
+}
+
 func TestOutputsSurviveGarbageBoards(t *testing.T) {
 	rng := rand.New(rand.NewSource(2025))
 	const n = 8
@@ -59,6 +80,7 @@ func TestOutputsSurviveGarbageBoards(t *testing.T) {
 				b.Append(core.Message{Data: data, Bits: bits})
 			}
 			outputNoPanic(t, p, n, b, "garbage")
+			appendOutputMatches(t, p, n, b, "garbage")
 		}
 	}
 }
