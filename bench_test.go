@@ -210,7 +210,7 @@ func BenchmarkFigure1_TriangleGadget(b *testing.B) {
 		}
 	})
 	b.Run("prime-rebuild", func(b *testing.B) {
-		p := reductions.TrianglePrime{Inner: reductions.OracleTriangle{}}
+		p := reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}
 		for i := 0; i < b.N; i++ {
 			res := mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
 			if !res.Output.(*graph.Graph).Equal(g) {
@@ -237,7 +237,7 @@ func BenchmarkFigure2_EOBGadget(b *testing.B) {
 		}
 	})
 	b.Run("prime-rebuild", func(b *testing.B) {
-		p := reductions.EOBPrime{Inner: reductions.OracleBFS{}}
+		p := reductions.EOBPrime{Inner: reductions.BFSOracle}
 		for i := 0; i < b.N; i++ {
 			res := mustRun(b, p, h, adversary.Rotor{}, engine.Options{})
 			if !res.Output.(*graph.Graph).Equal(h) {
@@ -251,7 +251,7 @@ func BenchmarkFigure2_EOBGadget(b *testing.B) {
 func BenchmarkTheorem6_MISReduction(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	g := graph.RandomGNP(8, 0.4, rng)
-	p := reductions.MISPrime{Inner: reductions.OracleMIS{Root: g.N() + 1}}
+	p := reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(g.N() + 1)}
 	for i := 0; i < b.N; i++ {
 		res := mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
 		if !res.Output.(*graph.Graph).Equal(g) {
@@ -448,7 +448,7 @@ func BenchmarkSquareReduction(b *testing.B) {
 		}
 	})
 	b.Run("prime-rebuild", func(b *testing.B) {
-		p := reductions.SquarePrime{Inner: reductions.OracleSquare{}}
+		p := reductions.PairPrime{Gadget: reductions.Square, Inner: reductions.SquareOracle}
 		for i := 0; i < b.N; i++ {
 			res := mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
 			if !res.Output.(*graph.Graph).Equal(g) {

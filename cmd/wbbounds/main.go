@@ -1,12 +1,16 @@
 // wbbounds prints the Lemma 3 counting curves — log₂(family size) versus
 // whiteboard capacity n·f(n) — for the families the paper's lower bounds
 // quantify over, and exhibits pigeonhole collisions for concrete strawman
-// protocols.
+// protocols. A malformed or non-positive -ns item exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math/bits"
+	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/bounds"
 	"repro/internal/graph"
@@ -16,12 +20,17 @@ import (
 func main() {
 	ns := flag.String("ns", "16,32,64,128,256,512", "comma separated n values")
 	flag.Parse()
+	sizes, err := parseInts(*ns)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wbbounds:", err)
+		os.Exit(2)
+	}
 
 	fmt.Println("Lemma 3 — log2 |family| vs whiteboard capacity n·f(n)")
 	fmt.Println("(a family is reconstructible only if log2|family| ≤ capacity + n)")
 	fmt.Println()
-	for _, n := range parseInts(*ns) {
-		logn := bitLen(n)
+	for _, n := range sizes {
+		logn := bits.Len(uint(n))
 		budgets := []struct {
 			label string
 			bits  int
@@ -58,7 +67,7 @@ func main() {
 	if col != nil {
 		fmt.Printf("  4-bit sketch vs BUILD/EOB: %v  ≡board≡  %v\n", col.A, col.B)
 	}
-	col = bounds.FindCollision(bounds.TruncatedRow{B: 2},
+	col = bounds.FindCollision(registry.MustProtocol("subgraph", registry.Params{K: 2}),
 		func(fn func(*graph.Graph) bool) { graph.AllGraphs(5, fn) },
 		func(g *graph.Graph) string { return g.Key() })
 	if col != nil {
@@ -73,32 +82,17 @@ func main() {
 	fmt.Printf("  collision found: %v\n", col != nil)
 }
 
-func parseInts(s string) []int {
+// parseInts parses a comma-separated list of positive integers.
+func parseInts(s string) ([]int, error) {
 	var out []int
-	cur := 0
-	has := false
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if has {
-				out = append(out, cur)
-			}
-			cur, has = 0, false
-			continue
+	for _, item := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(item))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("-ns wants comma-separated positive integers, got %q", item)
 		}
-		if s[i] >= '0' && s[i] <= '9' {
-			cur = cur*10 + int(s[i]-'0')
-			has = true
-		}
+		out = append(out, n)
 	}
-	return out
-}
-
-func bitLen(n int) int {
-	b := 0
-	for v := n; v > 0; v >>= 1 {
-		b++
-	}
-	return b
+	return out, nil
 }
 
 func isqrt(n int) int {

@@ -276,7 +276,7 @@ func noByReductionTriangle() cellResult {
 		return cellResult{"FAIL", err.Error()}
 	}
 	// End-to-end transformation with the oracle decider.
-	p := reductions.TrianglePrime{Inner: reductions.OracleTriangle{}}
+	p := reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}
 	res := engine.Run(p, g, adversary.Rotor{}, engine.Options{})
 	if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(g) {
 		return cellResult{"FAIL", "reduction did not rebuild the graph"}
@@ -298,7 +298,7 @@ func noByReductionMIS() cellResult {
 	if err := reductions.VerifyMISGadget(g); err != nil {
 		return cellResult{"FAIL", err.Error()}
 	}
-	p := reductions.MISPrime{Inner: reductions.OracleMIS{Root: g.N() + 1}}
+	p := reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(g.N() + 1)}
 	res := engine.Run(p, g, adversary.Rotor{}, engine.Options{})
 	if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(g) {
 		return cellResult{"FAIL", "reduction did not rebuild the graph"}
@@ -321,7 +321,7 @@ func noByReductionEOB() cellResult {
 	if err := in.Verify(); err != nil {
 		return cellResult{"FAIL", err.Error()}
 	}
-	p := reductions.EOBPrime{Inner: reductions.OracleBFS{}}
+	p := reductions.EOBPrime{Inner: reductions.BFSOracle}
 	res := engine.Run(p, h, adversary.Rotor{}, engine.Options{})
 	if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(h) {
 		return cellResult{"FAIL", "reduction did not rebuild the graph"}

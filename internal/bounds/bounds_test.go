@@ -3,11 +3,14 @@ package bounds
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/protocols/subgraphf"
+	"repro/internal/reductions"
 )
 
 func TestCountLabeledTrees(t *testing.T) {
@@ -140,27 +143,18 @@ func TestFindCollisionSketchOnEOBFamily(t *testing.T) {
 }
 
 func TestFindCollisionTruncatedRowMIS(t *testing.T) {
-	// Truncated rows (first 2 columns) cannot decide rooted-MIS answers:
-	// use membership of node 5 in the greedy MIS from root 1 as property.
-	col := FindCollision(TruncatedRow{B: 2},
+	// Truncated rows (SUBGRAPH_f with f = 2: the first 2 columns) cannot
+	// decide rooted-MIS answers: use membership of node 5 in the greedy MIS
+	// from root 1 as property.
+	truncated := subgraphf.Protocol{F: func(int) int { return 2 }, Label: "first-2"}
+	col := FindCollision(truncated,
 		func(fn func(*graph.Graph) bool) { graph.AllGraphs(5, fn) },
 		func(g *graph.Graph) string {
-			// Greedy MIS from root 1 (ascending IDs).
-			in := make([]bool, g.N()+1)
-			in[1] = true
-			for v := 2; v <= g.N(); v++ {
-				ok := !g.HasEdge(v, 1)
-				if ok {
-					for _, u := range g.Neighbors(v) {
-						if in[u] {
-							ok = false
-							break
-						}
-					}
-				}
-				in[v] = true && ok
+			set, err := reductions.MISOracle(1).Decide(g)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return fmt.Sprint(in[5])
+			return fmt.Sprint(slices.Contains(set.([]int), 5))
 		})
 	if col == nil {
 		t.Fatal("expected a collision for truncated rows on 5-node graphs")

@@ -11,7 +11,9 @@ import (
 // message budgets. They exist to be defeated — FindCollision exhibits pairs
 // of graphs they cannot distinguish, turning the "no SIMASYNC[o(n)]
 // protocol" theorems into concrete counterexamples for each candidate a
-// practitioner might try.
+// practitioner might try. A third, the first B columns of each adjacency
+// row, is SUBGRAPH_f's protocol with the constant f(n) = B (registry name
+// "subgraph" with k = B).
 
 // DegreeOnly writes only (ID, degree): the degree sequence cannot decide
 // TRIANGLE, MIS membership, or reconstruct graphs.
@@ -92,40 +94,7 @@ func (Sketch) Output(int, *core.Board) (any, error) {
 	return nil, fmt.Errorf("strawman: no decodable output")
 }
 
-// TruncatedRow writes (ID, first B bits of the adjacency row) — the
-// SUBGRAPH_f protocol misused as a whole-graph summary; everything beyond
-// column B is invisible.
-type TruncatedRow struct{ B int }
-
-// Name implements core.Protocol.
-func (tr TruncatedRow) Name() string { return fmt.Sprintf("strawman-truncrow(B=%d)", tr.B) }
-
-// Model implements core.Protocol.
-func (TruncatedRow) Model() core.Model { return core.SimAsync }
-
-// MaxMessageBits implements core.Protocol.
-func (tr TruncatedRow) MaxMessageBits(n int) int { return bitio.WidthID(n) + tr.B }
-
-// Activate implements core.Protocol.
-func (TruncatedRow) Activate(core.NodeView, *core.Board) bool { return true }
-
-// Compose implements core.Protocol.
-func (tr TruncatedRow) Compose(v core.NodeView, _ *core.Board) core.Message {
-	var w bitio.Writer
-	w.WriteUint(uint64(v.ID), bitio.WidthID(v.N))
-	for u := 1; u <= tr.B && u <= v.N; u++ {
-		w.WriteBool(v.HasNeighbor(u))
-	}
-	return core.Message{Data: w.Bytes(), Bits: w.Bits()}
-}
-
-// Output implements core.Protocol.
-func (TruncatedRow) Output(int, *core.Board) (any, error) {
-	return nil, fmt.Errorf("strawman: no decodable output")
-}
-
 var (
 	_ core.Protocol = DegreeOnly{}
 	_ core.Protocol = Sketch{}
-	_ core.Protocol = TruncatedRow{}
 )

@@ -2,188 +2,95 @@ package reductions
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/protocols/bfs"
+	"repro/internal/protocols/subgraphf"
 )
 
-// The oracles below are maximal-information protocols: every node writes
-// its identifier and its full adjacency row (Θ(n) bits). They realize the
-// paper's introductory observation that with O(n)-bit messages the entire
-// graph lands on the whiteboard and "any question can be easily answered".
-// Plugged into the prime protocols they exercise the Theorem 3/6/8
-// transformations end to end; they also mark the degenerate top of the
-// message-size hierarchy that Lemma 3 bounds from below.
-
-// rebuildFromRows decodes (ID, adjacency-row) messages into a graph.
-func rebuildFromRows(n int, b *core.Board) (*graph.Graph, error) {
-	rows := make([][]bool, n+1)
-	w := bitio.WidthID(n)
-	for i := 0; i < b.Len(); i++ {
-		m := b.At(i)
-		r := bitio.NewReader(m.Data, m.Bits)
-		id, err := r.ReadUint(w)
-		if err != nil {
-			return nil, fmt.Errorf("oracle: message %d: %w", i, err)
-		}
-		v := int(id)
-		if v < 1 || v > n || rows[v] != nil {
-			return nil, fmt.Errorf("oracle: bad or duplicate id %d", v)
-		}
-		row := make([]bool, n+1)
-		for u := 1; u <= n; u++ {
-			bit, err := r.ReadBool()
-			if err != nil {
-				return nil, fmt.Errorf("oracle: message %d: %w", i, err)
-			}
-			row[u] = bit
-		}
-		rows[v] = row
-	}
-	g := graph.New(n)
-	for u := 1; u <= n; u++ {
-		if rows[u] == nil {
-			return nil, fmt.Errorf("oracle: no message from node %d", u)
-		}
-		for v := u + 1; v <= n; v++ {
-			if rows[u][v] != rows[v][u] {
-				return nil, fmt.Errorf("oracle: asymmetric rows for {%d,%d}", u, v)
-			}
-			if rows[u][v] {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g, nil
+// Oracle is a maximal-information protocol: every node writes its
+// identifier and its full adjacency row (Θ(n) bits), SUBGRAPH_f's message
+// with f(n) = n. It realizes the paper's introductory observation that
+// with O(n)-bit messages the entire graph lands on the whiteboard and "any
+// question can be easily answered": Output rebuilds the graph and returns
+// Decide's answer on it. Plugged into the primes, the oracles exercise the
+// Theorem 3/6/8 transformations end to end; they also mark the degenerate
+// top of the message-size hierarchy that Lemma 3 bounds from below.
+type Oracle struct {
+	Label  string
+	Decide func(g *graph.Graph) (any, error)
 }
 
-func composeRow(v core.NodeView) core.Message {
-	var w bitio.Writer
-	w.WriteUint(uint64(v.ID), bitio.WidthID(v.N))
-	for u := 1; u <= v.N; u++ {
-		w.WriteBool(v.HasNeighbor(u))
-	}
-	return core.Message{Data: w.Bytes(), Bits: w.Bits()}
-}
-
-// OracleTriangle decides TRIANGLE in SIMASYNC[n + log n].
-type OracleTriangle struct{}
+// rows writes and decodes the oracles' (ID, adjacency row) messages.
+var rows = subgraphf.Protocol{F: func(n int) int { return n }, Label: "all"}
 
 // Name implements core.Protocol.
-func (OracleTriangle) Name() string { return "oracle-triangle" }
+func (o Oracle) Name() string { return o.Label }
 
 // Model implements core.Protocol.
-func (OracleTriangle) Model() core.Model { return core.SimAsync }
+func (Oracle) Model() core.Model { return core.SimAsync }
 
-// MaxMessageBits implements core.Protocol.
-func (OracleTriangle) MaxMessageBits(n int) int { return bitio.WidthID(n) + n }
+// MaxMessageBits implements core.Protocol: n + log n.
+func (Oracle) MaxMessageBits(n int) int { return rows.MaxMessageBits(n) }
 
 // Activate implements core.Protocol.
-func (OracleTriangle) Activate(core.NodeView, *core.Board) bool { return true }
+func (Oracle) Activate(core.NodeView, *core.Board) bool { return true }
 
 // Compose implements core.Protocol.
-func (OracleTriangle) Compose(v core.NodeView, _ *core.Board) core.Message { return composeRow(v) }
+func (Oracle) Compose(v core.NodeView, b *core.Board) core.Message { return rows.Compose(v, b) }
 
-// Output implements core.Protocol: true iff the graph has a triangle.
-func (OracleTriangle) Output(n int, b *core.Board) (any, error) {
-	g, err := rebuildFromRows(n, b)
+// Output implements core.Protocol: Decide's answer on the rebuilt graph.
+func (o Oracle) Output(n int, b *core.Board) (any, error) {
+	g, err := rows.Output(n, b)
 	if err != nil {
 		return nil, err
 	}
-	return graph.HasTriangle(g), nil
-}
-
-// OracleMIS solves rooted MIS in SIMASYNC[n + log n]: the output is the
-// greedy (ascending-identifier) maximal independent set containing Root.
-type OracleMIS struct{ Root int }
-
-// Name implements core.Protocol.
-func (o OracleMIS) Name() string { return fmt.Sprintf("oracle-mis(x=%d)", o.Root) }
-
-// Model implements core.Protocol.
-func (OracleMIS) Model() core.Model { return core.SimAsync }
-
-// MaxMessageBits implements core.Protocol.
-func (OracleMIS) MaxMessageBits(n int) int { return bitio.WidthID(n) + n }
-
-// Activate implements core.Protocol.
-func (OracleMIS) Activate(core.NodeView, *core.Board) bool { return true }
-
-// Compose implements core.Protocol.
-func (OracleMIS) Compose(v core.NodeView, _ *core.Board) core.Message { return composeRow(v) }
-
-// Output implements core.Protocol: the greedy MIS containing Root, as a
-// sorted []int.
-func (o OracleMIS) Output(n int, b *core.Board) (any, error) {
-	g, err := rebuildFromRows(n, b)
-	if err != nil {
-		return nil, err
-	}
-	if o.Root < 1 || o.Root > n {
-		return nil, fmt.Errorf("oracle-mis: root %d out of range", o.Root)
-	}
-	in := make([]bool, n+1)
-	in[o.Root] = true
-	set := []int{}
-	for v := 1; v <= n; v++ {
-		if v == o.Root {
-			continue
-		}
-		ok := !g.HasEdge(v, o.Root)
-		if ok {
-			for _, u := range g.Neighbors(v) {
-				if in[u] {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			in[v] = true
-		}
-	}
-	for v := 1; v <= n; v++ {
-		if in[v] {
-			set = append(set, v)
-		}
-	}
-	return set, nil
-}
-
-// OracleBFS solves BFS in SIMASYNC[n + log n] ⊆ SIMSYNC (the membership
-// Theorem 8 hypothesizes with o(n) bits): the output is the canonical BFS
-// forest, as a bfs.Forest.
-type OracleBFS struct{}
-
-// Name implements core.Protocol.
-func (OracleBFS) Name() string { return "oracle-bfs" }
-
-// Model implements core.Protocol.
-func (OracleBFS) Model() core.Model { return core.SimAsync }
-
-// MaxMessageBits implements core.Protocol.
-func (OracleBFS) MaxMessageBits(n int) int { return bitio.WidthID(n) + n }
-
-// Activate implements core.Protocol.
-func (OracleBFS) Activate(core.NodeView, *core.Board) bool { return true }
-
-// Compose implements core.Protocol.
-func (OracleBFS) Compose(v core.NodeView, _ *core.Board) core.Message { return composeRow(v) }
-
-// Output implements core.Protocol.
-func (OracleBFS) Output(n int, b *core.Board) (any, error) {
-	g, err := rebuildFromRows(n, b)
-	if err != nil {
-		return nil, err
-	}
-	r := graph.BFSForest(g)
-	return bfs.Forest{Valid: true, Parent: r.Parent, Layer: r.Layer, Roots: r.Roots}, nil
+	return o.Decide(g.(*graph.Graph))
 }
 
 var (
-	_ core.Protocol = OracleTriangle{}
-	_ core.Protocol = OracleMIS{}
-	_ core.Protocol = OracleBFS{}
+	// TriangleOracle decides TRIANGLE in SIMASYNC[n + log n].
+	TriangleOracle = Oracle{"oracle-triangle", func(g *graph.Graph) (any, error) {
+		return graph.HasTriangle(g), nil
+	}}
+	// SquareOracle decides SQUARE in SIMASYNC[n + log n].
+	SquareOracle = Oracle{"oracle-square", func(g *graph.Graph) (any, error) {
+		return graph.HasSquare(g), nil
+	}}
+	// BFSOracle solves BFS in SIMASYNC[n + log n] ⊆ SIMSYNC (the membership
+	// Theorem 8 hypothesizes with o(n) bits): the output is the canonical
+	// BFS forest, as a bfs.Forest.
+	BFSOracle = Oracle{"oracle-bfs", func(g *graph.Graph) (any, error) {
+		r := graph.BFSForest(g)
+		return bfs.Forest{Valid: true, Parent: r.Parent, Layer: r.Layer, Roots: r.Roots}, nil
+	}}
 )
+
+// MISOracle solves rooted MIS in SIMASYNC[n + log n]: the output is the
+// greedy (ascending-identifier) maximal independent set containing root,
+// as a sorted []int.
+func MISOracle(root int) Oracle {
+	return Oracle{fmt.Sprintf("oracle-mis(x=%d)", root), func(g *graph.Graph) (any, error) {
+		if root < 1 || root > g.N() {
+			return nil, fmt.Errorf("oracle-mis: root %d out of range", root)
+		}
+		in := make([]bool, g.N()+1)
+		in[root] = true
+		set := []int{}
+		for v := 1; v <= g.N(); v++ {
+			if v != root && !g.HasEdge(v, root) {
+				in[v] = !slices.ContainsFunc(g.Neighbors(v), func(u int) bool { return in[u] })
+			}
+		}
+		for v := 1; v <= g.N(); v++ {
+			if in[v] {
+				set = append(set, v)
+			}
+		}
+		return set, nil
+	}}
+}
+
+var _ core.Protocol = Oracle{}

@@ -2,6 +2,7 @@ package reductions
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -45,208 +46,106 @@ func msgOverhead(bits int) int {
 	return 5 * groups
 }
 
-// TrianglePrime is the Theorem 3 transformation: given any SIMASYNC
-// protocol Inner deciding TRIANGLE (Output must return bool), TrianglePrime
-// is a SIMASYNC protocol solving BUILD on triangle-free graphs with message
-// size 2·f(n+1) + O(log n). Node v_i writes (i, m'_i, m”_i): Inner's
-// message for neighborhood N(i) and for N(i) ∪ {v_{n+1}}. The output
-// function replays Inner's decision on the assembled whiteboard of
-// G'_{s,t} for every pair and rebuilds the graph.
-type TrianglePrime struct {
-	Inner core.Protocol
+// PairPrime is the transformation of Theorems 3 and 6 and of the SQUARE
+// bound: given a SIMASYNC protocol Inner solving the gadget's problem on
+// n+Extra nodes, PairPrime is a SIMASYNC protocol solving BUILD on the
+// graphs the gadget is verified for, with messages of
+// (Extra+1)·f(n+Extra) + O(log n) bits. Node v writes its identifier and
+// Inner's message for each role it can play in a gadget graph: with no
+// gadget neighbour, then as the neighbour of each gadget node in turn.
+// Output assembles, for every pair s < t, the whiteboard Inner writes on
+// the gadget graph and reads {v_s, v_t} ∈ E off Inner's output.
+type PairPrime struct {
+	Gadget PairGadget
+	Inner  core.Protocol
 }
 
 // Name implements core.Protocol.
-func (p TrianglePrime) Name() string { return "triangle-prime(" + p.Inner.Name() + ")" }
+func (p PairPrime) Name() string { return p.Gadget.Name + "-prime(" + p.Inner.Name() + ")" }
 
 // Model implements core.Protocol.
-func (TrianglePrime) Model() core.Model { return core.SimAsync }
+func (PairPrime) Model() core.Model { return core.SimAsync }
 
-// MaxMessageBits implements core.Protocol: 2·f(n+1) + log n + framing.
-func (p TrianglePrime) MaxMessageBits(n int) int {
-	f := p.Inner.MaxMessageBits(n + 1)
-	return bitio.WidthID(n) + 2*(f+msgOverhead(f))
+// MaxMessageBits implements core.Protocol: (Extra+1)·f(n+Extra) + log n +
+// framing.
+func (p PairPrime) MaxMessageBits(n int) int {
+	f := p.Inner.MaxMessageBits(n + p.Gadget.Extra)
+	return bitio.WidthID(n) + (p.Gadget.Extra+1)*(f+msgOverhead(f))
 }
 
 // Activate implements core.Protocol.
-func (TrianglePrime) Activate(core.NodeView, *core.Board) bool { return true }
+func (PairPrime) Activate(core.NodeView, *core.Board) bool { return true }
 
 // Compose implements core.Protocol.
-func (p TrianglePrime) Compose(v core.NodeView, _ *core.Board) core.Message {
-	empty := core.NewBoard()
-	base := core.NodeView{ID: v.ID, Neighbors: v.Neighbors, N: v.N + 1}
-	with := core.NodeView{
-		ID:        v.ID,
-		Neighbors: append(append([]int(nil), v.Neighbors...), v.N+1),
-		N:         v.N + 1,
-	}
-	m1 := p.Inner.Compose(base, empty)
-	m2 := p.Inner.Compose(with, empty)
+func (p PairPrime) Compose(v core.NodeView, _ *core.Board) core.Message {
 	var w bitio.Writer
 	w.WriteUint(uint64(v.ID), bitio.WidthID(v.N))
-	writeMsg(&w, m1)
-	writeMsg(&w, m2)
+	view := core.NodeView{ID: v.ID, Neighbors: v.Neighbors, N: v.N + p.Gadget.Extra}
+	writeMsg(&w, p.Inner.Compose(view, core.NewBoard()))
+	for x := v.N + 1; x <= view.N; x++ {
+		view.Neighbors = append(slices.Clip(v.Neighbors), x)
+		writeMsg(&w, p.Inner.Compose(view, core.NewBoard()))
+	}
 	return core.Message{Data: w.Bytes(), Bits: w.Bits()}
 }
 
 // Output implements core.Protocol: the reconstructed graph (*graph.Graph).
-// Correct whenever the input graph is triangle-free and Inner is a correct
-// SIMASYNC triangle decider on n+1 nodes.
-func (p TrianglePrime) Output(n int, b *core.Board) (any, error) {
-	prime := make([]core.Message, n+1)
-	doublePrime := make([]core.Message, n+1)
+// Correct whenever the input meets the gadget's precondition and Inner is
+// correct on n+Extra nodes.
+func (p PairPrime) Output(n int, b *core.Board) (any, error) {
+	name := p.Gadget.Name + "-prime"
+	roles := p.Gadget.Extra + 1
+	msgs := make([]core.Message, (n+1)*roles) // node v's role r at v*roles+r
 	seen := make([]bool, n+1)
 	for i := 0; i < b.Len(); i++ {
 		m := b.At(i)
 		r := bitio.NewReader(m.Data, m.Bits)
 		id, err := r.ReadUint(bitio.WidthID(n))
 		if err != nil {
-			return nil, fmt.Errorf("triangle-prime: message %d: %w", i, err)
+			return nil, fmt.Errorf("%s: message %d: %w", name, i, err)
 		}
 		v := int(id)
 		if v < 1 || v > n || seen[v] {
-			return nil, fmt.Errorf("triangle-prime: bad or duplicate id %d", v)
+			return nil, fmt.Errorf("%s: bad or duplicate id %d", name, v)
 		}
 		seen[v] = true
-		if prime[v], err = readMsg(r); err != nil {
-			return nil, fmt.Errorf("triangle-prime: message %d: %w", i, err)
-		}
-		if doublePrime[v], err = readMsg(r); err != nil {
-			return nil, fmt.Errorf("triangle-prime: message %d: %w", i, err)
+		for role := 0; role < roles; role++ {
+			if msgs[v*roles+role], err = readMsg(r); err != nil {
+				return nil, fmt.Errorf("%s: message %d: %w", name, i, err)
+			}
 		}
 	}
 	g := graph.New(n)
+	role := make([]int, n+1)
 	for s := 1; s <= n; s++ {
 		for t := s + 1; t <= n; t++ {
-			inner := core.NewBoard()
-			for i := 1; i <= n; i++ {
-				if i == s || i == t {
-					inner.Append(doublePrime[i])
-				} else {
-					inner.Append(prime[i])
+			extra := p.Gadget.Neighbors(n, s, t)
+			clear(role)
+			for k, nbrs := range extra {
+				for _, u := range nbrs {
+					if u <= n {
+						role[u] = k + 1
+					}
 				}
 			}
-			xView := core.NodeView{ID: n + 1, Neighbors: []int{s, t}, N: n + 1}
-			inner.Append(p.Inner.Compose(xView, core.NewBoard()))
-			out, err := p.Inner.Output(n+1, inner)
+			inner := core.NewBoard()
+			for v := 1; v <= n; v++ {
+				inner.Append(msgs[v*roles+role[v]])
+			}
+			for k, nbrs := range extra {
+				view := core.NodeView{ID: n + 1 + k, Neighbors: nbrs, N: n + p.Gadget.Extra}
+				inner.Append(p.Inner.Compose(view, core.NewBoard()))
+			}
+			out, err := p.Inner.Output(n+p.Gadget.Extra, inner)
 			if err != nil {
-				return nil, fmt.Errorf("triangle-prime: inner output at {%d,%d}: %w", s, t, err)
+				return nil, fmt.Errorf("%s: inner output at {%d,%d}: %w", name, s, t, err)
 			}
-			hasTriangle, ok := out.(bool)
-			if !ok {
-				return nil, fmt.Errorf("triangle-prime: inner output is %T, want bool", out)
+			edge, err := p.Gadget.Edge(out, s, t)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			if hasTriangle {
+			if edge {
 				g.AddEdge(s, t)
-			}
-		}
-	}
-	return g, nil
-}
-
-// MISPrime is the Theorem 6 transformation: given any SIMASYNC protocol
-// Inner solving rooted MIS with root x = n+1 (Output must return []int),
-// MISPrime solves BUILD on arbitrary graphs with message size 2·f(n+1) +
-// O(log n). Node v_k writes (k, m_k, m'_k): Inner's message when x is not a
-// neighbor (k ∈ {i,j}) and when it is.
-type MISPrime struct {
-	Inner core.Protocol
-}
-
-// Name implements core.Protocol.
-func (p MISPrime) Name() string { return "mis-prime(" + p.Inner.Name() + ")" }
-
-// Model implements core.Protocol.
-func (MISPrime) Model() core.Model { return core.SimAsync }
-
-// MaxMessageBits implements core.Protocol.
-func (p MISPrime) MaxMessageBits(n int) int {
-	f := p.Inner.MaxMessageBits(n + 1)
-	return bitio.WidthID(n) + 2*(f+msgOverhead(f))
-}
-
-// Activate implements core.Protocol.
-func (MISPrime) Activate(core.NodeView, *core.Board) bool { return true }
-
-// Compose implements core.Protocol.
-func (p MISPrime) Compose(v core.NodeView, _ *core.Board) core.Message {
-	empty := core.NewBoard()
-	without := core.NodeView{ID: v.ID, Neighbors: v.Neighbors, N: v.N + 1}
-	with := core.NodeView{
-		ID:        v.ID,
-		Neighbors: append(append([]int(nil), v.Neighbors...), v.N+1),
-		N:         v.N + 1,
-	}
-	mk := p.Inner.Compose(without, empty)
-	mkPrime := p.Inner.Compose(with, empty)
-	var w bitio.Writer
-	w.WriteUint(uint64(v.ID), bitio.WidthID(v.N))
-	writeMsg(&w, mk)
-	writeMsg(&w, mkPrime)
-	return core.Message{Data: w.Bytes(), Bits: w.Bits()}
-}
-
-// Output implements core.Protocol: the reconstructed graph. For every pair
-// i<j it assembles the whiteboard Inner would produce on G^(x)_{i,j} and
-// reads whether the returned set contains both v_i and v_j ({v_i,v_j} ∉ E)
-// or not ({v_i,v_j} ∈ E).
-func (p MISPrime) Output(n int, b *core.Board) (any, error) {
-	mk := make([]core.Message, n+1)
-	mkPrime := make([]core.Message, n+1)
-	seen := make([]bool, n+1)
-	for i := 0; i < b.Len(); i++ {
-		m := b.At(i)
-		r := bitio.NewReader(m.Data, m.Bits)
-		id, err := r.ReadUint(bitio.WidthID(n))
-		if err != nil {
-			return nil, fmt.Errorf("mis-prime: message %d: %w", i, err)
-		}
-		v := int(id)
-		if v < 1 || v > n || seen[v] {
-			return nil, fmt.Errorf("mis-prime: bad or duplicate id %d", v)
-		}
-		seen[v] = true
-		if mk[v], err = readMsg(r); err != nil {
-			return nil, err
-		}
-		if mkPrime[v], err = readMsg(r); err != nil {
-			return nil, err
-		}
-	}
-	g := graph.New(n)
-	for i := 1; i <= n; i++ {
-		for j := i + 1; j <= n; j++ {
-			inner := core.NewBoard()
-			for k := 1; k <= n; k++ {
-				if k == i || k == j {
-					inner.Append(mk[k])
-				} else {
-					inner.Append(mkPrime[k])
-				}
-			}
-			var xNbrs []int
-			for k := 1; k <= n; k++ {
-				if k != i && k != j {
-					xNbrs = append(xNbrs, k)
-				}
-			}
-			xView := core.NodeView{ID: n + 1, Neighbors: xNbrs, N: n + 1}
-			inner.Append(p.Inner.Compose(xView, core.NewBoard()))
-			out, err := p.Inner.Output(n+1, inner)
-			if err != nil {
-				return nil, fmt.Errorf("mis-prime: inner output at {%d,%d}: %w", i, j, err)
-			}
-			set, ok := out.([]int)
-			if !ok {
-				return nil, fmt.Errorf("mis-prime: inner output is %T, want []int", out)
-			}
-			hasI, hasJ := false, false
-			for _, v := range set {
-				hasI = hasI || v == i
-				hasJ = hasJ || v == j
-			}
-			if !(hasI && hasJ) {
-				g.AddEdge(i, j)
 			}
 		}
 	}
@@ -284,30 +183,6 @@ func (p EOBPrime) MaxMessageBits(m int) int {
 // Activate implements core.Protocol.
 func (EOBPrime) Activate(core.NodeView, *core.Board) bool { return true }
 
-// gadgetNeighbors returns the (sorted, i-independent) neighborhood in every
-// G_i of the paper node v_j, for j in 2..n, given H's neighbors of node
-// j−1. H neighbors shift up by one; the pendant partner is j+n−2 for odd j
-// and j+n for even j.
-func gadgetNeighbors(hNbrs []int, j, n int) []int {
-	out := make([]int, 0, len(hNbrs)+1)
-	partner := j + n - 2
-	if j%2 == 0 {
-		partner = j + n
-	}
-	placed := false
-	for _, u := range hNbrs {
-		if !placed && partner < u+1 {
-			out = append(out, partner)
-			placed = true
-		}
-		out = append(out, u+1)
-	}
-	if !placed {
-		out = append(out, partner)
-	}
-	return out
-}
-
 // innerBoardFromPrime decodes the inner messages written so far.
 func innerBoardFromPrime(b *core.Board, m int) (*core.Board, []int, error) {
 	inner := core.NewBoard()
@@ -337,8 +212,14 @@ func (p EOBPrime) Compose(v core.NodeView, b *core.Board) core.Message {
 	if err != nil {
 		return core.Message{}
 	}
+	// v_j's neighbourhood is the same in every G_i: H's neighbours shifted
+	// up by one, then its pendant partner, the larger.
 	j := v.ID + 1 // paper label
-	view := core.NodeView{ID: j, Neighbors: gadgetNeighbors(v.Neighbors, j, n), N: 2*n - 1}
+	nbrs := make([]int, 0, len(v.Neighbors)+1)
+	for _, u := range v.Neighbors {
+		nbrs = append(nbrs, u+1)
+	}
+	view := core.NodeView{ID: j, Neighbors: append(nbrs, partner(j, n)), N: 2*n - 1}
 	im := p.Inner.Compose(view, inner)
 	var w bitio.Writer
 	w.WriteUint(uint64(v.ID), bitio.WidthID(m))
@@ -365,25 +246,19 @@ func (p EOBPrime) Output(m int, b *core.Board) (any, error) {
 	}
 	h := graph.New(m)
 	for i := 3; i <= n; i += 2 {
+		// The gadget nodes v_{n+1}..v_{2n−1}, then the root v_1, in a fixed
+		// order (Inner is SIMSYNC, so any order is a legal schedule); their
+		// neighbourhoods are G_i's over an edgeless H.
+		skeleton := EOBGadgetInput{H: graph.New(m), N: n}.Gadget(i)
 		board := inner.Clone()
-		// Gadget pendants v_{n+1}..v_{2n−1}, then the root v_1, in a fixed
-		// order; Inner is SIMSYNC so any order is a legal schedule.
-		for q := n + 1; q <= 2*n-1; q++ {
-			var nbrs []int
-			// v_q is the partner of v_j with j = q−n+2 (odd) or q−n (even).
-			if jOdd := q - n + 2; jOdd >= 3 && jOdd <= n && jOdd%2 == 1 {
-				nbrs = append(nbrs, jOdd)
-				if jOdd == i {
-					nbrs = []int{1, jOdd}
-				}
-			} else if jEven := q - n; jEven >= 2 && jEven <= n-1 && jEven%2 == 0 {
-				nbrs = append(nbrs, jEven)
-			}
-			view := core.NodeView{ID: q, Neighbors: nbrs, N: 2*n - 1}
+		compose := func(q int) {
+			view := core.NodeView{ID: q, Neighbors: skeleton.Neighbors(q), N: 2*n - 1}
 			board.Append(p.Inner.Compose(view, board))
 		}
-		rootView := core.NodeView{ID: 1, Neighbors: []int{i + n - 2}, N: 2*n - 1}
-		board.Append(p.Inner.Compose(rootView, board))
+		for q := n + 1; q <= 2*n-1; q++ {
+			compose(q)
+		}
+		compose(1)
 
 		out, err := p.Inner.Output(2*n-1, board)
 		if err != nil {
@@ -415,7 +290,6 @@ func rootOf(f bfs.Forest, v int) int {
 }
 
 var (
-	_ core.Protocol = TrianglePrime{}
-	_ core.Protocol = MISPrime{}
+	_ core.Protocol = PairPrime{}
 	_ core.Protocol = EOBPrime{}
 )

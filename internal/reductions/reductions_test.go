@@ -11,40 +11,157 @@ import (
 	"repro/internal/protocols/bfs"
 )
 
-func TestTriangleGadgetProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cases := []*graph.Graph{
-		graph.RandomBipartite(8, 0.5, rng),
-		graph.RandomEOB(9, 0.4, rng),
-		graph.Cycle(6),
-		graph.Path(5),
+// pairCase is one row of the table the pair-gadget tests share.
+type pairCase struct {
+	gadget PairGadget
+	inner  func(n int) core.Protocol // the prime's Inner on n-node inputs
+	verify func(*graph.Graph) error
+	// inputs meet the gadget's precondition: verify accepts them, and the
+	// prime must rebuild them under every standard adversary.
+	inputs []*graph.Graph
+	bad    *graph.Graph // breaks the precondition; nil when none can
+}
+
+func pairCases() map[string]pairCase {
+	rng := rand.New(rand.NewSource(5))
+	square := []*graph.Graph{
+		graph.RandomTree(9, rng),
+		graph.RandomTree(8, rng),
+		graph.Cycle(5),
+		graph.Cycle(7),
+		graph.Path(6),
 		graph.New(4),
-		graph.CompleteBipartite(3, 4),
+		graph.Complete(3), // triangles are fine; squares are not
+		graph.PolarityGraph(2),
 	}
-	for _, g := range cases {
-		if err := VerifyTriangleGadget(g); err != nil {
+	// The SQUARE bound's counting family: ER_3 and random subgraphs of it,
+	// all C4-free.
+	polarity := graph.PolarityGraph(3) // 13 nodes
+	square = append(square, polarity)
+	for trial := 0; trial < 3; trial++ {
+		g := graph.New(polarity.N())
+		for _, e := range polarity.Edges() {
+			if rng.Intn(2) == 0 {
+				g.AddEdge(e[0], e[1])
+			}
+		}
+		square = append(square, g)
+	}
+	return map[string]pairCase{
+		"triangle": {
+			gadget: Triangle,
+			inner:  func(int) core.Protocol { return TriangleOracle },
+			verify: VerifyTriangleGadget,
+			inputs: []*graph.Graph{
+				graph.RandomBipartite(8, 0.5, rng),
+				graph.RandomBipartite(9, 0.5, rng),
+				graph.RandomEOB(9, 0.4, rng),
+				graph.RandomEOB(8, 0.4, rng),
+				graph.Cycle(6),
+				graph.Cycle(8),
+				graph.Path(5),
+				graph.New(4),
+				graph.CompleteBipartite(3, 4),
+			},
+			bad: graph.Complete(3),
+		},
+		"mis": {
+			gadget: MIS,
+			inner:  func(n int) core.Protocol { return MISOracle(n + 1) },
+			verify: VerifyMISGadget,
+			inputs: []*graph.Graph{
+				graph.RandomGNP(7, 0.4, rng),
+				graph.RandomGNP(8, 0.4, rng),
+				graph.Complete(5),
+				graph.Complete(6),
+				graph.Cycle(6),
+				graph.Cycle(7),
+				graph.New(4),
+			},
+		},
+		"square": {
+			gadget: Square,
+			inner:  func(int) core.Protocol { return SquareOracle },
+			verify: VerifySquareGadget,
+			inputs: square,
+			bad:    graph.Cycle(4),
+		},
+	}
+}
+
+// checkGadget checks that the gadget's Verify accepts every input.
+func checkGadget(t *testing.T, gadget string) {
+	c := pairCases()[gadget]
+	for _, g := range c.inputs {
+		if err := c.verify(g); err != nil {
 			t.Errorf("%v: %v", g, err)
 		}
 	}
 }
 
-func TestTriangleGadgetRejectsTriangleInputs(t *testing.T) {
-	if err := VerifyTriangleGadget(graph.Complete(3)); err == nil {
-		t.Error("triangle input must be rejected")
+// checkRejects checks that the gadget's Verify rejects its bad input.
+func checkRejects(t *testing.T, gadget string) {
+	c := pairCases()[gadget]
+	if err := c.verify(c.bad); err == nil {
+		t.Errorf("%s gadget accepted %v", gadget, c.bad)
 	}
 }
 
-func TestMISGadgetProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	cases := []*graph.Graph{
-		graph.RandomGNP(7, 0.4, rng),
-		graph.Complete(5),
-		graph.New(4),
-		graph.Cycle(6),
+// checkRebuilds runs the gadget's prime on every input under every
+// standard adversary, each run with a fresh adversary, and requires the
+// input back.
+func checkRebuilds(t *testing.T, gadget string) {
+	c := pairCases()[gadget]
+	for _, g := range c.inputs {
+		p := PairPrime{Gadget: c.gadget, Inner: c.inner(g.N())}
+		for _, adv := range adversary.Standard(1, 61) {
+			res := engine.Run(p, g, adv, engine.Options{})
+			if res.Status != core.Success {
+				t.Fatalf("%v adv %s: %v (%v)", g, adv.Name(), res.Status, res.Err)
+			}
+			if !res.Output.(*graph.Graph).Equal(g) {
+				t.Errorf("%v adv %s: wrong reconstruction", g, adv.Name())
+			}
+		}
 	}
-	for _, g := range cases {
-		if err := VerifyMISGadget(g); err != nil {
-			t.Errorf("%v: %v", g, err)
+}
+
+func TestTriangleGadgetProperty(t *testing.T) { checkGadget(t, "triangle") }
+func TestMISGadgetProperty(t *testing.T)      { checkGadget(t, "mis") }
+func TestSquareGadgetProperty(t *testing.T)   { checkGadget(t, "square") }
+
+func TestTriangleGadgetRejectsTriangleInputs(t *testing.T) { checkRejects(t, "triangle") }
+func TestSquareGadgetRejectsSquareInputs(t *testing.T)     { checkRejects(t, "square") }
+
+// Theorem 3 end-to-end: a TRIANGLE decider gives BUILD on triangle-free
+// graphs, run through the engine as a real SIMASYNC protocol.
+func TestTrianglePrimeRebuildsBipartiteGraphs(t *testing.T) { checkRebuilds(t, "triangle") }
+
+// Theorem 6 end-to-end: a rooted-MIS protocol gives BUILD on all graphs.
+func TestMISPrimeRebuildsArbitraryGraphs(t *testing.T) { checkRebuilds(t, "mis") }
+
+// The SQUARE bound end-to-end: a SQUARE decider gives BUILD on C4-free
+// graphs, the polarity graph's subgraphs among them.
+func TestSquarePrimeRebuildsC4FreeGraphs(t *testing.T) { checkRebuilds(t, "square") }
+
+func TestPairGadgetGraphs(t *testing.T) {
+	// Each gadget graph is the input plus the gadget's nodes, wired as the
+	// paper draws them.
+	g := graph.Path(5)
+	for _, c := range []struct {
+		gadget PairGadget
+		edges  [][2]int // beyond the path's
+	}{
+		{Triangle, [][2]int{{2, 6}, {4, 6}}},
+		{MIS, [][2]int{{1, 6}, {3, 6}, {5, 6}}},
+		{Square, [][2]int{{2, 6}, {6, 7}, {4, 7}}},
+	} {
+		want := graph.New(5 + c.gadget.Extra)
+		for _, e := range append(g.Edges(), c.edges...) {
+			want.AddEdge(e[0], e[1])
+		}
+		if got := c.gadget.Graph(g, 2, 4); !got.Equal(want) {
+			t.Errorf("%s: gadget graph %v, want %v", c.gadget.Name, got, want)
 		}
 	}
 }
@@ -102,7 +219,7 @@ func TestOracleTriangle(t *testing.T) {
 		{graph.CompleteBipartite(3, 3), false},
 		{graph.FromEdges(4, [][2]int{{1, 2}, {2, 3}, {1, 3}}), true},
 	} {
-		res := engine.Run(OracleTriangle{}, c.g, adversary.Rotor{}, engine.Options{})
+		res := engine.Run(TriangleOracle, c.g, adversary.Rotor{}, engine.Options{})
 		if res.Status != core.Success {
 			t.Fatalf("%v: %v", c.g, res.Err)
 		}
@@ -112,9 +229,31 @@ func TestOracleTriangle(t *testing.T) {
 	}
 }
 
+func TestOracleSquare(t *testing.T) {
+	for _, c := range []struct {
+		g    *graph.Graph
+		want bool
+	}{
+		{graph.Cycle(4), true},
+		{graph.Cycle(5), false},
+		{graph.Complete(4), true},
+		{graph.Complete(3), false},
+		{graph.CompleteBipartite(2, 2), true},
+		{graph.PolarityGraph(3), false},
+	} {
+		res := engine.Run(SquareOracle, c.g, adversary.Rotor{}, engine.Options{})
+		if res.Status != core.Success {
+			t.Fatalf("%v: %v", c.g, res.Err)
+		}
+		if res.Output.(bool) != c.want {
+			t.Errorf("%v: square=%v, want %v", c.g, res.Output, c.want)
+		}
+	}
+}
+
 func TestOracleMIS(t *testing.T) {
 	g := graph.Cycle(6)
-	res := engine.Run(OracleMIS{Root: 2}, g, adversary.MinID{}, engine.Options{})
+	res := engine.Run(MISOracle(2), g, adversary.MinID{}, engine.Options{})
 	if res.Status != core.Success {
 		t.Fatal(res.Err)
 	}
@@ -134,7 +273,7 @@ func TestOracleMIS(t *testing.T) {
 func TestOracleBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.RandomGNP(10, 0.25, rng)
-	res := engine.Run(OracleBFS{}, g, adversary.MaxID{}, engine.Options{})
+	res := engine.Run(BFSOracle, g, adversary.MaxID{}, engine.Options{})
 	if res.Status != core.Success {
 		t.Fatal(res.Err)
 	}
@@ -147,47 +286,21 @@ func TestOracleBFS(t *testing.T) {
 	}
 }
 
-func TestTrianglePrimeRebuildsBipartiteGraphs(t *testing.T) {
-	// Theorem 3 end-to-end: TRIANGLE decider ⇒ BUILD on triangle-free
-	// graphs, run through the engine as a real SIMASYNC protocol.
-	rng := rand.New(rand.NewSource(5))
-	p := TrianglePrime{Inner: OracleTriangle{}}
-	cases := []*graph.Graph{
-		graph.RandomBipartite(9, 0.5, rng),
-		graph.RandomEOB(8, 0.4, rng),
-		graph.Cycle(8),
-		graph.New(5),
-	}
-	for _, g := range cases {
-		for _, adv := range adversary.Standard(1, 61) {
-			res := engine.Run(p, g, adv, engine.Options{})
-			if res.Status != core.Success {
-				t.Fatalf("%v adv %s: %v (%v)", g, adv.Name(), res.Status, res.Err)
+func TestOraclesRejectMissingRows(t *testing.T) {
+	// A board without some node's row is an error, wherever the gap is.
+	g := graph.Cycle(5)
+	for _, o := range []Oracle{TriangleOracle, SquareOracle, BFSOracle, MISOracle(1)} {
+		res := engine.Run(o, g, adversary.MinID{}, engine.Options{})
+		for drop := 0; drop < res.Board.Len(); drop++ {
+			b := core.NewBoard()
+			for i := 0; i < res.Board.Len(); i++ {
+				if i != drop {
+					b.Append(res.Board.At(i))
+				}
 			}
-			if !res.Output.(*graph.Graph).Equal(g) {
-				t.Errorf("%v adv %s: wrong reconstruction", g, adv.Name())
+			if _, err := o.Output(g.N(), b); err == nil {
+				t.Errorf("%s: board without message %d accepted", o.Name(), drop)
 			}
-		}
-	}
-}
-
-func TestMISPrimeRebuildsArbitraryGraphs(t *testing.T) {
-	// Theorem 6 end-to-end: rooted-MIS protocol ⇒ BUILD on all graphs.
-	rng := rand.New(rand.NewSource(6))
-	cases := []*graph.Graph{
-		graph.RandomGNP(8, 0.4, rng),
-		graph.Complete(6),
-		graph.Cycle(7),
-		graph.New(4),
-	}
-	for _, g := range cases {
-		p := MISPrime{Inner: OracleMIS{Root: g.N() + 1}}
-		res := engine.Run(p, g, adversary.Rotor{}, engine.Options{})
-		if res.Status != core.Success {
-			t.Fatalf("%v: %v (%v)", g, res.Status, res.Err)
-		}
-		if !res.Output.(*graph.Graph).Equal(g) {
-			t.Errorf("%v: wrong reconstruction", g)
 		}
 	}
 }
@@ -196,7 +309,7 @@ func TestEOBPrimeRebuildsEOBGraphs(t *testing.T) {
 	// Theorem 8 end-to-end: EOB-BFS protocol ⇒ BUILD on EOB graphs,
 	// including the whiteboard re-simulation with gadget nodes.
 	rng := rand.New(rand.NewSource(7))
-	p := EOBPrime{Inner: OracleBFS{}}
+	p := EOBPrime{Inner: BFSOracle}
 	for trial := 0; trial < 8; trial++ {
 		h := graph.RandomEOB(6+2*(trial%3), 0.45, rng)
 		for _, adv := range adversary.Standard(1, 67) {
@@ -218,7 +331,7 @@ func TestEOBPrimeMessagesAreScheduleIndependentOfI(t *testing.T) {
 	// under several schedules and confirm agreement.
 	rng := rand.New(rand.NewSource(8))
 	h := graph.RandomEOB(8, 0.5, rng)
-	p := EOBPrime{Inner: OracleBFS{}}
+	p := EOBPrime{Inner: BFSOracle}
 	var first *graph.Graph
 	for seed := int64(0); seed < 6; seed++ {
 		res := engine.Run(p, h, adversary.NewRandom(seed), engine.Options{})
@@ -238,22 +351,28 @@ func TestEOBPrimeMessagesAreScheduleIndependentOfI(t *testing.T) {
 }
 
 func TestPrimeMessageSizeFormulas(t *testing.T) {
-	// Theorem 3's accounting: |A'| message ≤ 2 f(n+1) + O(log n).
+	// Theorems 3 and 6 and the SQUARE bound: a pair prime's message is
+	// (Extra+1)·f(n+Extra) + O(log n) bits, that is 2f(n+1), 2f(n+1) and
+	// 3f(n+2); Theorem 8's is f(2n−1) + O(log n).
 	n := 20
-	tri := TrianglePrime{Inner: OracleTriangle{}}
-	f := OracleTriangle{}.MaxMessageBits(n + 1)
-	if tri.MaxMessageBits(n) > 2*f+5+2*15 {
-		t.Errorf("TrianglePrime budget %d too large vs 2f=%d", tri.MaxMessageBits(n), 2*f)
+	for _, name := range []string{"triangle", "mis", "square"} {
+		c := pairCases()[name]
+		k := c.gadget.Extra
+		f := c.inner(n).MaxMessageBits(n + k)
+		p := PairPrime{Gadget: c.gadget, Inner: c.inner(n)}
+		if got := p.MaxMessageBits(n); got <= (k+1)*f || got > (k+1)*f+5+(k+1)*15 {
+			t.Errorf("%s budget %d, want %d·f(n+%d)=%d plus O(log n)", p.Name(), got, k+1, k, (k+1)*f)
+		}
 	}
-	eob := EOBPrime{Inner: OracleBFS{}}
-	fb := OracleBFS{}.MaxMessageBits(2*(n+1) - 1)
+	eob := EOBPrime{Inner: BFSOracle}
+	fb := BFSOracle.MaxMessageBits(2*(n+1) - 1)
 	if eob.MaxMessageBits(n) > fb+5+15 {
 		t.Errorf("EOBPrime budget %d too large vs f=%d", eob.MaxMessageBits(n), fb)
 	}
 }
 
 func TestEOBPrimeRejectsOddM(t *testing.T) {
-	p := EOBPrime{Inner: OracleBFS{}}
+	p := EOBPrime{Inner: BFSOracle}
 	if _, err := p.Output(5, core.NewBoard()); err == nil {
 		t.Error("odd m accepted")
 	}

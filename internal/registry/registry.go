@@ -148,32 +148,32 @@ func init() {
 	// the degenerate O(n)-bit top of the message-size hierarchy next to the
 	// O(log n) protocols it dominates.
 	registerProtocol(ProtocolEntry{"oracle-triangle", "SIMASYNC[n+log n] full-adjacency TRIANGLE oracle (§1 observation)", "",
-		func(Params) (core.Protocol, error) { return reductions.OracleTriangle{}, nil }})
+		func(Params) (core.Protocol, error) { return reductions.TriangleOracle, nil }})
 	registerProtocol(ProtocolEntry{"oracle-square", "SIMASYNC[n+log n] full-adjacency SQUARE oracle", "",
-		func(Params) (core.Protocol, error) { return reductions.OracleSquare{}, nil }})
+		func(Params) (core.Protocol, error) { return reductions.SquareOracle, nil }})
 	registerProtocol(ProtocolEntry{"oracle-bfs", "SIMASYNC[n+log n] full-adjacency BFS oracle (Theorem 8 hypothesis)", "",
-		func(Params) (core.Protocol, error) { return reductions.OracleBFS{}, nil }})
+		func(Params) (core.Protocol, error) { return reductions.BFSOracle, nil }})
 	registerProtocol(ProtocolEntry{"oracle-mis", "SIMASYNC[n+log n] full-adjacency rooted-MIS oracle; root = k clamped to [1,n]", "k, n",
 		func(p Params) (core.Protocol, error) {
 			root := p.K
 			if root < 1 || (p.N > 0 && root > p.N) {
 				root = 1
 			}
-			return reductions.OracleMIS{Root: root}, nil
+			return reductions.MISOracle(root), nil
 		}})
 	registerProtocol(ProtocolEntry{"triangle-prime", "Theorem 3 BUILD-from-TRIANGLE transformation over the adjacency oracle (triangle-free inputs)", "",
 		func(Params) (core.Protocol, error) {
-			return reductions.TrianglePrime{Inner: reductions.OracleTriangle{}}, nil
+			return reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}, nil
 		}})
 	registerProtocol(ProtocolEntry{"square-prime", "Theorem-3-style BUILD-from-SQUARE transformation over the adjacency oracle (C4-free inputs)", "",
 		func(Params) (core.Protocol, error) {
-			return reductions.SquarePrime{Inner: reductions.OracleSquare{}}, nil
+			return reductions.PairPrime{Gadget: reductions.Square, Inner: reductions.SquareOracle}, nil
 		}})
 	registerProtocol(ProtocolEntry{"mis-prime", "Theorem 6 BUILD-from-MIS transformation over the adjacency oracle", "n",
 		func(p Params) (core.Protocol, error) {
 			// The inner rooted-MIS protocol runs on the n+1-node gadget with
 			// the fresh node n+1 as root.
-			return reductions.MISPrime{Inner: reductions.OracleMIS{Root: p.N + 1}}, nil
+			return reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(p.N + 1)}, nil
 		}})
 	registerProtocol(ProtocolEntry{"lemma4", "lemma4:<inner> serializes a SIMSYNC protocol into ASYNC by ID-order activation (Lemma 4)", "arg",
 		func(p Params) (core.Protocol, error) {

@@ -506,6 +506,59 @@ func TestStoredRunsDiffClean(t *testing.T) {
 // TestGC pins the store-hygiene contract: all but the newest keep runs of
 // every spec group are pruned, caller-labeled runs pin the pass without
 // force, and force removes them too.
+func TestIngestAndCodecMetrics(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := telemetry.NewSet()
+	st.SetMetrics(set.Store)
+	ingests := set.Registry.Counter("wb_store_ingests_total", "")
+	encoded := set.Registry.Counter("wb_store_codec_encoded_bytes_total", "")
+	decoded := set.Registry.Counter("wb_store_codec_decoded_bytes_total", "")
+	rep := runSmoke(t)
+	e, err := st.Save(rep, "pinned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, e.SpecHash, e.Label+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		CellsPacked []byte `json:"cells_packed"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	packed := int64(len(doc.CellsPacked))
+	if packed == 0 {
+		t.Fatal("stored envelope has no cells_packed payload")
+	}
+	if ingests.Value() != 1 || encoded.Value() != packed {
+		t.Fatalf("after one save: ingests %d, encoded bytes %d; want 1 and the envelope's %d",
+			ingests.Value(), encoded.Value(), packed)
+	}
+
+	// A save refused under a taken label moves neither counter.
+	if _, err := st.Save(rep, "pinned"); !errors.Is(err, ErrLabelTaken) {
+		t.Fatalf("second save under the same label: %v, want ErrLabelTaken", err)
+	}
+	if ingests.Value() != 1 || encoded.Value() != packed {
+		t.Errorf("after a refused save: ingests %d, encoded bytes %d; want 1 and %d",
+			ingests.Value(), encoded.Value(), packed)
+	}
+
+	before := decoded.Value()
+	if _, err := st.LoadEntry(e); err != nil {
+		t.Fatal(err)
+	}
+	if got := decoded.Value() - before; got != packed {
+		t.Errorf("one load decoded %d bytes, want %d", got, packed)
+	}
+}
+
 func TestGC(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

@@ -29,9 +29,14 @@ func allProtocols(n int) []core.Protocol {
 		whiteboard.Connectivity(),
 		whiteboard.SubgraphPrefix(func(n int) int { return n / 2 }, "half"),
 		whiteboard.RandomizedTwoCliques(7, 16),
-		reductions.TrianglePrime{Inner: reductions.OracleTriangle{}},
-		reductions.MISPrime{Inner: reductions.OracleMIS{Root: n + 1}},
-		reductions.SquarePrime{Inner: reductions.OracleSquare{}},
+		reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle},
+		reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(n + 1)},
+		reductions.PairPrime{Gadget: reductions.Square, Inner: reductions.SquareOracle},
+		reductions.TriangleOracle,
+		reductions.SquareOracle,
+		reductions.BFSOracle,
+		reductions.MISOracle(1),
+		reductions.EOBPrime{Inner: reductions.BFSOracle},
 	}
 }
 
