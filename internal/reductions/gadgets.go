@@ -18,6 +18,7 @@ package reductions
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -67,12 +68,7 @@ var MIS = PairGadget{
 		if !ok {
 			return false, fmt.Errorf("inner output is %T, want []int", out)
 		}
-		hasI, hasJ := false, false
-		for _, v := range set {
-			hasI = hasI || v == i
-			hasJ = hasJ || v == j
-		}
-		return !(hasI && hasJ), nil
+		return !(slices.Contains(set, i) && slices.Contains(set, j)), nil
 	},
 }
 

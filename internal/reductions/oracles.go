@@ -19,8 +19,8 @@ import (
 // Theorem 3/6/8 transformations end to end; they also mark the degenerate
 // top of the message-size hierarchy that Lemma 3 bounds from below.
 type Oracle struct {
-	Label  string
-	Decide func(g *graph.Graph) (any, error)
+	Label  string                            // the protocol's name
+	Decide func(g *graph.Graph) (any, error) // the answer on the input graph
 }
 
 // rows writes and decodes the oracles' (ID, adjacency row) messages.

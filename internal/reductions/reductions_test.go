@@ -91,6 +91,7 @@ func pairCases() map[string]pairCase {
 
 // checkGadget checks that the gadget's Verify accepts every input.
 func checkGadget(t *testing.T, gadget string) {
+	t.Helper()
 	c := pairCases()[gadget]
 	for _, g := range c.inputs {
 		if err := c.verify(g); err != nil {
@@ -101,6 +102,7 @@ func checkGadget(t *testing.T, gadget string) {
 
 // checkRejects checks that the gadget's Verify rejects its bad input.
 func checkRejects(t *testing.T, gadget string) {
+	t.Helper()
 	c := pairCases()[gadget]
 	if err := c.verify(c.bad); err == nil {
 		t.Errorf("%s gadget accepted %v", gadget, c.bad)
@@ -111,6 +113,7 @@ func checkRejects(t *testing.T, gadget string) {
 // standard adversary, each run with a fresh adversary, and requires the
 // input back.
 func checkRebuilds(t *testing.T, gadget string) {
+	t.Helper()
 	c := pairCases()[gadget]
 	for _, g := range c.inputs {
 		p := PairPrime{Gadget: c.gadget, Inner: c.inner(g.N())}
