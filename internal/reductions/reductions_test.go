@@ -34,19 +34,9 @@ func pairCases() map[string]pairCase {
 		graph.Complete(3), // triangles are fine; squares are not
 		graph.PolarityGraph(2),
 	}
-	// The SQUARE bound's counting family: ER_3 and random subgraphs of it,
-	// all C4-free.
-	polarity := graph.PolarityGraph(3) // 13 nodes
-	square = append(square, polarity)
-	for trial := 0; trial < 3; trial++ {
-		g := graph.New(polarity.N())
-		for _, e := range polarity.Edges() {
-			if rng.Intn(2) == 0 {
-				g.AddEdge(e[0], e[1])
-			}
-		}
-		square = append(square, g)
-	}
+	// ER_3 heads the SQUARE bound's counting family; its random subgraphs
+	// are TestSquarePrimeOnPolaritySubgraphs' inputs.
+	square = append(square, graph.PolarityGraph(3))
 	return map[string]pairCase{
 		"triangle": {
 			gadget: Triangle,
@@ -115,7 +105,13 @@ func checkRejects(t *testing.T, gadget string) {
 func checkRebuilds(t *testing.T, gadget string) {
 	t.Helper()
 	c := pairCases()[gadget]
-	for _, g := range c.inputs {
+	rebuildAll(t, c, c.inputs)
+}
+
+// rebuildAll is checkRebuilds on the given inputs.
+func rebuildAll(t *testing.T, c pairCase, inputs []*graph.Graph) {
+	t.Helper()
+	for _, g := range inputs {
 		p := PairPrime{Gadget: c.gadget, Inner: c.inner(g.N())}
 		for _, adv := range adversary.Standard(1, 61) {
 			res := engine.Run(p, g, adv, engine.Options{})
@@ -146,6 +142,27 @@ func TestMISPrimeRebuildsArbitraryGraphs(t *testing.T) { checkRebuilds(t, "mis")
 // The SQUARE bound end-to-end: a SQUARE decider gives BUILD on C4-free
 // graphs, the polarity graph's subgraphs among them.
 func TestSquarePrimeRebuildsC4FreeGraphs(t *testing.T) { checkRebuilds(t, "square") }
+
+func TestSquarePrimeOnPolaritySubgraphs(t *testing.T) {
+	// The counting family for the lower bound: random subgraphs of a
+	// polarity graph (all C4-free).
+	rng := rand.New(rand.NewSource(3))
+	base := graph.PolarityGraph(3) // 13 nodes
+	var family []*graph.Graph
+	for trial := 0; trial < 5; trial++ {
+		g := graph.New(base.N())
+		for _, e := range base.Edges() {
+			if rng.Intn(2) == 0 {
+				g.AddEdge(e[0], e[1])
+			}
+		}
+		if graph.HasSquare(g) {
+			t.Fatal("subgraph of C4-free graph has a square")
+		}
+		family = append(family, g)
+	}
+	rebuildAll(t, pairCases()["square"], family)
+}
 
 func TestPairGadgetGraphs(t *testing.T) {
 	// Each gadget graph is the input plus the gadget's nodes, wired as the
@@ -371,6 +388,17 @@ func TestPrimeMessageSizeFormulas(t *testing.T) {
 	fb := BFSOracle.MaxMessageBits(2*(n+1) - 1)
 	if eob.MaxMessageBits(n) > fb+5+15 {
 		t.Errorf("EOBPrime budget %d too large vs f=%d", eob.MaxMessageBits(n), fb)
+	}
+}
+
+func TestSquarePrimeMessageAccounting(t *testing.T) {
+	// The SQUARE bound's prime writes three inner messages, for the pair
+	// node's three roles, plus O(log n) bits of IDs and framing.
+	n := 16
+	p := PairPrime{Gadget: Square, Inner: SquareOracle}
+	f := SquareOracle.MaxMessageBits(n + 2)
+	if p.MaxMessageBits(n) > 3*f+5+3*15 {
+		t.Errorf("square-prime budget %d too large vs 3f=%d", p.MaxMessageBits(n), 3*f)
 	}
 }
 
