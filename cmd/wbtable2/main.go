@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -31,18 +32,26 @@ import (
 	"repro/internal/registry"
 )
 
-var verbose = flag.Bool("v", false, "print per-cell evidence details")
-
 type cellResult struct {
 	answer   string // "yes", "no", "?"
 	evidence string
 }
 
 func main() {
+	verbose := flag.Bool("v", false, "print per-cell evidence details")
 	flag.Parse()
-	fmt.Println("Table 2 — classification of problems in the four whiteboard models")
-	fmt.Println("(regenerated from live runs; message size O(log n) for yes, o(n) impossible for no)")
-	fmt.Println()
+	if failed := run(os.Stdout, *verbose); failed > 0 {
+		fmt.Fprintf(os.Stderr, "wbtable2: %d cells failed certification\n", failed)
+		os.Exit(1)
+	}
+}
+
+// run certifies every cell, writes the table to w (with each cell's
+// evidence when verbose) and returns the number of cells that read FAIL.
+func run(w io.Writer, verbose bool) (failed int) {
+	fmt.Fprintln(w, "Table 2 — classification of problems in the four whiteboard models")
+	fmt.Fprintln(w, "(regenerated from live runs; message size O(log n) for yes, o(n) impossible for no)")
+	fmt.Fprintln(w)
 
 	rows := []struct {
 		problem string
@@ -65,30 +74,26 @@ func main() {
 			openTwoCliques(), checkTwoCliques(), inherit("yes", "via Lemma 4"), inherit("yes", "via Lemma 4")}},
 	}
 
-	fmt.Printf("%-22s %-10s %-10s %-10s %-10s\n", "problem", "SIMASYNC", "SIMSYNC", "ASYNC", "SYNC")
-	failed := 0
+	fmt.Fprintf(w, "%-22s %-10s %-10s %-10s %-10s\n", "problem", "SIMASYNC", "SIMSYNC", "ASYNC", "SYNC")
 	for _, r := range rows {
-		fmt.Printf("%-22s %-10s %-10s %-10s %-10s\n", r.problem,
+		fmt.Fprintf(w, "%-22s %-10s %-10s %-10s %-10s\n", r.problem,
 			r.cells[0].answer, r.cells[1].answer, r.cells[2].answer, r.cells[3].answer)
 		for i, c := range r.cells {
-			if *verbose {
-				fmt.Printf("    %-9s %s\n", core.AllModels[i].String()+":", c.evidence)
+			if verbose {
+				fmt.Fprintf(w, "    %-9s %s\n", core.AllModels[i].String()+":", c.evidence)
 			}
 			if c.answer == "FAIL" {
 				failed++
 			}
 		}
 	}
-	fmt.Println()
-	fmt.Println("evidence summary (run with -v for per-cell details):")
-	fmt.Println("  yes cells: exhaustive schedules at small n + adversary battery to n=96, outputs")
-	fmt.Println("             validated against centralized references, bits within O(log n) budgets")
-	fmt.Println("  no  cells: executable Figure 1/2 + Theorem 6 gadget reductions to BUILD, plus the")
-	fmt.Println("             Lemma 3 pigeonhole: log2|family| > n·f(n) for f = o(n)")
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "wbtable2: %d cells failed certification\n", failed)
-		os.Exit(1)
-	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "evidence summary (run with -v for per-cell details):")
+	fmt.Fprintln(w, "  yes cells: exhaustive schedules at small n + adversary battery to n=96, outputs")
+	fmt.Fprintln(w, "             validated against centralized references, bits within O(log n) budgets")
+	fmt.Fprintln(w, "  no  cells: executable Figure 1/2 + Theorem 6 gadget reductions to BUILD, plus the")
+	fmt.Fprintln(w, "             Lemma 3 pigeonhole: log2|family| > n·f(n) for f = o(n)")
+	return failed
 }
 
 func inherit(ans, why string) cellResult { return cellResult{ans, why} }
