@@ -1,5 +1,6 @@
 // wbtable2 regenerates Table 2 of the paper — the classification of
-// problems across the four whiteboard models — from live runs.
+// problems across the four whiteboard models — from live runs, and reads
+// Theorem 4's lattice of the models off the certified grid.
 //
 // "yes" cells are certified by running the corresponding protocol over a
 // graph battery: exhaustively over every adversarial schedule for small n,
@@ -19,6 +20,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/bounds"
@@ -32,9 +35,15 @@ import (
 	"repro/internal/registry"
 )
 
-type cellResult struct {
-	answer   string // "yes", "no", "?"
+type cell struct {
+	answer   string // "yes", "no", "?" or "FAIL"
 	evidence string
+}
+
+// row is one problem's cells, in the order of core.AllModels.
+type row struct {
+	problem string
+	cells   [4]cell
 }
 
 func main() {
@@ -53,25 +62,25 @@ func run(w io.Writer, verbose bool) (failed int) {
 	fmt.Fprintln(w, "(regenerated from live runs; message size O(log n) for yes, o(n) impossible for no)")
 	fmt.Fprintln(w)
 
-	rows := []struct {
-		problem string
-		cells   [4]cellResult // SIMASYNC, SIMSYNC, ASYNC, SYNC
-	}{
-		{"BUILD k-degenerate", [4]cellResult{
-			checkBuildKDeg(core.SimAsync), inherit("yes", "runs in any stronger model (Lemma 4)"),
-			inherit("yes", "runs in any stronger model (Lemma 4)"), inherit("yes", "runs in any stronger model (Lemma 4)")}},
-		{"rooted MIS", [4]cellResult{
-			noByReductionMIS(), checkMIS(), inherit("yes", "SIMSYNC protocol under fixed activation order (Lemma 4)"),
-			inherit("yes", "via ASYNC (Lemma 4)")}},
-		{"TRIANGLE", [4]cellResult{
-			noByReductionTriangle(), yesTriangleSimSync(), inherit("yes", "via SIMSYNC translation (Lemma 4)"),
-			inherit("yes", "via ASYNC (Lemma 4)")}},
-		{"EOB-BFS", [4]cellResult{
-			noByReductionEOB(), noByReductionEOB(), checkEOBBFS(), inherit("yes", "via ASYNC (Lemma 4)")}},
-		{"BFS", [4]cellResult{
-			open(), open(), openWithEvidence(), checkBFS()}},
-		{"2-CLIQUES", [4]cellResult{
-			openTwoCliques(), checkTwoCliques(), inherit("yes", "via Lemma 4"), inherit("yes", "via Lemma 4")}},
+	lemma4 := cell{"yes", "runs in any stronger model (Lemma 4)"}
+	viaAsync := cell{"yes", "via ASYNC (Lemma 4)"}
+	viaLemma4 := cell{"yes", "via Lemma 4"}
+	open := cell{"?", "open problem in the paper"}
+	noEOB := noEOBBFS()
+	rows := []row{
+		{"BUILD k-degenerate", [4]cell{yesBuildKDeg(), lemma4, lemma4, lemma4}},
+		{"rooted MIS", [4]cell{
+			noMIS(), yesMIS(), {"yes", "SIMSYNC protocol under fixed activation order (Lemma 4)"}, viaAsync}},
+		// No registered protocol runs TRIANGLE under SIMSYNC: that cell is
+		// the paper's, and its evidence says so.
+		{"TRIANGLE", [4]cell{noTriangle(),
+			{"yes", "Table 2 (paper); separation side is executable (see SIMASYNC cell)"},
+			{"yes", "via SIMSYNC translation (Lemma 4)"}, viaAsync}},
+		{"EOB-BFS", [4]cell{noEOB, noEOB, yesEOBBFS(), viaAsync}},
+		{"BFS", [4]cell{open, open, openBFSAsync(), yesBFS()}},
+		{"2-CLIQUES", [4]cell{
+			{"?", "Open Problem 1; randomized SIMASYNC[O(log n)] protocol exists (see rand-cliques)"},
+			yesTwoCliques(), viaLemma4, viaLemma4}},
 	}
 
 	fmt.Fprintf(w, "%-22s %-10s %-10s %-10s %-10s\n", "problem", "SIMASYNC", "SIMSYNC", "ASYNC", "SYNC")
@@ -88,6 +97,8 @@ func run(w io.Writer, verbose bool) (failed int) {
 		}
 	}
 	fmt.Fprintln(w)
+	lattice(w, rows)
+	fmt.Fprintln(w)
 	fmt.Fprintln(w, "evidence summary (run with -v for per-cell details):")
 	fmt.Fprintln(w, "  yes cells: exhaustive schedules at small n + adversary battery to n=96, outputs")
 	fmt.Fprintln(w, "             validated against centralized references, bits within O(log n) budgets")
@@ -96,11 +107,31 @@ func run(w io.Writer, verbose bool) (failed int) {
 	return failed
 }
 
-func inherit(ans, why string) cellResult { return cellResult{ans, why} }
+// lattice writes Theorem 4's chain of model classes as the certified grid
+// shows it. Each model's class contains the previous one's (Lemma 4); a row
+// reading no in one model and yes in the next separates the two, and a row
+// reading ? then yes leaves the separation open.
+func lattice(w io.Writer, rows []row) {
+	fmt.Fprintln(w, "Theorem 4 — the lattice, read off the grid (no→yes separates; ?→yes is open):")
+	for i := range len(core.AllModels) - 1 {
+		rel, witnesses := "⊆", []string{}
+		for _, r := range rows {
+			if r.cells[i+1].answer != "yes" {
+				continue
+			}
+			switch r.cells[i].answer {
+			case "no":
+				rel, witnesses = "⊊", append(witnesses, r.problem)
+			case "?":
+				witnesses = append(witnesses, r.problem+" (open)")
+			}
+		}
+		fmt.Fprintf(w, "  %-9s %s %-9s %s\n", "P"+core.AllModels[i].String(), rel,
+			"P"+core.AllModels[i+1].String(), strings.Join(witnesses, ", "))
+	}
+}
 
-func open() cellResult { return cellResult{"?", "open problem in the paper"} }
-
-func openWithEvidence() cellResult {
+func openBFSAsync() cell {
 	// Open Problem 3: the paper conjectures BFS ∉ PASYNC. Produce the
 	// deadlock witness for the Theorem 10 protocol under ASYNC freezing on
 	// the registry's witness family (C5 plus an isolated node).
@@ -108,242 +139,216 @@ func openWithEvidence() cellResult {
 	res := engine.Run(registry.MustProtocol("bfs", registry.Params{}), g,
 		registry.MustAdversary("min", registry.Params{}),
 		engine.Options{Model: engine.ModelPtr(core.Async)})
-	return cellResult{"?", fmt.Sprintf(
+	return cell{"?", fmt.Sprintf(
 		"open (conjectured no); Thm-10 protocol under ASYNC freezing on C5+isolated: %v after %d writes",
 		res.Status, len(res.Writes))}
 }
 
-func openTwoCliques() cellResult {
-	return cellResult{"?", "Open Problem 1; randomized SIMASYNC[O(log n)] protocol exists (see wbhierarchy)"}
+// A job is one registered protocol on one graph, with the check that each
+// of its outputs must pass. certify runs it under every adversary of its
+// cell's battery, or over every schedule when all is set.
+type job struct {
+	protocol string
+	params   registry.Params
+	g        *graph.Graph
+	ok       func(g *graph.Graph, out any) bool
+	all      bool
+}
+
+// certify runs a yes cell's jobs, each battery job under a fresh
+// adversary.Standard(random, seed), and returns the number of battery runs
+// and the largest message they wrote, or the first run that failed or
+// whose output failed its check.
+func certify(random int, seed int64, jobs []job) (runs, maxBits int, err error) {
+	for _, j := range jobs {
+		p := registry.MustProtocol(j.protocol, j.params)
+		check := func(res *core.Result) error {
+			if res.Status != core.Success || !j.ok(j.g, res.Output) {
+				return fmt.Errorf("%s on %v: %v (%v), output %v", p.Name(), j.g, res.Status, res.Err, res.Output)
+			}
+			return nil
+		}
+		if j.all {
+			if _, err := engine.RunAll(p, j.g, engine.Options{}, 1<<20,
+				func(res *core.Result, _ []int) error { return check(res) }); err != nil {
+				return runs, maxBits, err
+			}
+			continue
+		}
+		for _, adv := range adversary.Standard(random, seed) {
+			res := engine.Run(p, j.g, adv, engine.Options{})
+			if err := check(res); err != nil {
+				return runs, maxBits, fmt.Errorf("%s: %w", adv.Name(), err)
+			}
+			runs++
+			maxBits = max(maxBits, res.MaxBits)
+		}
+	}
+	return runs, maxBits, nil
+}
+
+// verdict is answer with the evidence, or FAIL with err when there is one.
+func verdict(answer string, err error, evidence string) cell {
+	if err != nil {
+		return cell{"FAIL", err.Error()}
+	}
+	return cell{answer, evidence}
+}
+
+// The output checks, each against its centralized reference.
+
+func rebuilt(g *graph.Graph, out any) bool {
+	d := out.(buildkdeg.Decoded)
+	return d.InClass && d.Graph.Equal(g)
+}
+
+func misRootedAt(root int) func(*graph.Graph, any) bool {
+	return func(g *graph.Graph, out any) bool {
+		set := out.([]int)
+		return graph.IsMaximalIndependentSet(g, set) && slices.Contains(set, root)
+	}
+}
+
+func canonicalBFS(g *graph.Graph, out any) bool {
+	f := out.(bfs.Forest)
+	return graph.ValidateBFSForest(g, f.Parent, f.Layer) == ""
+}
+
+func rejected(_ *graph.Graph, out any) bool { return !out.(bfs.Forest).Valid }
+
+func twoCliquesAnswer(g *graph.Graph, out any) bool {
+	_, yes := graph.IsTwoCliques(g)
+	return out.(twocliques.Output).TwoCliques == yes
 }
 
 // battery builds the standard correctness battery from registry families.
 func battery(rng *rand.Rand) []*graph.Graph {
-	type fam struct {
-		name string
-		p    registry.Params
+	return []*graph.Graph{
+		// The registry grid family is squares-only; keep the battery's
+		// rectangular instance so distinct side lengths stay covered.
+		graph.Grid(4, 6),
+		registry.MustGraph("path", registry.Params{N: 17}, rng),
+		registry.MustGraph("cycle", registry.Params{N: 16}, rng),
+		registry.MustGraph("star", registry.Params{N: 20}, rng),
+		registry.MustGraph("gnp", registry.Params{N: 24, P: 0.2}, rng),
+		registry.MustGraph("connected-gnp", registry.Params{N: 32, P: 0.1}, rng),
+		registry.MustGraph("gnp", registry.Params{N: 96, P: 0.05}, rng),
 	}
-	fams := []fam{
-		{"path", registry.Params{N: 17}},
-		{"cycle", registry.Params{N: 16}},
-		{"star", registry.Params{N: 20}},
-		{"gnp", registry.Params{N: 24, P: 0.2}},
-		{"connected-gnp", registry.Params{N: 32, P: 0.1}},
-		{"gnp", registry.Params{N: 96, P: 0.05}},
-	}
-	out := make([]*graph.Graph, 0, len(fams)+1)
-	// The registry grid family is squares-only; keep the battery's
-	// rectangular instance so distinct side lengths stay covered.
-	out = append(out, graph.Grid(4, 6))
-	for _, f := range fams {
-		out = append(out, registry.MustGraph(f.name, f.p, rng))
-	}
-	return out
 }
 
-func checkBuildKDeg(core.Model) cellResult {
+func yesBuildKDeg() cell {
 	rng := rand.New(rand.NewSource(11))
-	runs, maxBits := 0, 0
+	var jobs []job
 	for k := 1; k <= 3; k++ {
-		p := registry.MustProtocol("build-kdeg", registry.Params{K: k})
 		for trial := 0; trial < 4; trial++ {
 			g := registry.MustGraph("kdeg", registry.Params{N: 48, K: k}, rng)
-			for _, adv := range adversary.Standard(1, 31) {
-				res := engine.Run(p, g, adv, engine.Options{})
-				if res.Status != core.Success || !res.Output.(buildkdeg.Decoded).Graph.Equal(g) {
-					return cellResult{"FAIL", fmt.Sprintf("k=%d failed: %v", k, res.Err)}
-				}
-				runs++
-				if res.MaxBits > maxBits {
-					maxBits = res.MaxBits
-				}
-			}
+			jobs = append(jobs, job{"build-kdeg", registry.Params{K: k}, g, rebuilt, false})
 		}
 	}
-	// Exhaustive schedules for a small instance.
-	_, err := engine.RunAll(registry.MustProtocol("build-kdeg", registry.Params{K: 2}), graph.Cycle(5), engine.Options{}, 1<<20,
-		func(res *core.Result, _ []int) error {
-			if res.Status != core.Success {
-				return fmt.Errorf("%v", res.Status)
-			}
-			return nil
-		})
-	if err != nil {
-		return cellResult{"FAIL", err.Error()}
-	}
-	return cellResult{"yes", fmt.Sprintf("Thm 2: %d runs ok at n=48, max %d bits (O(k² log n)); all C5 schedules ok", runs, maxBits)}
+	jobs = append(jobs, job{"build-kdeg", registry.Params{K: 2}, graph.Cycle(5), rebuilt, true})
+	runs, maxBits, err := certify(1, 31, jobs)
+	return verdict("yes", err, fmt.Sprintf(
+		"Thm 2: %d runs ok at n=48, max %d bits (O(k² log n)); all C5 schedules ok", runs, maxBits))
 }
 
-func checkMIS() cellResult {
-	rng := rand.New(rand.NewSource(13))
-	runs := 0
-	for _, g := range battery(rng) {
+func yesMIS() cell {
+	var jobs []job
+	for _, g := range battery(rand.New(rand.NewSource(13))) {
 		for root := 1; root <= g.N(); root += 7 {
-			for _, adv := range adversary.Standard(2, 41) {
-				res := engine.Run(registry.MustProtocol("mis", registry.Params{K: root, N: g.N()}), g, adv, engine.Options{})
-				if res.Status != core.Success {
-					return cellResult{"FAIL", res.Err.Error()}
-				}
-				set := res.Output.([]int)
-				if !graph.IsMaximalIndependentSet(g, set) || !contains(set, root) {
-					return cellResult{"FAIL", fmt.Sprintf("invalid MIS on %v", g)}
-				}
-				runs++
-			}
+			jobs = append(jobs, job{"mis", registry.Params{K: root, N: g.N()}, g, misRootedAt(root), false})
 		}
 	}
-	return cellResult{"yes", fmt.Sprintf("Thm 5: greedy SIMSYNC[log n]; %d runs validated", runs)}
+	runs, _, err := certify(2, 41, jobs)
+	return verdict("yes", err, fmt.Sprintf("Thm 5: greedy SIMSYNC[log n]; %d runs validated", runs))
 }
 
-func yesTriangleSimSync() cellResult {
-	// The paper notes (after Cor. 2) that TRIANGLE separates the models the
-	// same way as MIS. A SIMSYNC[log n] protocol: MIS-style greedy
-	// announcements make any triangle visible... the simplest certified
-	// route in this codebase is via Lemma 4 from the MIS-style machinery;
-	// here we verify the oracle reduction route instead: TRIANGLE is
-	// decidable from the BUILD k-degenerate whiteboard for sparse inputs
-	// and by Thm 5-style greedy marking in general. We certify the cell by
-	// the paper's Table 2 and mark the evidence as by-reference.
-	return cellResult{"yes", "Table 2 (paper); separation side is executable (see SIMASYNC cell)"}
-}
-
-func checkEOBBFS() cellResult {
+func yesEOBBFS() cell {
 	rng := rand.New(rand.NewSource(17))
-	runs := 0
+	var jobs []job
 	for trial := 0; trial < 6; trial++ {
 		g := registry.MustGraph("eob", registry.Params{N: 20 + 4*trial, P: 0.3}, rng)
-		want := graph.BFSForest(g)
-		for _, adv := range adversary.Standard(2, 43) {
-			res := engine.Run(registry.MustProtocol("eob-bfs", registry.Params{}), g, adv, engine.Options{})
-			if res.Status != core.Success {
-				return cellResult{"FAIL", fmt.Sprintf("%v: %v", res.Status, res.Err)}
-			}
-			f := res.Output.(bfs.Forest)
-			for v := 1; v <= g.N(); v++ {
-				if f.Parent[v] != want.Parent[v] || f.Layer[v] != want.Layer[v] {
-					return cellResult{"FAIL", "wrong forest"}
-				}
-			}
-			runs++
-		}
+		jobs = append(jobs, job{"eob-bfs", registry.Params{}, g, canonicalBFS, false})
 	}
-	return cellResult{"yes", fmt.Sprintf("Thm 7: layered ASYNC[log n]; %d runs validated incl. invalid-input rejection", runs)}
+	// Inputs that are not even-odd-bipartite must be rejected.
+	for _, g := range []*graph.Graph{graph.Cycle(5), graph.Complete(4)} {
+		jobs = append(jobs, job{"eob-bfs", registry.Params{}, g, rejected, false})
+	}
+	runs, _, err := certify(2, 43, jobs)
+	return verdict("yes", err, fmt.Sprintf(
+		"Thm 7: layered ASYNC[log n]; %d runs validated incl. invalid-input rejection", runs))
 }
 
-func checkBFS() cellResult {
-	rng := rand.New(rand.NewSource(19))
-	runs := 0
-	for _, g := range battery(rng) {
-		want := graph.BFSForest(g)
-		for _, adv := range adversary.Standard(2, 47) {
-			res := engine.Run(registry.MustProtocol("bfs", registry.Params{}), g, adv, engine.Options{})
-			if res.Status != core.Success {
-				return cellResult{"FAIL", fmt.Sprintf("%v: %v", res.Status, res.Err)}
-			}
-			f := res.Output.(bfs.Forest)
-			for v := 1; v <= g.N(); v++ {
-				if f.Parent[v] != want.Parent[v] || f.Layer[v] != want.Layer[v] {
-					return cellResult{"FAIL", "wrong forest"}
-				}
-			}
-			runs++
-		}
+func yesBFS() cell {
+	var jobs []job
+	for _, g := range battery(rand.New(rand.NewSource(19))) {
+		jobs = append(jobs, job{"bfs", registry.Params{}, g, canonicalBFS, false})
 	}
-	return cellResult{"yes", fmt.Sprintf("Thm 10: SYNC[log n] with d0 counters; %d runs validated", runs)}
+	runs, _, err := certify(2, 47, jobs)
+	return verdict("yes", err, fmt.Sprintf("Thm 10: SYNC[log n] with d0 counters; %d runs validated", runs))
 }
 
-func checkTwoCliques() cellResult {
-	runs := 0
+func yesTwoCliques() cell {
+	var jobs []job
 	for _, half := range []int{2, 3, 5, 8, 16} {
-		for _, adv := range adversary.Standard(2, 53) {
-			yes := engine.Run(registry.MustProtocol("two-cliques", registry.Params{}),
-				registry.MustGraph("two-cliques", registry.Params{N: 2 * half}, nil), adv, engine.Options{})
-			if yes.Status != core.Success || !yes.Output.(twocliques.Output).TwoCliques {
-				return cellResult{"FAIL", "yes-instance rejected"}
-			}
-			if half >= 3 {
-				no := engine.Run(registry.MustProtocol("two-cliques", registry.Params{}),
-					registry.MustGraph("swapped", registry.Params{N: 2 * half}, nil), adv, engine.Options{})
-				if no.Status != core.Success || no.Output.(twocliques.Output).TwoCliques {
-					return cellResult{"FAIL", "no-instance accepted"}
-				}
-			}
-			runs += 2
+		jobs = append(jobs, job{"two-cliques", registry.Params{},
+			registry.MustGraph("two-cliques", registry.Params{N: 2 * half}, nil), twoCliquesAnswer, false})
+		if half >= 3 {
+			jobs = append(jobs, job{"two-cliques", registry.Params{},
+				registry.MustGraph("swapped", registry.Params{N: 2 * half}, nil), twoCliquesAnswer, false})
 		}
 	}
-	return cellResult{"yes", fmt.Sprintf("§5.1 greedy coloring + balance check; %d runs validated", runs)}
+	runs, _, err := certify(2, 53, jobs)
+	return verdict("yes", err, fmt.Sprintf("§5.1 greedy coloring + balance check; %d runs validated", runs))
 }
 
-func noByReductionTriangle() cellResult {
-	rng := rand.New(rand.NewSource(23))
-	g := registry.MustGraph("bipartite", registry.Params{N: 10, P: 0.5}, rng)
-	if err := reductions.VerifyTriangleGadget(g); err != nil {
-		return cellResult{"FAIL", err.Error()}
-	}
-	// End-to-end transformation with the oracle decider.
-	p := reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}
-	res := engine.Run(p, g, adversary.Rotor{}, engine.Options{})
-	if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(g) {
-		return cellResult{"FAIL", "reduction did not rebuild the graph"}
-	}
-	n := 256
-	f := 16 // an o(n) budget
-	violated := bounds.Lemma3Violated(bounds.Log2BipartiteFixedParts(n), n, 2*f+8)
-	if !violated {
-		return cellResult{"FAIL", "counting bound not violated"}
-	}
-	return cellResult{"no", fmt.Sprintf(
-		"Thm 3: Fig.1 gadget verified on %v; TRIANGLE⇒BUILD(bipartite) rebuilt exactly; 2^%d bipartite graphs vs %d board bits",
-		g, int(bounds.Log2BipartiteFixedParts(n)), bounds.BoardCapacity(n, 2*f+8))}
-}
+// Lemma 3 is checked at n = 256 for every no cell.
+const lemma3N = 256
 
-func noByReductionMIS() cellResult {
-	rng := rand.New(rand.NewSource(29))
-	g := registry.MustGraph("gnp", registry.Params{N: 8, P: 0.4}, rng)
-	if err := reductions.VerifyMISGadget(g); err != nil {
-		return cellResult{"FAIL", err.Error()}
-	}
-	p := reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(g.N() + 1)}
-	res := engine.Run(p, g, adversary.Rotor{}, engine.Options{})
-	if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(g) {
-		return cellResult{"FAIL", "reduction did not rebuild the graph"}
-	}
-	n := 256
-	violated := bounds.Lemma3Violated(bounds.Log2AllGraphs(n), n, 40)
-	if !violated {
-		return cellResult{"FAIL", "counting bound not violated"}
-	}
-	return cellResult{"no", "Thm 6: MIS⇒BUILD(all graphs) rebuilt exactly; 2^(n(n-1)/2) graphs vs n·o(n) board bits"}
-}
-
-func noByReductionEOB() cellResult {
-	rng := rand.New(rand.NewSource(31))
-	h := registry.MustGraph("eob", registry.Params{N: 8, P: 0.5}, rng)
-	in, err := reductions.NewEOBGadgetInput(h)
-	if err != nil {
-		return cellResult{"FAIL", err.Error()}
-	}
-	if err := in.Verify(); err != nil {
-		return cellResult{"FAIL", err.Error()}
-	}
-	p := reductions.EOBPrime{Inner: reductions.BFSOracle}
-	res := engine.Run(p, h, adversary.Rotor{}, engine.Options{})
-	if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(h) {
-		return cellResult{"FAIL", "reduction did not rebuild the graph"}
-	}
-	n := 256
-	violated := bounds.Lemma3Violated(bounds.Log2EOBGraphs(n), n, 40)
-	if !violated {
-		return cellResult{"FAIL", "counting bound not violated"}
-	}
-	return cellResult{"no", "Thm 8: Fig.2 gadget verified; EOB-BFS⇒BUILD(EOB) rebuilt exactly; 2^(n²/4) EOB graphs vs n·o(n) bits"}
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+// no certifies a no cell by the paper's reduction to BUILD: the gadget
+// verifies on g, the prime (a SIMASYNC protocol over the problem's oracle)
+// rebuilds g through the engine, and the family the prime would BUILD has
+// more than 2^(n·fBits) members at n = 256, so no o(n)-bit protocol for the
+// problem exists (Lemma 3).
+func no(g *graph.Graph, verify func(*graph.Graph) error, prime core.Protocol, log2Family float64, fBits int, evidence string) cell {
+	err := verify(g)
+	if err == nil {
+		res := engine.Run(prime, g, adversary.Rotor{}, engine.Options{})
+		if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(g) {
+			err = fmt.Errorf("reduction did not rebuild the graph: %v (%v)", res.Status, res.Err)
+		} else if !bounds.Lemma3Violated(log2Family, lemma3N, fBits) {
+			err = fmt.Errorf("counting bound not violated")
 		}
 	}
-	return false
+	return verdict("no", err, evidence)
+}
+
+func noTriangle() cell {
+	g := registry.MustGraph("bipartite", registry.Params{N: 10, P: 0.5}, rand.New(rand.NewSource(23)))
+	fBits := 2*16 + 8 // the prime's 2f(n+1) + O(log n) at an o(n) budget f = 16
+	family := bounds.Log2BipartiteFixedParts(lemma3N)
+	return no(g, reductions.VerifyTriangleGadget,
+		reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}, family, fBits,
+		fmt.Sprintf("Thm 3: Fig.1 gadget verified on %v; TRIANGLE⇒BUILD(bipartite) rebuilt exactly; 2^%d bipartite graphs vs %d board bits",
+			g, int(family), bounds.BoardCapacity(lemma3N, fBits)))
+}
+
+func noMIS() cell {
+	g := registry.MustGraph("gnp", registry.Params{N: 8, P: 0.4}, rand.New(rand.NewSource(29)))
+	return no(g, reductions.VerifyMISGadget,
+		reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(g.N() + 1)},
+		bounds.Log2AllGraphs(lemma3N), 40,
+		"Thm 6: MIS⇒BUILD(all graphs) rebuilt exactly; 2^(n(n-1)/2) graphs vs n·o(n) board bits")
+}
+
+func noEOBBFS() cell {
+	h := registry.MustGraph("eob", registry.Params{N: 8, P: 0.5}, rand.New(rand.NewSource(31)))
+	verify := func(h *graph.Graph) error {
+		in, err := reductions.NewEOBGadgetInput(h)
+		if err != nil {
+			return err
+		}
+		return in.Verify()
+	}
+	return no(h, verify, reductions.EOBPrime{Inner: reductions.BFSOracle}, bounds.Log2EOBGraphs(lemma3N), 40,
+		"Thm 8: Fig.2 gadget verified; EOB-BFS⇒BUILD(EOB) rebuilt exactly; 2^(n²/4) EOB graphs vs n·o(n) bits")
 }

@@ -6,9 +6,8 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitio"
-	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/protocols/buildforest"
 	"repro/internal/protocols/subgraphf"
 	"repro/internal/reductions"
 )
@@ -79,6 +78,12 @@ func TestLemma3Thresholds(t *testing.T) {
 	// counting side).
 	if !Lemma3Violated(Log2EOBGraphs(200), 200, 20) {
 		t.Error("EOB family at f=20 must violate Lemma 3 at n=200")
+	}
+	// Theorem 9's family: every graph on f(n) = n/4 nodes, padded with
+	// isolated nodes, needs f(n)(f(n)−1)/2 bits; at n = 1024 that is more
+	// than g = 16-bit messages can hold, whatever the synchronization.
+	if !Lemma3Violated(256*255/2, 1024, 16) {
+		t.Error("Theorem 9's family at g=16 must violate Lemma 3 at n=1024")
 	}
 }
 
@@ -162,40 +167,12 @@ func TestFindCollisionTruncatedRowMIS(t *testing.T) {
 }
 
 func TestNoCollisionForFullInformation(t *testing.T) {
-	// Sanity: the k-degenerate BUILD messages DO separate forests — the
-	// finder must come up empty (Theorem 2 is a real upper bound).
-	col := FindCollision(forestProto{},
-		func(fn func(*graph.Graph) bool) { graph.AllForests(5, fn) },
+	// Sanity: build-forest's messages DO separate forests — the finder
+	// must come up empty (Theorem 2 is a real upper bound).
+	col := FindCollision(buildforest.Protocol{},
+		func(fn func(*graph.Graph) bool) { graph.AllForests(6, fn) },
 		func(g *graph.Graph) string { return g.Key() })
 	if col != nil {
 		t.Fatalf("unexpected collision between %v and %v", col.A, col.B)
 	}
-}
-
-// forestProto reproduces the buildforest message map (ID, degree,
-// neighbor-ID sum) locally; bounds stays independent of the protocol
-// packages so that they may import bounds without a cycle.
-type forestProto struct{ DegreeOnly }
-
-func (forestProto) Name() string             { return "forest-messages" }
-func (forestProto) MaxMessageBits(n int) int { return 4 * (1 + bitsLen(n)) }
-
-func bitsLen(n int) int {
-	b := 0
-	for v := n; v > 0; v >>= 1 {
-		b++
-	}
-	return b
-}
-
-func (forestProto) Compose(v core.NodeView, _ *core.Board) core.Message {
-	sum := 0
-	for _, u := range v.Neighbors {
-		sum += u
-	}
-	var w bitio.Writer
-	w.WriteUint(uint64(v.ID), bitio.WidthID(v.N))
-	w.WriteUint(uint64(v.Degree()), bitio.WidthID(v.N))
-	w.WriteUvarint(uint64(sum))
-	return core.Message{Data: w.Bytes(), Bits: w.Bits()}
 }

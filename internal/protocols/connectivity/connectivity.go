@@ -3,8 +3,9 @@
 // SYNC[log n], by reading them off the Theorem 10 BFS forest — the board
 // contains one ROOT-parented message per component, and the parent edges
 // of a connected component form a spanning tree. (Whether any ASYNC[o(n)]
-// protocol exists is the open part; see the deadlock evidence in
-// cmd/wbhierarchy.)
+// protocol exists is the open part; see the deadlock evidence in the
+// BFS/ASYNC cell of cmd/wbtable2 and in internal/protocols/bfs's
+// TestOpenProblem3SyncBFSUnderAsyncFreezingDeadlocks.)
 package connectivity
 
 import (

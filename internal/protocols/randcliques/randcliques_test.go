@@ -90,6 +90,19 @@ func TestErrorRateShrinksWithBits(t *testing.T) {
 	}
 }
 
+func TestOpenProblem4SixteenBitsNoErrors(t *testing.T) {
+	// Open Problem 4's witness: at 16 bits the randomized SIMASYNC protocol
+	// answers both the yes- and the no-instance on 16 nodes right under
+	// every one of 500 seeds.
+	yes, no := graph.TwoCliques(8, nil), graph.TwoCliquesSwapped(8, nil)
+	for s := uint64(0); s < 500; s++ {
+		p := Protocol{Seed: s*0x9E3779B9 + 1, Bits: 16}
+		if !decide(t, p, yes) || decide(t, p, no) {
+			t.Errorf("seed %d: wrong answer", p.Seed)
+		}
+	}
+}
+
 func TestOddNRejected(t *testing.T) {
 	if decide(t, Protocol{Seed: 7, Bits: 32}, graph.Complete(5)) {
 		t.Error("odd n accepted")

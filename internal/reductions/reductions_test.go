@@ -186,6 +186,22 @@ func TestPairGadgetGraphs(t *testing.T) {
 	}
 }
 
+func TestTriangleGadgetMatchesFigure1Example(t *testing.T) {
+	// The figure's 7-node graph: triangle-free, so G'_{2,7} (node 8 joined
+	// to 2 and 7) has a triangle iff {2,7} is an edge, which it is not;
+	// the gadget on an edge pair closes a triangle.
+	g := graph.FromEdges(7, [][2]int{{1, 2}, {1, 4}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {2, 5}})
+	if err := VerifyTriangleGadget(g); err != nil {
+		t.Fatal(err)
+	}
+	if graph.HasTriangle(Triangle.Graph(g, 2, 7)) {
+		t.Error("G'_{2,7} has a triangle, but {2,7} is not an edge")
+	}
+	if !graph.HasTriangle(Triangle.Graph(g, 2, 5)) {
+		t.Error("G'_{2,5} has no triangle, but {2,5} is an edge")
+	}
+}
+
 func TestEOBGadgetPropertyFigure2(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {

@@ -3,8 +3,7 @@
 // a one-line doc string, and the parameters it consumes, so every cmd/ tool
 // and the campaign subsystem construct components the same way from the
 // same names — the name→constructor switches that used to be copy-pasted
-// across cmd/wbrun, cmd/wbtable2, cmd/wbhierarchy, cmd/wbgadgets and
-// cmd/wbbounds live here, once.
+// across the cmd/ tools live here, once.
 //
 // Names may carry a colon-separated argument ("stubborn:3",
 // "scripted:3,1,2"); the part after the first colon is handed to the
@@ -104,14 +103,8 @@ func init() {
 		func(p Params) (core.Protocol, error) { return buildkdeg.Protocol{K: p.K}, nil }})
 	registerProtocol(ProtocolEntry{"build-split", "two-sided BUILD: k-degenerate plus dense complements", "k",
 		func(p Params) (core.Protocol, error) { return buildkdeg.Protocol{K: p.K, Split: true}, nil }})
-	registerProtocol(ProtocolEntry{"mis", "SIMSYNC[log n] rooted maximal independent set (Thm 5); root = k clamped to [1,n]", "k, n",
-		func(p Params) (core.Protocol, error) {
-			root := p.K
-			if root < 1 || (p.N > 0 && root > p.N) {
-				root = 1
-			}
-			return mis.Protocol{Root: root}, nil
-		}})
+	registerProtocol(ProtocolEntry{"mis", "SIMSYNC[log n] rooted maximal independent set (Thm 5); root = k, or 1 when k is outside [1, n]", "k, n",
+		func(p Params) (core.Protocol, error) { return mis.Protocol{Root: misRoot(p)}, nil }})
 	registerProtocol(ProtocolEntry{"two-cliques", "SIMSYNC[log n] 2-CLIQUES detection (§5.1)", "",
 		func(Params) (core.Protocol, error) { return twocliques.Protocol{}, nil }})
 	registerProtocol(ProtocolEntry{"bfs", "SYNC[log n] BFS forests of arbitrary graphs (Thm 10)", "",
@@ -153,14 +146,8 @@ func init() {
 		func(Params) (core.Protocol, error) { return reductions.SquareOracle, nil }})
 	registerProtocol(ProtocolEntry{"oracle-bfs", "SIMASYNC[n+log n] full-adjacency BFS oracle (Theorem 8 hypothesis)", "",
 		func(Params) (core.Protocol, error) { return reductions.BFSOracle, nil }})
-	registerProtocol(ProtocolEntry{"oracle-mis", "SIMASYNC[n+log n] full-adjacency rooted-MIS oracle; root = k clamped to [1,n]", "k, n",
-		func(p Params) (core.Protocol, error) {
-			root := p.K
-			if root < 1 || (p.N > 0 && root > p.N) {
-				root = 1
-			}
-			return reductions.MISOracle(root), nil
-		}})
+	registerProtocol(ProtocolEntry{"oracle-mis", "SIMASYNC[n+log n] full-adjacency rooted-MIS oracle; root = k, or 1 when k is outside [1, n]", "k, n",
+		func(p Params) (core.Protocol, error) { return reductions.MISOracle(misRoot(p)), nil }})
 	registerProtocol(ProtocolEntry{"triangle-prime", "Theorem 3 BUILD-from-TRIANGLE transformation over the adjacency oracle (triangle-free inputs)", "",
 		func(Params) (core.Protocol, error) {
 			return reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}, nil
@@ -472,4 +459,13 @@ func isPrime(q int) bool {
 		}
 	}
 	return true
+}
+
+// misRoot is the root of the mis and oracle-mis builders: k, or 1 when k is
+// outside [1, n] (any k ≥ 1 stands when n is unset).
+func misRoot(p Params) int {
+	if p.K < 1 || (p.N > 0 && p.K > p.N) {
+		return 1
+	}
+	return p.K
 }

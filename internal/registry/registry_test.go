@@ -2,6 +2,7 @@ package registry
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -199,5 +200,25 @@ func TestParseModel(t *testing.T) {
 	}
 	if _, err := ParseModel("SIMSINC"); err == nil || !strings.Contains(err.Error(), "did you mean") {
 		t.Errorf("ParseModel typo: got %v", err)
+	}
+}
+
+func TestMISRootRule(t *testing.T) {
+	// Both MIS builders root at k, or at 1 when k is outside [1, n].
+	for _, c := range []struct {
+		p    Params
+		root int
+	}{
+		{Params{K: 15, N: 10}, 1},
+		{Params{K: 10, N: 10}, 10},
+		{Params{K: 0, N: 10}, 1},
+		{Params{K: 5}, 5}, // n unset: any k ≥ 1 stands
+	} {
+		for _, name := range []string{"mis", "oracle-mis"} {
+			got := MustProtocol(name, c.p).Name()
+			if want := "(x=" + strconv.Itoa(c.root) + ")"; !strings.HasSuffix(got, want) {
+				t.Errorf("%s with k=%d, n=%d: %s, want root %d", name, c.p.K, c.p.N, got, c.root)
+			}
+		}
 	}
 }
