@@ -1,6 +1,7 @@
 // Benchmark harness: one target per table/figure of the paper, named after
-// the result it regenerates (BenchmarkTable2_MIS, BenchmarkLemma3_Counting,
-// BenchmarkOpenProblem2_Connectivity, ...). Run with
+// the result it regenerates (BenchmarkLemma3_Counting, ...), and one table,
+// BenchmarkProtocols, of registered protocols run on the graphs of the
+// results they regenerate. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -12,7 +13,6 @@ package whiteboard_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -22,15 +22,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/numtheory"
-	"repro/internal/protocols/bfs"
-	"repro/internal/protocols/buildforest"
 	"repro/internal/protocols/buildkdeg"
-	"repro/internal/protocols/connectivity"
 	"repro/internal/protocols/mis"
 	"repro/internal/protocols/randcliques"
-	"repro/internal/protocols/subgraphf"
-	"repro/internal/protocols/twocliques"
 	"repro/internal/reductions"
+	"repro/internal/registry"
 )
 
 func mustRun(b *testing.B, p core.Protocol, g *graph.Graph, adv adversary.Adversary, opts engine.Options) *core.Result {
@@ -42,182 +38,99 @@ func mustRun(b *testing.B, p core.Protocol, g *graph.Graph, adv adversary.Advers
 	return res
 }
 
-// BenchmarkTable1_Engine exercises one representative protocol per model —
-// the four columns of Table 1 — and reports rounds and board bits.
-func BenchmarkTable1_Engine(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 64
-	cases := []struct {
-		model string
-		proto core.Protocol
-		g     *graph.Graph
-	}{
-		{"SIMASYNC", buildkdeg.Protocol{K: 2}, graph.RandomKDegenerate(n, 2, rng)},
-		{"SIMSYNC", mis.Protocol{Root: 1}, graph.RandomGNP(n, 0.1, rng)},
-		{"ASYNC", bfs.New(bfs.EOB), graph.RandomEOB(n, 0.15, rng)},
-		{"SYNC", bfs.New(bfs.General), graph.RandomConnectedGNP(n, 0.08, rng)},
+// protocolRow is one row of BenchmarkProtocols: the paper result it
+// regenerates, a registered protocol with its parameters, and its input.
+type protocolRow struct {
+	result   string
+	protocol string
+	params   registry.Params
+	g        *graph.Graph
+}
+
+// protocolRows are Table 1's four models, Table 2's yes cells, Corollary 4,
+// Theorems 2 (two-sided), 6 and 9, Open Problem 2, the triangle and square
+// prime rebuilds, and the engine's BUILD schedule.
+func protocolRows() []protocolRow {
+	seeded := func(seed int) *rand.Rand { return rand.New(rand.NewSource(int64(seed))) }
+	table1 := seeded(1)
+	rows := []protocolRow{
+		{"Table1_Engine/SIMASYNC", "build-kdeg", registry.Params{K: 2}, graph.RandomKDegenerate(64, 2, table1)},
+		{"Table1_Engine/SIMSYNC", "mis", registry.Params{K: 1}, graph.RandomGNP(64, 0.1, table1)},
+		{"Table1_Engine/ASYNC", "eob-bfs", registry.Params{}, graph.RandomEOB(64, 0.15, table1)},
+		{"Table1_Engine/SYNC", "bfs", registry.Params{}, graph.RandomConnectedGNP(64, 0.08, table1)},
+		{"Theorem6_MISReduction", "mis-prime", registry.Params{}, graph.RandomGNP(8, 0.4, seeded(31))},
+		{"Figure1_TriangleGadget/prime-rebuild", "triangle-prime", registry.Params{}, graph.RandomBipartite(10, 0.5, seeded(23))},
+		{"SquareReduction/prime-rebuild", "square-prime", registry.Params{}, graph.PolarityGraph(3)},
+		{"Engines/sequential", "build-kdeg", registry.Params{K: 2}, graph.RandomKDegenerate(96, 2, seeded(43))},
 	}
-	for _, c := range cases {
-		b.Run(c.model, func(b *testing.B) {
+	for _, n := range []int{64, 256, 1024} {
+		rows = append(rows, protocolRow{"Table2_BUILDForest", "build-forest", registry.Params{}, graph.RandomTree(n, seeded(n))},
+			protocolRow{"Table2_MIS", "mis", registry.Params{K: 1}, graph.RandomGNP(n, 4.0/float64(n), seeded(n+7))})
+	}
+	for _, k := range []int{1, 2, 3, 5} {
+		rows = append(rows, protocolRow{"Table2_BUILDKDegenerate", "build-kdeg", registry.Params{K: k},
+			graph.RandomKDegenerate(128, k, seeded(k))})
+	}
+	for _, half := range []int{16, 64, 256} {
+		rows = append(rows, protocolRow{"Table2_TwoCliques", "two-cliques", registry.Params{}, graph.TwoCliques(half, nil)})
+	}
+	for _, n := range []int{32, 64, 128} {
+		rows = append(rows, protocolRow{"Table2_EOBBFS", "eob-bfs", registry.Params{}, graph.RandomEOB(n, 8.0/float64(n), seeded(n+13))},
+			protocolRow{"Table2_BFS", "bfs", registry.Params{}, graph.RandomConnectedGNP(n, 6.0/float64(n), seeded(n+17))},
+			protocolRow{"Corollary4_BipartiteBFS", "bipartite-bfs", registry.Params{}, graph.RandomBipartite(n, 8.0/float64(n), seeded(n+19))})
+	}
+	for _, k := range []int{1, 2, 3} {
+		rows = append(rows, protocolRow{"Theorem2Extension_Split/co-kdeg", "build-split", registry.Params{K: k},
+			graph.Complement(graph.RandomKDegenerate(96, k, seeded(k+47)))})
+	}
+	theorem9 := graph.RandomGNP(256, 0.3, seeded(41))
+	for _, f := range []int{4, 16, 64, 256} {
+		rows = append(rows, protocolRow{"Theorem9_Subgraph", "subgraph", registry.Params{K: f}, theorem9})
+	}
+	for _, n := range []int{64, 128, 256} {
+		rows = append(rows, protocolRow{"OpenProblem2_Connectivity", "connectivity", registry.Params{},
+			graph.RandomGNP(n, 3.0/float64(n), seeded(n+53))})
+	}
+	return rows
+}
+
+// BenchmarkProtocols runs each row's protocol under Rotor; a row fails on a
+// run that does not succeed or an output the registry's check rejects. It
+// reports rounds, board bits, the largest message and the budget the engine
+// holds every message to.
+func BenchmarkProtocols(b *testing.B) {
+	for _, r := range protocolRows() {
+		r.params.N = r.g.N()
+		name := fmt.Sprintf("%s/%s/n=%d", r.result, r.protocol, r.g.N())
+		if r.params.K != 0 {
+			name += fmt.Sprintf("/k=%d", r.params.K)
+		}
+		b.Run(name, func(b *testing.B) {
+			p := registry.MustProtocol(r.protocol, r.params)
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = mustRun(b, c.proto, c.g, adversary.Rotor{}, engine.Options{})
+				res = mustRun(b, p, r.g, adversary.Rotor{}, engine.Options{})
+				if err := registry.CheckOutput(r.protocol, r.params, r.g, res.Output); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(res.Rounds), "rounds")
 			b.ReportMetric(float64(res.Board.TotalBits()), "board-bits")
 			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
+			b.ReportMetric(float64(p.MaxMessageBits(r.g.N())), "budget-bits")
 		})
 	}
 }
 
-// BenchmarkTable2_BUILDForest regenerates the BUILD row (k=1 warm-up).
-func BenchmarkTable2_BUILDForest(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := graph.RandomTree(n, rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, buildforest.Protocol{}, g, adversary.Rotor{}, engine.Options{})
-				if !res.Output.(buildforest.Decoded).Forest.Equal(g) {
-					b.Fatal("wrong reconstruction")
-				}
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-			b.ReportMetric(4*math.Ceil(math.Log2(float64(n+1))), "4logn-bound")
-		})
-	}
-}
-
-// BenchmarkTable2_BUILDKDegenerate regenerates the BUILD row for general k
-// (Theorem 2), including the Newton-decode output path.
-func BenchmarkTable2_BUILDKDegenerate(b *testing.B) {
-	for _, k := range []int{1, 2, 3, 5} {
-		n := 128
-		rng := rand.New(rand.NewSource(int64(k)))
-		g := graph.RandomKDegenerate(n, k, rng)
-		b.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(b *testing.B) {
-			p := buildkdeg.Protocol{K: k}
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-				if !res.Output.(buildkdeg.Decoded).Graph.Equal(g) {
-					b.Fatal("wrong reconstruction")
-				}
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-			b.ReportMetric(float64(k*k)*math.Ceil(math.Log2(float64(n+1))), "k2logn")
-		})
-	}
-}
-
-// BenchmarkTable2_MIS regenerates the rooted-MIS row (Theorem 5).
-func BenchmarkTable2_MIS(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		rng := rand.New(rand.NewSource(int64(n) + 7))
-		g := graph.RandomGNP(n, 4.0/float64(n), rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, mis.Protocol{Root: 1}, g, adversary.Rotor{}, engine.Options{})
-			}
-			if !graph.IsMaximalIndependentSet(g, res.Output.([]int)) {
-				b.Fatal("invalid MIS")
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-		})
-	}
-}
-
-// BenchmarkTable2_TwoCliques regenerates the 2-CLIQUES row (§5.1).
-func BenchmarkTable2_TwoCliques(b *testing.B) {
-	for _, half := range []int{16, 64, 256} {
-		g := graph.TwoCliques(half, nil)
-		b.Run(fmt.Sprintf("n=%d", 2*half), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, twocliques.Protocol{}, g, adversary.Rotor{}, engine.Options{})
-				if !res.Output.(twocliques.Output).TwoCliques {
-					b.Fatal("yes-instance rejected")
-				}
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-		})
-	}
-}
-
-// BenchmarkTable2_EOBBFS regenerates the EOB-BFS row (Theorem 7).
-func BenchmarkTable2_EOBBFS(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		rng := rand.New(rand.NewSource(int64(n) + 13))
-		g := graph.RandomEOB(n, 8.0/float64(n), rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, bfs.New(bfs.EOB), g, adversary.Rotor{}, engine.Options{})
-			}
-			f := res.Output.(bfs.Forest)
-			if msg := graph.ValidateBFSForest(g, f.Parent, f.Layer); msg != "" {
-				b.Fatal(msg)
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-		})
-	}
-}
-
-// BenchmarkTable2_BFS regenerates the BFS row (Theorem 10).
-func BenchmarkTable2_BFS(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		rng := rand.New(rand.NewSource(int64(n) + 17))
-		g := graph.RandomConnectedGNP(n, 6.0/float64(n), rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, bfs.New(bfs.General), g, adversary.Rotor{}, engine.Options{})
-			}
-			f := res.Output.(bfs.Forest)
-			if msg := graph.ValidateBFSForest(g, f.Parent, f.Layer); msg != "" {
-				b.Fatal(msg)
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-		})
-	}
-}
-
-// BenchmarkCorollary4_BipartiteBFS regenerates the bipartite ASYNC variant.
-func BenchmarkCorollary4_BipartiteBFS(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		rng := rand.New(rand.NewSource(int64(n) + 19))
-		g := graph.RandomBipartite(n, 8.0/float64(n), rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustRun(b, bfs.New(bfs.Bipartite), g, adversary.Rotor{}, engine.Options{})
-			}
-		})
-	}
-}
-
-// BenchmarkFigure1_TriangleGadget regenerates Figure 1: gadget
-// verification plus the full Theorem 3 reduction.
+// BenchmarkFigure1_TriangleGadget regenerates Figure 1's gadget
+// verification; BenchmarkProtocols runs the Theorem 3 prime.
 func BenchmarkFigure1_TriangleGadget(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	g := graph.RandomBipartite(10, 0.5, rng)
-	b.Run("verify", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := reductions.VerifyTriangleGadget(g); err != nil {
-				b.Fatal(err)
-			}
+	g := graph.RandomBipartite(10, 0.5, rand.New(rand.NewSource(23)))
+	for i := 0; i < b.N; i++ {
+		if err := reductions.VerifyTriangleGadget(g); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("prime-rebuild", func(b *testing.B) {
-		p := reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}
-		for i := 0; i < b.N; i++ {
-			res := mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-			if !res.Output.(*graph.Graph).Equal(g) {
-				b.Fatal("wrong reconstruction")
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkFigure2_EOBGadget regenerates Figure 2: gadget verification plus
@@ -247,21 +160,8 @@ func BenchmarkFigure2_EOBGadget(b *testing.B) {
 	})
 }
 
-// BenchmarkTheorem6_MISReduction regenerates the Theorem 6 transformation.
-func BenchmarkTheorem6_MISReduction(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	g := graph.RandomGNP(8, 0.4, rng)
-	p := reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(g.N() + 1)}
-	for i := 0; i < b.N; i++ {
-		res := mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-		if !res.Output.(*graph.Graph).Equal(g) {
-			b.Fatal("wrong reconstruction")
-		}
-	}
-}
-
 // BenchmarkLemma1_MessageSize measures the k-degenerate message size
-// against the k(k+1)log n bound of Lemma 1.
+// against the budget the engine enforces, failing a message over it.
 func BenchmarkLemma1_MessageSize(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		for _, n := range []int{256, 4096} {
@@ -270,16 +170,18 @@ func BenchmarkLemma1_MessageSize(b *testing.B) {
 			views := engine.Views(g)
 			b.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(b *testing.B) {
 				p := buildkdeg.Protocol{K: k}
+				budget := p.MaxMessageBits(n)
 				empty := core.NewBoard()
 				maxBits := 0
 				for i := 0; i < b.N; i++ {
 					m := p.Compose(views[1+i%n], empty)
-					if m.Bits > maxBits {
-						maxBits = m.Bits
+					if m.Bits > budget {
+						b.Fatalf("node %d wrote %d bits, over the %d-bit budget", 1+i%n, m.Bits, budget)
 					}
+					maxBits = max(maxBits, m.Bits)
 				}
 				b.ReportMetric(float64(maxBits), "msg-bits")
-				b.ReportMetric(float64(k*(k+1))*math.Ceil(math.Log2(float64(n+1))), "lemma1-bound")
+				b.ReportMetric(float64(budget), "budget-bits")
 			})
 		}
 	}
@@ -351,25 +253,6 @@ func BenchmarkLemma3_Counting(b *testing.B) {
 	})
 }
 
-// BenchmarkTheorem9_Subgraph sweeps f for SUBGRAPH_f: messages scale with
-// f, not with n.
-func BenchmarkTheorem9_Subgraph(b *testing.B) {
-	const n = 256
-	rng := rand.New(rand.NewSource(41))
-	g := graph.RandomGNP(n, 0.3, rng)
-	for _, f := range []int{4, 16, 64, 256} {
-		f := f
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			p := subgraphf.Protocol{F: func(int) int { return f }, Label: fmt.Sprint(f)}
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-		})
-	}
-}
-
 // BenchmarkOpenProblem4_RandCliques measures the randomized 2-CLIQUES
 // protocol and reports observed error counts across fingerprint widths.
 func BenchmarkOpenProblem4_RandCliques(b *testing.B) {
@@ -392,83 +275,16 @@ func BenchmarkOpenProblem4_RandCliques(b *testing.B) {
 	}
 }
 
-// BenchmarkTheorem2Extension_Split regenerates the post-Theorem-2
-// two-sided elimination: complements of k-degenerate graphs rebuilt with
-// the same messages as the plain protocol.
-func BenchmarkTheorem2Extension_Split(b *testing.B) {
-	for _, k := range []int{1, 2, 3} {
-		n := 96
-		rng := rand.New(rand.NewSource(int64(k) + 47))
-		g := graph.Complement(graph.RandomKDegenerate(n, k, rng))
-		b.Run(fmt.Sprintf("co-kdeg/k=%d/n=%d", k, n), func(b *testing.B) {
-			p := buildkdeg.Protocol{K: k, Split: true}
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-				if !res.Output.(buildkdeg.Decoded).Graph.Equal(g) {
-					b.Fatal("wrong reconstruction")
-				}
-			}
-			b.ReportMetric(float64(res.MaxBits), "max-msg-bits")
-		})
-	}
-}
-
-// BenchmarkOpenProblem2_Connectivity regenerates the SYNC side of Open
-// Problem 2: connectivity + spanning forest from the BFS board.
-func BenchmarkOpenProblem2_Connectivity(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
-		rng := rand.New(rand.NewSource(int64(n) + 53))
-		g := graph.RandomGNP(n, 3.0/float64(n), rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := connectivity.New()
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-			}
-			ans := res.Output.(connectivity.Answer)
-			if ans.Connected != graph.IsConnected(g) {
-				b.Fatal("wrong connectivity answer")
-			}
-			b.ReportMetric(float64(ans.Components), "components")
-		})
-	}
-}
-
-// BenchmarkSquareReduction regenerates the intro's SQUARE hardness
-// machinery: gadget verification and the 3-message prime rebuild over
-// polarity-graph (C4-free extremal) inputs.
+// BenchmarkSquareReduction regenerates the intro's SQUARE gadget
+// verification over a polarity graph (C4-free extremal);
+// BenchmarkProtocols runs the 3-message prime rebuild.
 func BenchmarkSquareReduction(b *testing.B) {
 	g := graph.PolarityGraph(3) // 13 nodes, C4-free, extremal density
-	b.Run("verify-gadget", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := reductions.VerifySquareGadget(g); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if err := reductions.VerifySquareGadget(g); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("prime-rebuild", func(b *testing.B) {
-		p := reductions.PairPrime{Gadget: reductions.Square, Inner: reductions.SquareOracle}
-		for i := 0; i < b.N; i++ {
-			res := mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-			if !res.Output.(*graph.Graph).Equal(g) {
-				b.Fatal("wrong reconstruction")
-			}
-		}
-	})
-}
-
-// BenchmarkEngines measures the sequential engine on one k-degenerate
-// BUILD schedule.
-func BenchmarkEngines(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	g := graph.RandomKDegenerate(96, 2, rng)
-	p := buildkdeg.Protocol{K: 2}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mustRun(b, p, g, adversary.Rotor{}, engine.Options{})
-		}
-	})
+	}
 }
 
 // BenchmarkExhaustiveAdversary measures the RunAll schedule explorer — the

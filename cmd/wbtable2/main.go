@@ -20,7 +20,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"slices"
 	"strings"
 
 	"repro/internal/adversary"
@@ -28,9 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/protocols/bfs"
-	"repro/internal/protocols/buildkdeg"
-	"repro/internal/protocols/twocliques"
 	"repro/internal/reductions"
 	"repro/internal/registry"
 )
@@ -144,14 +140,13 @@ func openBFSAsync() cell {
 		res.Status, len(res.Writes))}
 }
 
-// A job is one registered protocol on one graph, with the check that each
-// of its outputs must pass. certify runs it under every adversary of its
+// A job is one registered protocol on one graph; each of its outputs must
+// pass the registry's check. certify runs it under every adversary of its
 // cell's battery, or over every schedule when all is set.
 type job struct {
 	protocol string
 	params   registry.Params
 	g        *graph.Graph
-	ok       func(g *graph.Graph, out any) bool
 	all      bool
 }
 
@@ -161,12 +156,13 @@ type job struct {
 // whose output failed its check.
 func certify(random int, seed int64, jobs []job) (runs, maxBits int, err error) {
 	for _, j := range jobs {
+		j.params.N = j.g.N()
 		p := registry.MustProtocol(j.protocol, j.params)
 		check := func(res *core.Result) error {
-			if res.Status != core.Success || !j.ok(j.g, res.Output) {
-				return fmt.Errorf("%s on %v: %v (%v), output %v", p.Name(), j.g, res.Status, res.Err, res.Output)
+			if res.Status != core.Success {
+				return fmt.Errorf("%s on %v: %v (%v)", p.Name(), j.g, res.Status, res.Err)
 			}
-			return nil
+			return registry.CheckOutput(j.protocol, j.params, j.g, res.Output)
 		}
 		if j.all {
 			if _, err := engine.RunAll(p, j.g, engine.Options{}, 1<<20,
@@ -195,32 +191,6 @@ func verdict(answer string, err error, evidence string) cell {
 	return cell{answer, evidence}
 }
 
-// The output checks, each against its centralized reference.
-
-func rebuilt(g *graph.Graph, out any) bool {
-	d := out.(buildkdeg.Decoded)
-	return d.InClass && d.Graph.Equal(g)
-}
-
-func misRootedAt(root int) func(*graph.Graph, any) bool {
-	return func(g *graph.Graph, out any) bool {
-		set := out.([]int)
-		return graph.IsMaximalIndependentSet(g, set) && slices.Contains(set, root)
-	}
-}
-
-func canonicalBFS(g *graph.Graph, out any) bool {
-	f := out.(bfs.Forest)
-	return graph.ValidateBFSForest(g, f.Parent, f.Layer) == ""
-}
-
-func rejected(_ *graph.Graph, out any) bool { return !out.(bfs.Forest).Valid }
-
-func twoCliquesAnswer(g *graph.Graph, out any) bool {
-	_, yes := graph.IsTwoCliques(g)
-	return out.(twocliques.Output).TwoCliques == yes
-}
-
 // battery builds the standard correctness battery from registry families.
 func battery(rng *rand.Rand) []*graph.Graph {
 	return []*graph.Graph{
@@ -242,10 +212,10 @@ func yesBuildKDeg() cell {
 	for k := 1; k <= 3; k++ {
 		for trial := 0; trial < 4; trial++ {
 			g := registry.MustGraph("kdeg", registry.Params{N: 48, K: k}, rng)
-			jobs = append(jobs, job{"build-kdeg", registry.Params{K: k}, g, rebuilt, false})
+			jobs = append(jobs, job{"build-kdeg", registry.Params{K: k}, g, false})
 		}
 	}
-	jobs = append(jobs, job{"build-kdeg", registry.Params{K: 2}, graph.Cycle(5), rebuilt, true})
+	jobs = append(jobs, job{"build-kdeg", registry.Params{K: 2}, graph.Cycle(5), true})
 	runs, maxBits, err := certify(1, 31, jobs)
 	return verdict("yes", err, fmt.Sprintf(
 		"Thm 2: %d runs ok at n=48, max %d bits (O(k² log n)); all C5 schedules ok", runs, maxBits))
@@ -255,7 +225,7 @@ func yesMIS() cell {
 	var jobs []job
 	for _, g := range battery(rand.New(rand.NewSource(13))) {
 		for root := 1; root <= g.N(); root += 7 {
-			jobs = append(jobs, job{"mis", registry.Params{K: root, N: g.N()}, g, misRootedAt(root), false})
+			jobs = append(jobs, job{"mis", registry.Params{K: root}, g, false})
 		}
 	}
 	runs, _, err := certify(2, 41, jobs)
@@ -267,11 +237,11 @@ func yesEOBBFS() cell {
 	var jobs []job
 	for trial := 0; trial < 6; trial++ {
 		g := registry.MustGraph("eob", registry.Params{N: 20 + 4*trial, P: 0.3}, rng)
-		jobs = append(jobs, job{"eob-bfs", registry.Params{}, g, canonicalBFS, false})
+		jobs = append(jobs, job{"eob-bfs", registry.Params{}, g, false})
 	}
 	// Inputs that are not even-odd-bipartite must be rejected.
 	for _, g := range []*graph.Graph{graph.Cycle(5), graph.Complete(4)} {
-		jobs = append(jobs, job{"eob-bfs", registry.Params{}, g, rejected, false})
+		jobs = append(jobs, job{"eob-bfs", registry.Params{}, g, false})
 	}
 	runs, _, err := certify(2, 43, jobs)
 	return verdict("yes", err, fmt.Sprintf(
@@ -281,7 +251,7 @@ func yesEOBBFS() cell {
 func yesBFS() cell {
 	var jobs []job
 	for _, g := range battery(rand.New(rand.NewSource(19))) {
-		jobs = append(jobs, job{"bfs", registry.Params{}, g, canonicalBFS, false})
+		jobs = append(jobs, job{"bfs", registry.Params{}, g, false})
 	}
 	runs, _, err := certify(2, 47, jobs)
 	return verdict("yes", err, fmt.Sprintf("Thm 10: SYNC[log n] with d0 counters; %d runs validated", runs))
@@ -291,10 +261,10 @@ func yesTwoCliques() cell {
 	var jobs []job
 	for _, half := range []int{2, 3, 5, 8, 16} {
 		jobs = append(jobs, job{"two-cliques", registry.Params{},
-			registry.MustGraph("two-cliques", registry.Params{N: 2 * half}, nil), twoCliquesAnswer, false})
+			registry.MustGraph("two-cliques", registry.Params{N: 2 * half}, nil), false})
 		if half >= 3 {
 			jobs = append(jobs, job{"two-cliques", registry.Params{},
-				registry.MustGraph("swapped", registry.Params{N: 2 * half}, nil), twoCliquesAnswer, false})
+				registry.MustGraph("swapped", registry.Params{N: 2 * half}, nil), false})
 		}
 	}
 	runs, _, err := certify(2, 53, jobs)
@@ -306,37 +276,42 @@ const lemma3N = 256
 
 // no certifies a no cell by the paper's reduction to BUILD: the gadget
 // verifies on g, the prime (a SIMASYNC protocol over the problem's oracle)
-// rebuilds g through the engine, and the family the prime would BUILD has
-// more than 2^(n·fBits) members at n = 256, so no o(n)-bit protocol for the
-// problem exists (Lemma 3).
-func no(g *graph.Graph, verify func(*graph.Graph) error, prime core.Protocol, log2Family float64, fBits int, evidence string) cell {
+// rebuilds g through the engine, its output passing check, and the family
+// the prime would BUILD has more than 2^(n·fBits) members at n = 256, so no
+// o(n)-bit protocol for the problem exists (Lemma 3).
+func no(g *graph.Graph, verify func(*graph.Graph) error, prime core.Protocol, check func(*graph.Graph, any) error,
+	log2Family float64, fBits int, evidence string) cell {
 	err := verify(g)
 	if err == nil {
 		res := engine.Run(prime, g, adversary.Rotor{}, engine.Options{})
-		if res.Status != core.Success || !res.Output.(*graph.Graph).Equal(g) {
+		if res.Status != core.Success {
 			err = fmt.Errorf("reduction did not rebuild the graph: %v (%v)", res.Status, res.Err)
-		} else if !bounds.Lemma3Violated(log2Family, lemma3N, fBits) {
+		} else if err = check(g, res.Output); err == nil && !bounds.Lemma3Violated(log2Family, lemma3N, fBits) {
 			err = fmt.Errorf("counting bound not violated")
 		}
 	}
 	return verdict("no", err, evidence)
 }
 
+// checked is the registry's output check of the protocol registered as name.
+func checked(name string) func(*graph.Graph, any) error {
+	return func(g *graph.Graph, out any) error { return registry.CheckOutput(name, registry.Params{}, g, out) }
+}
+
 func noTriangle() cell {
 	g := registry.MustGraph("bipartite", registry.Params{N: 10, P: 0.5}, rand.New(rand.NewSource(23)))
 	fBits := 2*16 + 8 // the prime's 2f(n+1) + O(log n) at an o(n) budget f = 16
 	family := bounds.Log2BipartiteFixedParts(lemma3N)
-	return no(g, reductions.VerifyTriangleGadget,
-		reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}, family, fBits,
+	return no(g, reductions.VerifyTriangleGadget, registry.MustProtocol("triangle-prime", registry.Params{}),
+		checked("triangle-prime"), family, fBits,
 		fmt.Sprintf("Thm 3: Fig.1 gadget verified on %v; TRIANGLE⇒BUILD(bipartite) rebuilt exactly; 2^%d bipartite graphs vs %d board bits",
 			g, int(family), bounds.BoardCapacity(lemma3N, fBits)))
 }
 
 func noMIS() cell {
 	g := registry.MustGraph("gnp", registry.Params{N: 8, P: 0.4}, rand.New(rand.NewSource(29)))
-	return no(g, reductions.VerifyMISGadget,
-		reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(g.N() + 1)},
-		bounds.Log2AllGraphs(lemma3N), 40,
+	return no(g, reductions.VerifyMISGadget, registry.MustProtocol("mis-prime", registry.Params{N: g.N()}),
+		checked("mis-prime"), bounds.Log2AllGraphs(lemma3N), 40,
 		"Thm 6: MIS⇒BUILD(all graphs) rebuilt exactly; 2^(n(n-1)/2) graphs vs n·o(n) board bits")
 }
 
@@ -349,6 +324,13 @@ func noEOBBFS() cell {
 		}
 		return in.Verify()
 	}
-	return no(h, verify, reductions.EOBPrime{Inner: reductions.BFSOracle}, bounds.Log2EOBGraphs(lemma3N), 40,
+	// EOBPrime is not registered, so its rebuilt graph is compared here.
+	rebuilt := func(h *graph.Graph, out any) error {
+		if !out.(*graph.Graph).Equal(h) {
+			return fmt.Errorf("reduction rebuilt %v", out)
+		}
+		return nil
+	}
+	return no(h, verify, reductions.EOBPrime{Inner: reductions.BFSOracle}, rebuilt, bounds.Log2EOBGraphs(lemma3N), 40,
 		"Thm 8: Fig.2 gadget verified; EOB-BFS⇒BUILD(EOB) rebuilt exactly; 2^(n²/4) EOB graphs vs n·o(n) bits")
 }

@@ -231,6 +231,35 @@ func Degeneracy(g *Graph) int {
 	return d
 }
 
+// IsSplitDegenerate reports whether g admits the two-sided elimination of
+// the post-Theorem-2 extension: nodes can be deleted one by one, each with
+// degree ≤ k or ≥ |R|−k−1 among the remaining nodes R. A node that may be
+// deleted still may after any other deletion, so deleting greedily decides.
+func IsSplitDegenerate(g *Graph, k int) bool {
+	n := g.N()
+	deg := make([]int, n+1)
+	for v := 1; v <= n; v++ {
+		deg[v] = g.Degree(v)
+	}
+	removed := make([]bool, n+1)
+	for size := n; size > 0; size-- {
+		pick := 0
+		for v := 1; v <= n && pick == 0; v++ {
+			if !removed[v] && (deg[v] <= k || deg[v] >= size-k-1) {
+				pick = v
+			}
+		}
+		if pick == 0 {
+			return false
+		}
+		removed[pick] = true
+		for _, u := range g.Neighbors(pick) {
+			deg[u]--
+		}
+	}
+	return true
+}
+
 // FindTriangle returns a triangle (u < v < w) if one exists.
 func FindTriangle(g *Graph) (u, v, w int, ok bool) {
 	for a := 1; a <= g.N(); a++ {

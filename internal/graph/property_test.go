@@ -171,42 +171,11 @@ func TestQuickSplitDegenerateInClass(t *testing.T) {
 		n := 5 + int(uint(seed)%12)
 		k := 1 + int(uint(seed)%3)
 		g := RandomSplitDegenerate(n, k, rng)
-		return splitEliminable(g, k)
+		return IsSplitDegenerate(g, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
-}
-
-func splitEliminable(g *Graph, k int) bool {
-	remaining := make([]bool, g.N()+1)
-	size := g.N()
-	for v := 1; v <= g.N(); v++ {
-		remaining[v] = true
-	}
-	for size > 0 {
-		pick := 0
-		for v := 1; v <= g.N() && pick == 0; v++ {
-			if !remaining[v] {
-				continue
-			}
-			d := 0
-			for _, u := range g.Neighbors(v) {
-				if remaining[u] {
-					d++
-				}
-			}
-			if d <= k || d >= size-k-1 {
-				pick = v
-			}
-		}
-		if pick == 0 {
-			return false
-		}
-		remaining[pick] = false
-		size--
-	}
-	return true
 }
 
 func TestQuickEOBSubgraphsStayEOB(t *testing.T) {

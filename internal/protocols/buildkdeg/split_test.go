@@ -103,7 +103,7 @@ func TestSplitExhaustiveFiveNodesK1(t *testing.T) {
 	// elimination centrally; decoder must agree with it on all 1024
 	// graphs, and reconstruct exactly when accepted.
 	graph.AllGraphs(5, func(g *graph.Graph) bool {
-		want := greedySplitEliminable(g, 1)
+		want := graph.IsSplitDegenerate(g, 1)
 		res := engine.Run(Protocol{K: 1, Split: true}, g, adversary.Rotor{}, engine.Options{})
 		if res.Status != core.Success {
 			t.Fatalf("%v: %v (%v)", g, res.Status, res.Err)
@@ -119,43 +119,6 @@ func TestSplitExhaustiveFiveNodesK1(t *testing.T) {
 		}
 		return true
 	})
-}
-
-// greedySplitEliminable mirrors the decoder's greedy rule on the real
-// graph: repeatedly delete any node with remaining degree ≤ k or ≥ |R|−k−1.
-func greedySplitEliminable(g *graph.Graph, k int) bool {
-	h := g.Clone()
-	remaining := make([]bool, g.N()+1)
-	size := g.N()
-	for v := 1; v <= g.N(); v++ {
-		remaining[v] = true
-	}
-	degOf := func(v int) int {
-		d := 0
-		for _, u := range h.Neighbors(v) {
-			if remaining[u] {
-				d++
-			}
-		}
-		return d
-	}
-	for size > 0 {
-		pick := 0
-		for v := 1; v <= g.N() && pick == 0; v++ {
-			if remaining[v] {
-				d := degOf(v)
-				if d <= k || d >= size-k-1 {
-					pick = v
-				}
-			}
-		}
-		if pick == 0 {
-			return false
-		}
-		remaining[pick] = false
-		size--
-	}
-	return true
 }
 
 func TestSplitMessageFormatUnchanged(t *testing.T) {

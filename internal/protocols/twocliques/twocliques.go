@@ -36,9 +36,9 @@ type Output struct {
 }
 
 // Protocol is the SIMSYNC[log n] 2-CLIQUES protocol. The input promise is
-// that the graph is (n−1)-regular on 2n nodes; on inputs outside the
-// promise the answer is still "not two cliques" but the partition fields
-// are meaningless.
+// that the graph is (n−1)-regular on 2n nodes; outside the promise any
+// answer may come, yes included: the single edge {1,2} on 4 nodes reads
+// yes on 12 of its 24 schedules.
 type Protocol struct{}
 
 // Name implements core.Protocol.

@@ -136,7 +136,8 @@ func TestAdversaryCanSuppressAllNoMessages(t *testing.T) {
 
 func TestOutOfPromiseInputsRejected(t *testing.T) {
 	// Not (n−1)-regular: the protocol still answers (the promise is not
-	// enforced); it must never answer yes for these.
+	// enforced), and under MinID these read no. Outside the promise other
+	// inputs and schedules may read yes (see Protocol).
 	for _, g := range []*graph.Graph{
 		graph.Path(6),
 		graph.Cycle(6),

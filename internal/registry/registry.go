@@ -12,8 +12,10 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,6 +72,9 @@ type ProtocolEntry struct {
 	Doc   string
 	Uses  string // params the builder reads, e.g. "k, seed"
 	Build func(p Params) (core.Protocol, error)
+	// Check, when set, checks one output on g of the protocol built with p:
+	// its promise, then its reference. CheckOutput calls it.
+	Check func(p Params, g *graph.Graph, out any) error
 }
 
 // GraphEntry describes one registered graph generator.
@@ -98,30 +103,80 @@ func registerAdversary(e AdversaryEntry) { adversaries[e.Name] = e }
 
 func init() {
 	registerProtocol(ProtocolEntry{"build-forest", "SIMASYNC[log n] BUILD for forests (§3.1)", "",
-		func(Params) (core.Protocol, error) { return buildforest.Protocol{}, nil }})
+		func(Params) (core.Protocol, error) { return buildforest.Protocol{}, nil },
+		checkAs(func(_ Params, g *graph.Graph, d buildforest.Decoded) error {
+			return built(graph.IsForest(g), g, d.Forest, d.InClass)
+		})})
 	registerProtocol(ProtocolEntry{"build-kdeg", "SIMASYNC[O(k² log n)] BUILD for degeneracy ≤ k (Thm 2)", "k",
-		func(p Params) (core.Protocol, error) { return buildkdeg.Protocol{K: p.K}, nil }})
+		func(p Params) (core.Protocol, error) { return buildkdeg.Protocol{K: p.K}, nil },
+		checkAs(func(p Params, g *graph.Graph, d buildkdeg.Decoded) error {
+			return built(graph.Degeneracy(g) <= p.K, g, d.Graph, d.InClass)
+		})})
 	registerProtocol(ProtocolEntry{"build-split", "two-sided BUILD: k-degenerate plus dense complements", "k",
-		func(p Params) (core.Protocol, error) { return buildkdeg.Protocol{K: p.K, Split: true}, nil }})
+		func(p Params) (core.Protocol, error) { return buildkdeg.Protocol{K: p.K, Split: true}, nil },
+		checkAs(func(p Params, g *graph.Graph, d buildkdeg.Decoded) error {
+			return built(graph.IsSplitDegenerate(g, p.K), g, d.Graph, d.InClass)
+		})})
 	registerProtocol(ProtocolEntry{"mis", "SIMSYNC[log n] rooted maximal independent set (Thm 5); root = k, or 1 when k is outside [1, n]", "k, n",
-		func(p Params) (core.Protocol, error) { return mis.Protocol{Root: misRoot(p)}, nil }})
+		func(p Params) (core.Protocol, error) { return mis.Protocol{Root: misRoot(p)}, nil },
+		checkAs(func(p Params, g *graph.Graph, set []int) error {
+			// Any input: a maximal independent set that holds the root.
+			if root := misRoot(p); !graph.IsMaximalIndependentSet(g, set) || !slices.Contains(set, root) {
+				return fmt.Errorf("%v is not a maximal independent set holding %d", set, root)
+			}
+			return nil
+		})})
 	registerProtocol(ProtocolEntry{"two-cliques", "SIMSYNC[log n] 2-CLIQUES detection (§5.1)", "",
-		func(Params) (core.Protocol, error) { return twocliques.Protocol{}, nil }})
+		func(Params) (core.Protocol, error) { return twocliques.Protocol{}, nil },
+		checkAs(func(_ Params, g *graph.Graph, out twocliques.Output) error {
+			// The promise: even n and (n/2−1)-regular; any answer outside it.
+			if n := g.N(); n%2 != 0 || !graph.IsRegular(g, n/2-1) {
+				return nil
+			}
+			if _, yes := graph.IsTwoCliques(g); out.TwoCliques != yes {
+				return fmt.Errorf("answered %v, want %v", out.TwoCliques, yes)
+			}
+			return nil
+		})})
 	registerProtocol(ProtocolEntry{"bfs", "SYNC[log n] BFS forests of arbitrary graphs (Thm 10)", "",
-		func(Params) (core.Protocol, error) { return bfs.New(bfs.General), nil }})
+		func(Params) (core.Protocol, error) { return bfs.New(bfs.General), nil },
+		canonicalForest(anyGraph, false)})
 	registerProtocol(ProtocolEntry{"bfs-cached", "alias of bfs, kept so that stored specs naming it still validate and hash the same", "",
-		func(Params) (core.Protocol, error) { return bfs.New(bfs.General), nil }})
+		func(Params) (core.Protocol, error) { return bfs.New(bfs.General), nil },
+		canonicalForest(anyGraph, false)})
 	registerProtocol(ProtocolEntry{"eob-bfs", "ASYNC[log n] BFS for even-odd-bipartite graphs (Thm 7)", "",
-		func(Params) (core.Protocol, error) { return bfs.New(bfs.EOB), nil }})
+		func(Params) (core.Protocol, error) { return bfs.New(bfs.EOB), nil },
+		canonicalForest(graph.IsEvenOddBipartite, true)})
 	registerProtocol(ProtocolEntry{"bipartite-bfs", "ASYNC[log n] BFS for bipartite graphs (Cor 4)", "",
-		func(Params) (core.Protocol, error) { return bfs.New(bfs.Bipartite), nil }})
+		func(Params) (core.Protocol, error) { return bfs.New(bfs.Bipartite), nil },
+		canonicalForest(graph.IsBipartite, false)})
 	registerProtocol(ProtocolEntry{"connectivity", "SYNC[log n] CONNECTIVITY + SPANNING-TREE (Open Problem 2)", "",
-		func(Params) (core.Protocol, error) { return connectivity.New(), nil }})
+		func(Params) (core.Protocol, error) { return connectivity.New(), nil },
+		checkAs(func(_ Params, g *graph.Graph, a connectivity.Answer) error {
+			// Any input: the answer and the component count of g.
+			if yes, comps := graph.IsConnected(g), len(graph.Components(g)); a.Connected != yes || a.Components != comps {
+				return fmt.Errorf("connected %v with %d components, want %v with %d", a.Connected, a.Components, yes, comps)
+			}
+			return nil
+		})})
 	registerProtocol(ProtocolEntry{"subgraph", "SIMASYNC[f+log n] SUBGRAPH_f with f(n)=k (Thm 9)", "k",
 		func(p Params) (core.Protocol, error) {
 			k := p.K
 			return subgraphf.Protocol{F: func(int) int { return k }, Label: fmt.Sprintf("first-%d", k)}, nil
-		}})
+		},
+		checkAs(func(p Params, g, got *graph.Graph) error {
+			// Any input: exactly g's edges among nodes 1..k.
+			want := graph.New(g.N())
+			for _, e := range g.Edges() {
+				if e[1] <= p.K {
+					want.AddEdge(e[0], e[1])
+				}
+			}
+			if !got.Equal(want) {
+				return fmt.Errorf("read %v, want %v", got, want)
+			}
+			return nil
+		})})
 	registerProtocol(ProtocolEntry{"rand-cliques", "randomized SIMASYNC 2-CLIQUES (Open Problem 4); rand-cliques:<bits> overrides the 32-bit fingerprint width", "seed, arg",
 		func(p Params) (core.Protocol, error) {
 			bits := 32
@@ -133,7 +188,7 @@ func init() {
 				bits = b
 			}
 			return randcliques.Protocol{Seed: uint64(p.Seed), Bits: bits}, nil
-		}})
+		}, nil})
 
 	// Reduction/oracle protocols (internal/reductions): the maximal-
 	// information oracles from the paper's introduction and the Theorem 3/6
@@ -141,27 +196,27 @@ func init() {
 	// the degenerate O(n)-bit top of the message-size hierarchy next to the
 	// O(log n) protocols it dominates.
 	registerProtocol(ProtocolEntry{"oracle-triangle", "SIMASYNC[n+log n] full-adjacency TRIANGLE oracle (§1 observation)", "",
-		func(Params) (core.Protocol, error) { return reductions.TriangleOracle, nil }})
+		func(Params) (core.Protocol, error) { return reductions.TriangleOracle, nil }, nil})
 	registerProtocol(ProtocolEntry{"oracle-square", "SIMASYNC[n+log n] full-adjacency SQUARE oracle", "",
-		func(Params) (core.Protocol, error) { return reductions.SquareOracle, nil }})
+		func(Params) (core.Protocol, error) { return reductions.SquareOracle, nil }, nil})
 	registerProtocol(ProtocolEntry{"oracle-bfs", "SIMASYNC[n+log n] full-adjacency BFS oracle (Theorem 8 hypothesis)", "",
-		func(Params) (core.Protocol, error) { return reductions.BFSOracle, nil }})
+		func(Params) (core.Protocol, error) { return reductions.BFSOracle, nil }, nil})
 	registerProtocol(ProtocolEntry{"oracle-mis", "SIMASYNC[n+log n] full-adjacency rooted-MIS oracle; root = k, or 1 when k is outside [1, n]", "k, n",
-		func(p Params) (core.Protocol, error) { return reductions.MISOracle(misRoot(p)), nil }})
+		func(p Params) (core.Protocol, error) { return reductions.MISOracle(misRoot(p)), nil }, nil})
 	registerProtocol(ProtocolEntry{"triangle-prime", "Theorem 3 BUILD-from-TRIANGLE transformation over the adjacency oracle (triangle-free inputs)", "",
 		func(Params) (core.Protocol, error) {
 			return reductions.PairPrime{Gadget: reductions.Triangle, Inner: reductions.TriangleOracle}, nil
-		}})
+		}, rebuiltBy(func(g *graph.Graph) bool { return !graph.HasTriangle(g) })})
 	registerProtocol(ProtocolEntry{"square-prime", "Theorem-3-style BUILD-from-SQUARE transformation over the adjacency oracle (C4-free inputs)", "",
 		func(Params) (core.Protocol, error) {
 			return reductions.PairPrime{Gadget: reductions.Square, Inner: reductions.SquareOracle}, nil
-		}})
+		}, rebuiltBy(func(g *graph.Graph) bool { return !graph.HasSquare(g) })})
 	registerProtocol(ProtocolEntry{"mis-prime", "Theorem 6 BUILD-from-MIS transformation over the adjacency oracle", "n",
 		func(p Params) (core.Protocol, error) {
 			// The inner rooted-MIS protocol runs on the n+1-node gadget with
 			// the fresh node n+1 as root.
 			return reductions.PairPrime{Gadget: reductions.MIS, Inner: reductions.MISOracle(p.N + 1)}, nil
-		}})
+		}, rebuiltBy(anyGraph)})
 	registerProtocol(ProtocolEntry{"lemma4", "lemma4:<inner> serializes a SIMSYNC protocol into ASYNC by ID-order activation (Lemma 4)", "arg",
 		func(p Params) (core.Protocol, error) {
 			if p.Arg == "" {
@@ -175,7 +230,7 @@ func init() {
 				return nil, fmt.Errorf("registry: lemma4 inner protocol %q is %s, want SIMSYNC", inner.Name(), inner.Model())
 			}
 			return reductions.SimSyncAsAsync{Inner: inner}, nil
-		}})
+		}, nil})
 
 	registerGraph(GraphEntry{"path", "path on n nodes", "n",
 		func(p Params, _ *rand.Rand) (*graph.Graph, error) { return graph.Path(p.N), nil }})
@@ -231,13 +286,14 @@ func init() {
 		}})
 	registerGraph(GraphEntry{"cycle-iso", "cycle on n−1 nodes plus one isolated node (the Open Problem 3 deadlock-witness family)", "n",
 		func(p Params, _ *rand.Rand) (*graph.Graph, error) {
+			if p.N < 4 {
+				return nil, fmt.Errorf("registry: cycle-iso needs n ≥ 4, got %d", p.N)
+			}
 			g := graph.New(p.N)
 			for v := 1; v+1 < p.N; v++ {
 				g.AddEdge(v, v+1)
 			}
-			if p.N >= 4 {
-				g.AddEdge(1, p.N-1)
-			}
+			g.AddEdge(1, p.N-1)
 			return g, nil
 		}})
 	registerGraph(GraphEntry{"empty", "edgeless graph on n nodes", "n",
@@ -303,7 +359,7 @@ func init() {
 				return nil, fmt.Errorf("registry: gate predicate: %w", err)
 			}
 			return scenario.NewGate(inner, prog)
-		}})
+		}, nil})
 }
 
 // splitName separates "name:arg" at the first colon.
@@ -323,6 +379,27 @@ func NewProtocol(spec string, p Params) (core.Protocol, error) {
 	}
 	p.Arg = arg
 	return e.Build(p.Defaults())
+}
+
+// CheckOutput checks out, one output of the protocol registered under spec
+// on g, with the entry's Check: the protocol's promise, then the reference
+// its output must match. It reads n from g, so p need carry only the other
+// parameters the protocol was built with. The error names the protocol,
+// the graph and what is wrong; an entry without a check is an error too.
+func CheckOutput(spec string, p Params, g *graph.Graph, out any) error {
+	name, arg := splitName(spec)
+	e, ok := protocols[name]
+	if !ok {
+		return unknown("protocol", name, Protocols())
+	}
+	if e.Check == nil {
+		return fmt.Errorf("registry: protocol %q has no output check", name)
+	}
+	p.Arg, p.N = arg, g.N()
+	if err := e.Check(p, g, out); err != nil {
+		return fmt.Errorf("%s on %v: %w", spec, g, err)
+	}
+	return nil
 }
 
 // NewGraph constructs the graph registered under spec, drawing randomness
@@ -469,3 +546,57 @@ func misRoot(p Params) int {
 	}
 	return p.K
 }
+
+// checkAs adapts a check of outputs of type T to an entry's Check.
+func checkAs[T any](check func(p Params, g *graph.Graph, out T) error) func(Params, *graph.Graph, any) error {
+	return func(p Params, g *graph.Graph, out any) error {
+		t, ok := out.(T)
+		if !ok {
+			return fmt.Errorf("output %T, want %T", out, t)
+		}
+		return check(p, g, t)
+	}
+}
+
+// built checks a BUILD protocol's answer: g rebuilt exactly inside the
+// promise, a rejection outside it.
+func built(promise bool, g, got *graph.Graph, inClass bool) error {
+	switch {
+	case promise && (!inClass || !got.Equal(g)):
+		return fmt.Errorf("answered %v (in class: %v) inside the promise", got, inClass)
+	case !promise && inClass:
+		return errors.New("accepted an input outside the promise")
+	}
+	return nil
+}
+
+// rebuiltBy is a prime's check: g rebuilt exactly inside the promise, any
+// graph outside it.
+func rebuiltBy(promise func(*graph.Graph) bool) func(Params, *graph.Graph, any) error {
+	return checkAs(func(_ Params, g, got *graph.Graph) error {
+		if promise(g) && !got.Equal(g) {
+			return fmt.Errorf("rebuilt %v", got)
+		}
+		return nil
+	})
+}
+
+// canonicalForest is a BFS protocol's check: g's canonical BFS forest
+// inside the promise; outside it, a rejection when reject is set and any
+// forest otherwise.
+func canonicalForest(promise func(*graph.Graph) bool, reject bool) func(Params, *graph.Graph, any) error {
+	return checkAs(func(_ Params, g *graph.Graph, f bfs.Forest) error {
+		if !promise(g) {
+			if reject && f.Valid {
+				return errors.New("accepted an input outside the promise")
+			}
+			return nil
+		}
+		if msg := graph.ValidateBFSForest(g, f.Parent, f.Layer); msg != "" {
+			return errors.New(msg)
+		}
+		return nil
+	})
+}
+
+func anyGraph(*graph.Graph) bool { return true }

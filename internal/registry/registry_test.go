@@ -2,9 +2,20 @@ package registry
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/protocols/bfs"
+	"repro/internal/protocols/buildforest"
+	"repro/internal/protocols/buildkdeg"
+	"repro/internal/protocols/connectivity"
+	"repro/internal/protocols/twocliques"
 )
 
 // TestEveryProtocolConstructsWithDefaults exercises each registered
@@ -220,5 +231,100 @@ func TestMISRootRule(t *testing.T) {
 				t.Errorf("%s with k=%d, n=%d: %s, want root %d", name, c.p.K, c.p.N, got, c.root)
 			}
 		}
+	}
+}
+
+func TestSmallCyclesRejected(t *testing.T) {
+	_, errCycle := NewGraph("cycle", Params{N: 2}, nil)
+	_, errIso := NewGraph("cycle-iso", Params{N: 3}, nil)
+	if g := MustGraph("cycle-iso", Params{N: 4}, nil); errCycle == nil || errIso == nil || g.M() != 3 || g.Degree(4) != 0 {
+		t.Errorf("cycle at n=2: %v; cycle-iso at n=3: %v; at n=4: %v, want two errors, then a triangle and an isolated node",
+			errCycle, errIso, g)
+	}
+}
+
+// TestCheckOutput runs every protocol that has a check on a small input
+// inside its promise: the output passes and a corrupted copy fails. The
+// protocols without a check are listed, so one registered later without a
+// check fails here.
+func TestCheckOutput(t *testing.T) {
+	unchecked := []string{"gate", "lemma4", "oracle-bfs", "oracle-mis", "oracle-square", "oracle-triangle", "rand-cliques"}
+	// The corruptions add the edge {1, n}, which no case's output holds.
+	plusEdge := func(h *graph.Graph) *graph.Graph { h = h.Clone(); h.AddEdge(1, h.N()); return h }
+	rebuilt := func(out any) any { return plusEdge(out.(*graph.Graph)) }
+	movedParent := func(out any) any {
+		f := out.(bfs.Forest)
+		f.Parent = slices.Clone(f.Parent)
+		f.Parent[len(f.Parent)-1]++
+		return f
+	}
+	cases := map[string]struct {
+		p       Params
+		g       *graph.Graph
+		corrupt func(out any) any
+	}{
+		"build-forest": {Params{}, graph.Path(8), func(any) any { return buildforest.Decoded{InClass: false} }},
+		"build-kdeg": {Params{K: 2}, graph.Grid(3, 3), func(out any) any {
+			return buildkdeg.Decoded{Graph: plusEdge(out.(buildkdeg.Decoded).Graph), InClass: true}
+		}},
+		"build-split":    {Params{K: 1}, graph.Complement(graph.Path(7)), func(any) any { return buildkdeg.Decoded{InClass: false} }},
+		"mis":            {Params{K: 3}, graph.Cycle(7), func(out any) any { return out.([]int)[1:] }},
+		"two-cliques":    {Params{}, graph.TwoCliques(3, nil), func(out any) any { return twocliques.Output{TwoCliques: !out.(twocliques.Output).TwoCliques} }},
+		"bfs":            {Params{}, graph.Grid(3, 3), movedParent},
+		"bfs-cached":     {Params{}, graph.Grid(3, 3), movedParent},
+		"eob-bfs":        {Params{}, graph.Grid(3, 3), movedParent},
+		"bipartite-bfs":  {Params{}, graph.Grid(3, 3), movedParent},
+		"connectivity":   {Params{}, graph.Path(5), func(any) any { return connectivity.Answer{Connected: false, Components: 1} }},
+		"subgraph":       {Params{K: 4}, graph.Complete(6), rebuilt},
+		"triangle-prime": {Params{}, graph.Grid(3, 3), rebuilt},
+		"square-prime":   {Params{}, graph.Path(5), rebuilt},
+		"mis-prime":      {Params{}, graph.Path(6), rebuilt},
+	}
+	for _, name := range Protocols() {
+		e, _ := ProtocolDoc(name)
+		c, ok := cases[name]
+		if (e.Check == nil) == ok || (e.Check == nil) != slices.Contains(unchecked, name) {
+			t.Errorf("%s: has a check %v, a case %v, listed unchecked %v", name, e.Check != nil, ok, slices.Contains(unchecked, name))
+			continue
+		}
+		if !ok {
+			if err := CheckOutput(name, Params{}, graph.Path(3), nil); err == nil {
+				t.Errorf("%s: CheckOutput without a check passed", name)
+			}
+			continue
+		}
+		c.p.N = c.g.N()
+		res := engine.Run(MustProtocol(name, c.p), c.g, adversary.Rotor{}, engine.Options{})
+		if res.Status != core.Success {
+			t.Errorf("%s on %v: %v (%v)", name, c.g, res.Status, res.Err)
+			continue
+		}
+		if err := CheckOutput(name, c.p, c.g, res.Output); err != nil {
+			t.Errorf("correct output rejected: %v", err)
+		}
+		if err := CheckOutput(name, c.p, c.g, c.corrupt(res.Output)); err == nil {
+			t.Errorf("%s on %v: corrupted output %v passed", name, c.g, c.corrupt(res.Output))
+		}
+	}
+}
+
+// TestTwoCliquesOutsideThePromise pins an input outside the two-cliques
+// promise that the protocol calls two cliques: the single edge {1,2} on 4
+// nodes reads yes on 12 of its 24 schedules. The check accepts every answer.
+func TestTwoCliquesOutsideThePromise(t *testing.T) {
+	g := graph.FromEdges(4, [][2]int{{1, 2}})
+	yes := 0
+	stats, err := engine.RunAll(MustProtocol("two-cliques", Params{}), g, engine.Options{}, 1<<10,
+		func(res *core.Result, _ []int) error {
+			if res.Status != core.Success {
+				return res.Err
+			}
+			if res.Output.(twocliques.Output).TwoCliques {
+				yes++
+			}
+			return CheckOutput("two-cliques", Params{}, g, res.Output)
+		})
+	if err != nil || stats.Schedules != 24 || yes != 12 {
+		t.Errorf("%v: yes on %d of %d schedules (%v), want 12 of 24", g, yes, stats.Schedules, err)
 	}
 }
