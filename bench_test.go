@@ -29,9 +29,9 @@ import (
 	"repro/internal/registry"
 )
 
-func mustRun(b *testing.B, p core.Protocol, g *graph.Graph, adv adversary.Adversary, opts engine.Options) *core.Result {
+func mustRun(b *testing.B, p core.Protocol, g *graph.Graph, adv adversary.Adversary) *core.Result {
 	b.Helper()
-	res := engine.Run(p, g, adv, opts)
+	res := engine.Run(p, g, adv, engine.Options{})
 	if res.Status != core.Success {
 		b.Fatalf("%s on %d nodes: %v (%v)", p.Name(), g.N(), res.Status, res.Err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkProtocols(b *testing.B) {
 			p := registry.MustProtocol(r.protocol, r.params)
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = mustRun(b, p, r.g, adversary.Rotor{}, engine.Options{})
+				res = mustRun(b, p, r.g, adversary.Rotor{})
 				if err := registry.CheckOutput(r.protocol, r.params, r.g, res.Output); err != nil {
 					b.Fatal(err)
 				}
@@ -152,7 +152,7 @@ func BenchmarkFigure2_EOBGadget(b *testing.B) {
 	b.Run("prime-rebuild", func(b *testing.B) {
 		p := reductions.EOBPrime{Inner: reductions.BFSOracle}
 		for i := 0; i < b.N; i++ {
-			res := mustRun(b, p, h, adversary.Rotor{}, engine.Options{})
+			res := mustRun(b, p, h, adversary.Rotor{})
 			if !res.Output.(*graph.Graph).Equal(h) {
 				b.Fatal("wrong reconstruction")
 			}
@@ -264,8 +264,8 @@ func BenchmarkOpenProblem4_RandCliques(b *testing.B) {
 			errs := 0
 			for i := 0; i < b.N; i++ {
 				p := randcliques.Protocol{Seed: uint64(i)*0x9E3779B9 + 1, Bits: bits}
-				ry := mustRun(b, p, yes, adversary.MinID{}, engine.Options{})
-				rn := mustRun(b, p, no, adversary.MinID{}, engine.Options{})
+				ry := mustRun(b, p, yes, adversary.MinID{})
+				rn := mustRun(b, p, no, adversary.MinID{})
 				if !ry.Output.(randcliques.Output).TwoCliques || rn.Output.(randcliques.Output).TwoCliques {
 					errs++
 				}
